@@ -1,18 +1,15 @@
-// Hot-path study for the spatial-index geometry kernels: one contest
-// benchmark, single-threaded, run per-rep in three configs -- spatialIndex
-// ON (the default GridIndex-backed candidate scorer and sizer kernels),
-// OFF (the original brute scans), and the pre-warm-start sizer baseline.
-// The profiling registry records per-stage thread-seconds for every run;
-// the key series is the candidate-stage speedup (the O(C*N) overlay
-// scoring the index replaced).
+// Hot-path profile of the default fill engine: one contest benchmark,
+// single-threaded, profiled every rep. Reports absolute stage seconds from
+// the profiling registry -- candidates and its four sub-stages, sizing and
+// its overlay / MCF-solve sub-stages, end-to-end wall -- plus the sizer's
+// warm-start and early-exit ratios (machine-independent, so they gate on
+// any machine).
 //
-// All configs must produce BIT-IDENTICAL fills -- that is the contract
-// that lets the index default on -- so the bench exits nonzero when fill
-// hashes diverge or when the indexed candidate stage is slower than brute
-// on average (the CI perf-smoke gate). The harness interleaves configs
-// within each rep and discards shared warmup rounds, so no variant is
-// stuck paying the cold-cache start (the old hand-rolled best-of-3 loop
-// always charged it to the brute config). Results: BENCH_hotpath.json.
+// The bench exits nonzero when reps disagree on the fills (the engine is
+// deterministic) or when no MCF warm start fired -- the sizer's warm path
+// must actually engage (the CI perf-smoke gate). The harness discards
+// warmup rounds, so no rep pays the cold-cache start. Results:
+// BENCH_hotpath.json.
 //
 // Usage: bench_hotpath [suite] [reps] [--reps N] [--warmup N] [--out F]
 #include <cstdint>
@@ -21,6 +18,7 @@
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/prof.hpp"
 #include "common/timer.hpp"
@@ -31,62 +29,23 @@ using namespace ofl;
 
 namespace {
 
-// Order-sensitive fingerprint of the fill solution (same scheme as
-// bench_scaling): identical hashes mean bit-identical fill lists.
+// Order-sensitive fingerprint of the fill solution: identical hashes mean
+// bit-identical fill lists.
 std::uint64_t fillHash(const layout::Layout& chip) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over fill coords
-  auto mix = [&h](geom::Coord v) {
-    h ^= static_cast<std::uint64_t>(v);
-    h *= 1099511628211ull;
-  };
+  Fnv1a64 h;
   for (int l = 0; l < chip.numLayers(); ++l) {
     for (const geom::Rect& f : chip.layer(l).fills) {
-      mix(f.xl);
-      mix(f.yl);
-      mix(f.xh);
-      mix(f.yh);
+      h.i64(f.xl);
+      h.i64(f.yl);
+      h.i64(f.xh);
+      h.i64(f.yh);
     }
   }
-  return h;
+  return h.digest();
 }
 
-struct Run {
-  double wall = 0.0;
-  std::size_t fills = 0;
-  std::uint64_t hash = 0;
-  prof::Snapshot profile;
-};
-
-Run runOnce(const layout::Layout& original, const contest::BenchmarkSpec& spec,
-            bool spatialIndex, bool warmSizer = true) {
-  layout::Layout chip = original;
-  fill::FillEngineOptions o;
-  o.windowSize = spec.windowSize;
-  o.rules = spec.rules;
-  o.numThreads = 1;
-  o.candidate.spatialIndex = spatialIndex;
-  o.sizer.spatialIndex = spatialIndex;
-  if (!warmSizer) {
-    // Pre-warm-start sizer baseline: cold solves, full per-pivot tree
-    // rebuild. Feeds the warm_sizing_speedup series.
-    o.sizer.mcfWarmStart = false;
-    o.sizer.mcfEarlyExit = false;
-    o.sizer.mcfFullRefresh = true;
-  }
-
-  prof::Registry::instance().reset();
-  Run run;
-  Timer t;
-  const fill::FillReport report = fill::FillEngine(o).run(chip);
-  run.wall = t.elapsedSeconds();
-  run.fills = report.fillCount;
-  run.hash = fillHash(chip);
-  run.profile = report.profile;
-  return run;
-}
-
-double stageSeconds(const Run& run, prof::Stage stage) {
-  return run.profile.stage(stage).seconds();
+double ratio(long long num, long long den) {
+  return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
 }
 
 }  // namespace
@@ -107,79 +66,71 @@ int main(int argc, char** argv) {
   h.param("suite", spec.name);
   h.param("threads", static_cast<std::int64_t>(1));
 
-  Series& candBrute = h.series("candidates_brute_s", "s");
-  Series& candIndexed = h.series("candidates_indexed_s", "s");
-  Series& sizBrute = h.series("sizing_brute_s", "s");
-  Series& sizIndexed = h.series("sizing_indexed_s", "s");
-  Series& sizBase = h.series("sizing_basesizer_s", "s");
-  Series& wallBrute = h.series("wall_brute_s", "s");
-  Series& wallIndexed = h.series("wall_indexed_s", "s");
+  const struct {
+    const char* series;
+    prof::Stage stage;
+  } stages[] = {
+      {"candidates_s", prof::Stage::kCandidates},
+      {"candidates_region_s", prof::Stage::kCandidateRegion},
+      {"candidates_slice_s", prof::Stage::kCandidateSlice},
+      {"candidates_score_s", prof::Stage::kCandidateScore},
+      {"candidates_refine_s", prof::Stage::kCandidateRefine},
+      {"sizing_s", prof::Stage::kSizing},
+      {"sizing_overlay_s", prof::Stage::kSizerOverlay},
+      {"mcf_solve_s", prof::Stage::kMcfSolve},
+  };
+  std::vector<Series*> stageSeries;
+  for (const auto& s : stages) stageSeries.push_back(&h.series(s.series, "s"));
+  Series& wall = h.series("wall_s", "s");
+  Series& warmRatio = h.series("warm_start_ratio", "ratio",
+                               Direction::kHigherIsBetter, Scale::kRatio);
+  Series& earlyRatio = h.series("early_exit_ratio", "ratio",
+                                Direction::kHigherIsBetter, Scale::kRatio);
+
+  fill::FillEngineOptions options;
+  options.windowSize = spec.windowSize;
+  options.rules = spec.rules;
+  options.numThreads = 1;
 
   std::uint64_t refHash = 0;
-  std::size_t refFills = 0;
   bool haveRef = false;
-  bool identical = true;
-  Run lastBrute, lastIndexed, lastBase;
-  const auto note = [&](const Run& r) {
-    if (!haveRef) {
-      refHash = r.hash;
-      refFills = r.fills;
-      haveRef = true;
-    } else if (r.hash != refHash || r.fills != refFills) {
-      identical = false;
-    }
-  };
-
+  bool deterministic = true;
+  fill::FillReport last;
   prof::Registry::instance().setEnabled(true);
-  h.runInterleaved({
-      [&] {
-        Run r = runOnce(original, spec, /*spatialIndex=*/false);
-        note(r);
-        candBrute.record(stageSeconds(r, prof::Stage::kCandidates));
-        sizBrute.record(stageSeconds(r, prof::Stage::kSizing));
-        wallBrute.record(r.wall);
-        lastBrute = std::move(r);
-      },
-      [&] {
-        Run r = runOnce(original, spec, /*spatialIndex=*/true);
-        note(r);
-        candIndexed.record(stageSeconds(r, prof::Stage::kCandidates));
-        sizIndexed.record(stageSeconds(r, prof::Stage::kSizing));
-        wallIndexed.record(r.wall);
-        lastIndexed = std::move(r);
-      },
-      [&] {
-        Run r = runOnce(original, spec, true, /*warmSizer=*/false);
-        note(r);
-        sizBase.record(stageSeconds(r, prof::Stage::kSizing));
-        lastBase = std::move(r);
-      },
-  });
+  h.runInterleaved({[&] {
+    layout::Layout chip = original;
+    prof::Registry::instance().reset();
+    Timer t;
+    last = fill::FillEngine(options).run(chip);
+    wall.record(t.elapsedSeconds());
+    for (std::size_t i = 0; i < stageSeries.size(); ++i) {
+      stageSeries[i]->record(last.profile.stage(stages[i].stage).seconds());
+    }
+    const fill::FillSizer::Stats& st = last.sizerStats;
+    warmRatio.record(ratio(st.warmStarts, st.solves));
+    earlyRatio.record(ratio(st.earlyExits, st.solves));
+    const std::uint64_t hash = fillHash(chip);
+    if (!haveRef) {
+      refHash = hash;
+      haveRef = true;
+    } else if (hash != refHash) {
+      deterministic = false;
+    }
+  }});
   prof::Registry::instance().setEnabled(false);
 
-  const struct {
-    const char* name;
-    const Run* run;
-  } views[] = {{"brute", &lastBrute},
-               {"indexed", &lastIndexed},
-               {"basesizer", &lastBase}};
-  for (const auto& v : views) {
-    std::printf("\n-- %s (wall %.2fs, %zu fills, hash %llx) --\n", v.name,
-                v.run->wall, v.run->fills,
-                static_cast<unsigned long long>(v.run->hash));
-    std::fputs(v.run->profile.human().c_str(), stdout);
-  }
-  std::printf("\n");
+  const fill::FillSizer::Stats& st = last.sizerStats;
+  std::printf("\n-- last rep (%zu fills, hash %llx) --\n", last.fillCount,
+              static_cast<unsigned long long>(refHash));
+  std::fputs(last.profile.human().c_str(), stdout);
+  std::printf("  sizer: %lld solves, %lld warm [%.0f%%], %lld early exits "
+              "[%.0f%%]\n\n",
+              st.solves, st.warmStarts, 100.0 * ratio(st.warmStarts, st.solves),
+              st.earlyExits, 100.0 * ratio(st.earlyExits, st.solves));
 
-  Series& candSpeedup =
-      h.recordRatio("candidate_speedup", candBrute, candIndexed);
-  h.recordRatio("sizing_speedup", sizBrute, sizIndexed);
-  h.recordRatio("warm_sizing_speedup", sizBase, sizIndexed);
-  h.recordRatio("total_speedup", wallBrute, wallIndexed);
-  h.param("fill_count", static_cast<std::int64_t>(refFills));
-
-  h.check("identical", identical);
-  const SeriesStats speedup = computeStats(candSpeedup.samples());
-  h.check("indexed_not_slower", speedup.mean >= 1.0);
+  h.param("fill_count", static_cast<std::int64_t>(last.fillCount));
+  h.param("mcf_solves", static_cast<std::int64_t>(st.solves));
+  h.check("deterministic", deterministic);
+  h.check("warm_start_fired", st.warmStarts > 0);
   return h.finish();
 }

@@ -1,39 +1,29 @@
-// MCF warm-start / early-exit study: the solver-level A/B behind the
-// sizer's default-on warm starts.
+// MCF solver-level replay: fill-sizing-shaped differential LP sequences
+// (each "window" solves H1,V1,H2,V2 -- round 2 repeats the topology with
+// perturbed costs, the exact pattern FillSizer emits) are replayed through
+// one default DualMcfContext per sequence, exactly like the sizer's
+// per-(layer,direction) contexts. Reports ns/solve and the warm-start and
+// early-exit counts. The engine-level sizing profile lives in
+// bench_hotpath.
 //
-// Two measurements, both gated on byte-identical results:
-//
-//  1. Solver level: fill-sizing-shaped differential LP sequences (each
-//     "window" solves H1,V1,H2,V2 — round 2 repeats the topology with
-//     perturbed costs, the exact pattern FillSizer emits) are replayed
-//     through four context configurations — baseline (pre-incremental),
-//     cold (network reuse only), warm (basis reuse), warm+early
-//     (sensitivity memo). Per-solve ns and the warm/early hit counts
-//     come from here.
-//
-//  2. Engine level: a contest suite is filled, sizer warm+early ON vs
-//     OFF, single-threaded, and the sizing-stage thread-seconds are
-//     compared. This is the end-to-end "dominant stage" speedup.
-//
-// The harness interleaves configurations within each rep so load spikes
-// land on every config evenly, and discards shared warmup rounds. The
-// bench exits nonzero when any config diverges or when no warm start
-// fired (the CI perf-smoke gate). Results go to BENCH_mcf.json.
+// Every replayed x must equal a fresh successive-shortest-path solve of
+// the same LP (canonicalization makes x backend-independent), and reps
+// must agree with each other. The bench exits nonzero on a mismatch or
+// when no warm start or early exit fired (the CI perf-smoke gate).
+// Results go to BENCH_mcf.json.
 //
 // Usage: bench_mcf [suite] [reps] [--reps N] [--warmup N] [--out F]
-#include <algorithm>
+// (the LP sequences are synthetic; suite is accepted for the shared
+// bench CLI and ignored)
 #include <cstdint>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "common/hash.hpp"
 #include "common/logging.hpp"
-#include "common/prof.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "contest/benchmark_generator.hpp"
-#include "fill/fill_engine.hpp"
 #include "mcf/dual_lp.hpp"
 
 using namespace ofl;
@@ -86,84 +76,40 @@ struct SolverRun {
   std::uint64_t xHash = 0;  // FNV over every solve's x, in order
 };
 
-// Replays every sequence (4 solves each) through fresh contexts with the
-// given options; one context per sequence, exactly like the sizer's
-// per-(layer,direction) contexts.
-SolverRun replay(const std::vector<std::vector<DifferentialLp>>& sequences,
-                 bool warm, bool early, bool fullRefresh = false) {
+void hashX(Fnv1a64& h, const DiffLpResult& r) {
+  h.boolean(r.feasible);
+  for (const Value v : r.x) h.i64(v);
+}
+
+// Replays every sequence (4 solves each) through a fresh default context.
+SolverRun replay(const std::vector<std::vector<DifferentialLp>>& sequences) {
   SolverRun run;
-  std::uint64_t h = 1469598103934665603ull;
+  Fnv1a64 h;
   Timer t;
   for (const auto& seq : sequences) {
-    DualMcfContext context(DualMcfContext::Options{
-        McfBackend::kNetworkSimplex, warm, early, 0, fullRefresh});
+    DualMcfContext context;
     for (const DifferentialLp& lp : seq) {
       const DiffLpResult r = context.solve(lp);
       ++run.solves;
       if (r.usedWarmStart) ++run.warmStarts;
       if (r.usedEarlyExit) ++run.earlyExits;
-      for (const Value v : r.x) {
-        h ^= static_cast<std::uint64_t>(v);
-        h *= 1099511628211ull;
-      }
+      hashX(h, r);
     }
   }
   run.seconds = t.elapsedSeconds();
-  run.xHash = h;
+  run.xHash = h.digest();
   return run;
 }
 
-// Engine-level sizing A/B on one suite, single-threaded.
-struct EngineRun {
-  double sizingSeconds = 0.0;
-  double wall = 0.0;
-  long long solves = 0;
-  long long warmStarts = 0;
-  long long earlyExits = 0;
-  std::size_t fills = 0;
-  std::uint64_t hash = 0;
-};
-
-std::uint64_t fillHash(const layout::Layout& chip) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](geom::Coord v) {
-    h ^= static_cast<std::uint64_t>(v);
-    h *= 1099511628211ull;
-  };
-  for (int l = 0; l < chip.numLayers(); ++l) {
-    for (const geom::Rect& f : chip.layer(l).fills) {
-      mix(f.xl);
-      mix(f.yl);
-      mix(f.xh);
-      mix(f.yh);
-    }
+// The same x stream from one-shot SSP solves: the independent reference.
+std::uint64_t sspHash(
+    const std::vector<std::vector<DifferentialLp>>& sequences) {
+  Fnv1a64 h;
+  const DifferentialLpSolver ssp(McfBackend::kSuccessiveShortestPath);
+  for (const auto& seq : sequences) {
+    for (const DifferentialLp& lp : seq) hashX(h, ssp.solve(lp));
   }
-  return h;
-}
-
-EngineRun engineOnce(const layout::Layout& original,
-                     const contest::BenchmarkSpec& spec, bool warm,
-                     bool fullRefresh) {
-  layout::Layout chip = original;
-  fill::FillEngineOptions o;
-  o.windowSize = spec.windowSize;
-  o.rules = spec.rules;
-  o.numThreads = 1;
-  o.sizer.mcfWarmStart = warm;
-  o.sizer.mcfEarlyExit = warm;
-  o.sizer.mcfFullRefresh = fullRefresh;
-  prof::Registry::instance().reset();
-  EngineRun run;
-  Timer t;
-  const fill::FillReport report = fill::FillEngine(o).run(chip);
-  run.wall = t.elapsedSeconds();
-  run.sizingSeconds = report.profile.stage(prof::Stage::kSizing).seconds();
-  run.solves = report.sizerStats.solves;
-  run.warmStarts = report.sizerStats.warmStarts;
-  run.earlyExits = report.sizerStats.earlyExits;
-  run.fills = report.fillCount;
-  run.hash = fillHash(chip);
-  return run;
+  return h.digest();
 }
 
 }  // namespace
@@ -173,7 +119,6 @@ int main(int argc, char** argv) {
   using namespace ofl::bench;
   const BenchArgs args = BenchArgs::parse(argc, argv, "s", 3);
 
-  // --- Solver-level replay ---
   const int kSequences = 400;
   const int kFills = 24;
   std::vector<std::vector<DifferentialLp>> sequences;
@@ -193,164 +138,43 @@ int main(int argc, char** argv) {
   }
 
   Harness h(args.harnessOptions("mcf"));
-  const contest::BenchmarkSpec spec =
-      contest::BenchmarkGenerator::spec(args.suite);
-  h.param("suite", spec.name);
   h.param("sequences", static_cast<std::int64_t>(kSequences));
   h.param("fills_per_lp", static_cast<std::int64_t>(kFills));
+  Series& seconds = h.series("solver_s", "s");
+  Series& nsPerSolve = h.series("solver_ns_per_solve", "ns");
+  Series& warmRatio = h.series("warm_start_ratio", "ratio",
+                               Direction::kHigherIsBetter, Scale::kRatio);
+  Series& earlyRatio = h.series("early_exit_ratio", "ratio",
+                                Direction::kHigherIsBetter, Scale::kRatio);
 
-  // "baseline" is the pre-incremental solver: cold starts plus a full
-  // tree rebuild after every pivot. "cold" isolates the always-on solver
-  // improvements; "warm"/"warm+early" add the optional reuse layers.
-  struct SolverSlot {
-    const char* config;
-    bool warm, early, fullRefresh;
-    Series* seconds;
-    SolverRun last;
-    std::uint64_t refHash = 0;
-    bool haveRef = false;
-    bool identical = true;
-  };
-  std::vector<SolverSlot> solver = {
-      {"baseline", false, false, true, nullptr, {}},
-      {"cold", false, false, false, nullptr, {}},
-      {"warm", true, false, false, nullptr, {}},
-      {"warm_early", true, true, false, nullptr, {}},
-  };
-  for (SolverSlot& s : solver) {
-    s.seconds = &h.series(std::string("solver_") + s.config + "_s", "s");
-  }
-  std::vector<std::function<void()>> solverBodies;
-  solverBodies.reserve(solver.size());
-  for (SolverSlot& s : solver) {
-    solverBodies.push_back([&s, &sequences] {
-      const SolverRun r = replay(sequences, s.warm, s.early, s.fullRefresh);
-      if (!s.haveRef) {
-        s.refHash = r.xHash;
-        s.haveRef = true;
-      } else if (r.xHash != s.refHash) {
-        s.identical = false;
-      }
-      s.seconds->record(r.seconds);
-      s.last = r;
-    });
-  }
-  h.runInterleaved(solverBodies);
-
-  bool solverIdentical = true;
-  for (const SolverSlot& s : solver) {
-    if (!s.identical || s.last.xHash != solver.front().last.xHash) {
-      solverIdentical = false;
-    }
-  }
+  const std::uint64_t reference = sspHash(sequences);
+  bool matchesSsp = true;
+  SolverRun last;
+  h.runInterleaved({[&] {
+    last = replay(sequences);
+    if (last.xHash != reference) matchesSsp = false;
+    const auto solves = static_cast<double>(last.solves);
+    seconds.record(last.seconds);
+    nsPerSolve.record(last.seconds * 1e9 / solves);
+    warmRatio.record(static_cast<double>(last.warmStarts) / solves);
+    earlyRatio.record(static_cast<double>(last.earlyExits) / solves);
+  }});
 
   std::printf("== MCF replay: %d sequences x 4 solves, %d fills each, "
               "%d reps + %d warmup ==\n",
               kSequences, kFills, args.reps, args.warmup);
-  for (const SolverSlot& s : solver) {
-    const SolverRun& r = s.last;
-    const double ns =
-        r.solves > 0 ? r.seconds * 1e9 / static_cast<double>(r.solves) : 0.0;
-    std::printf("  %-10s %8.3f ms  %6lld solves  %5lld warm  %5lld early  "
-                "%7.0f ns/solve\n",
-                s.config, r.seconds * 1e3, r.solves, r.warmStarts,
-                r.earlyExits, ns);
-  }
+  std::printf("  %8.3f ms  %6lld solves  %5lld warm  %5lld early  "
+              "%7.0f ns/solve\n",
+              last.seconds * 1e3, last.solves, last.warmStarts,
+              last.earlyExits,
+              last.seconds * 1e9 / static_cast<double>(last.solves));
   std::printf("  solutions %s\n",
-              solverIdentical ? "BYTE-IDENTICAL" : "DIVERGED (BUG!)");
+              matchesSsp ? "MATCH SSP" : "DIVERGED FROM SSP (BUG!)");
 
-  h.recordRatio("solver_warm_speedup", *solver[0].seconds,
-                *solver[2].seconds);
-  h.recordRatio("solver_warm_early_speedup", *solver[0].seconds,
-                *solver[3].seconds);
-  h.param("solver_warm_starts",
-          static_cast<std::int64_t>(solver[2].last.warmStarts));
-  h.param("solver_early_exits",
-          static_cast<std::int64_t>(solver[3].last.earlyExits));
-
-  // --- Engine-level sizing A/B ---
-  const layout::Layout original = contest::BenchmarkGenerator::generate(spec);
-  struct EngineSlot {
-    const char* config;
-    bool warm, fullRefresh;
-    Series* sizing;
-    Series* wall;
-    EngineRun last;
-    std::uint64_t refHash = 0;
-    std::size_t refFills = 0;
-    bool haveRef = false;
-    bool identical = true;
-  };
-  std::vector<EngineSlot> engine = {
-      {"baseline", false, true, nullptr, nullptr, {}},
-      {"cold", false, false, nullptr, nullptr, {}},
-      {"warm", true, false, nullptr, nullptr, {}},
-  };
-  for (EngineSlot& e : engine) {
-    e.sizing = &h.series(std::string("engine_sizing_") + e.config + "_s", "s");
-    e.wall = &h.series(std::string("engine_wall_") + e.config + "_s", "s");
-  }
-  std::vector<std::function<void()>> engineBodies;
-  engineBodies.reserve(engine.size());
-  for (EngineSlot& e : engine) {
-    engineBodies.push_back([&e, &original, &spec] {
-      const EngineRun r = engineOnce(original, spec, e.warm, e.fullRefresh);
-      if (!e.haveRef) {
-        e.refHash = r.hash;
-        e.refFills = r.fills;
-        e.haveRef = true;
-      } else if (r.hash != e.refHash || r.fills != e.refFills) {
-        e.identical = false;
-      }
-      e.sizing->record(r.sizingSeconds);
-      e.wall->record(r.wall);
-      e.last = r;
-    });
-  }
-  prof::Registry::instance().setEnabled(true);
-  h.runInterleaved(engineBodies);
-  prof::Registry::instance().setEnabled(false);
-
-  bool engineIdentical = true;
-  for (const EngineSlot& e : engine) {
-    if (!e.identical || e.last.hash != engine.front().last.hash ||
-        e.last.fills != engine.front().last.fills) {
-      engineIdentical = false;
-    }
-  }
-  const EngineRun& engBase = engine[0].last;
-  const EngineRun& engCold = engine[1].last;
-  const EngineRun& engWarm = engine[2].last;
-  const double warmHitRate =
-      engWarm.solves > 0 ? static_cast<double>(engWarm.warmStarts) /
-                               static_cast<double>(engWarm.solves)
-                         : 0.0;
-  std::printf("\n== Engine sizing A/B: suite %s, %zu wires, 1 thread ==\n",
-              spec.name.c_str(), original.wireCount());
-  std::printf("  baseline    sizing %.3fs (%lld solves; pre-PR solver)\n",
-              engBase.sizingSeconds, engBase.solves);
-  std::printf("  cold-sizer  sizing %.3fs (%lld solves)\n",
-              engCold.sizingSeconds, engCold.solves);
-  std::printf("  warm-sizer  sizing %.3fs (%lld solves, %lld warm [%.0f%%], "
-              "%lld early exits)\n",
-              engWarm.sizingSeconds, engWarm.solves, engWarm.warmStarts,
-              warmHitRate * 100.0, engWarm.earlyExits);
-  std::printf("  fills %s\n",
-              engineIdentical ? "BYTE-IDENTICAL" : "DIVERGED (BUG!)");
-
-  h.recordRatio("sizing_speedup_vs_baseline", *engine[0].sizing,
-                *engine[2].sizing);
-  h.recordRatio("sizing_speedup_vs_cold", *engine[1].sizing,
-                *engine[2].sizing);
-  h.series("warm_start_hit_rate", "ratio", Direction::kHigherIsBetter,
-           Scale::kRatio)
-      .record(warmHitRate);
-  h.param("fill_count", static_cast<std::int64_t>(engWarm.fills));
-  h.param("engine_solves", static_cast<std::int64_t>(engWarm.solves));
-
-  h.check("solver_identical", solverIdentical);
-  h.check("engine_identical", engineIdentical);
-  h.check("warm_start_fired",
-          solver[2].last.warmStarts > 0 && engWarm.warmStarts > 0);
+  h.param("solver_warm_starts", static_cast<std::int64_t>(last.warmStarts));
+  h.param("solver_early_exits", static_cast<std::int64_t>(last.earlyExits));
+  h.check("matches_ssp", matchesSsp);
+  h.check("warm_start_fired", last.warmStarts > 0);
+  h.check("early_exit_fired", last.earlyExits > 0);
   return h.finish();
 }

@@ -179,12 +179,10 @@ int main(int argc, char** argv) {
               100.0 * disabledOverhead,
               identical ? "BIT-IDENTICAL" : "DIVERGED (BUG!)");
 
-  h.series("disabled_overhead_pct", "%", Direction::kLowerIsBetter,
-           Scale::kRatio)
-      .record(100.0 * disabledOverhead);
-  h.series("enabled_overhead_pct", "%", Direction::kLowerIsBetter,
-           Scale::kRatio)
-      .record(100.0 * enabledOverhead);
+  // Both percentages are single samples derived from wall timings, so
+  // they gate only on the baseline's machine, like the timings themselves.
+  h.series("disabled_overhead_pct", "%").record(100.0 * disabledOverhead);
+  h.series("enabled_overhead_pct", "%").record(100.0 * enabledOverhead);
   h.param("trace_events", static_cast<std::int64_t>(tracedEvents));
   h.param("fill_count", static_cast<std::int64_t>(fills));
 

@@ -296,10 +296,6 @@ bool engineOptionsFrom(const Args& args, fill::FillEngineOptions& options,
     *error = "unknown --backend " + backend;
     return false;
   }
-  // Both default ON and byte-identical either way (see FillSizer::Options);
-  // the opt-outs exist for A/B timing and the equivalence tests.
-  if (args.hasFlag("no-warm-start")) options.sizer.mcfWarmStart = false;
-  if (args.hasFlag("no-early-exit")) options.sizer.mcfEarlyExit = false;
   return true;
 }
 
@@ -1167,8 +1163,7 @@ std::string usage() {
       "      identical bytes either way.\n"
       "  fill --in FILE.gds --out FILE.gds [--window N] [--lambda X]\n"
       "       [--eta X] [--iterations N] [--backend ns|ssp|lp] [--compact]\n"
-      "       [--no-warm-start] [--no-early-exit] [--json]\n"
-      "       [--stream] [--mem-budget-mb N] [--rows-per-shard N]\n"
+      "       [--json] [--stream] [--mem-budget-mb N] [--rows-per-shard N]\n"
       "       [--threads N] [--profile] [--profile-json FILE]\n"
       "       [--trace FILE] [--metrics-out FILE] [--metrics-prom FILE]\n"
       "       [--min-width N --min-spacing N --min-area N --max-fill N]\n"

@@ -48,23 +48,6 @@ void splitSpanInto(geom::Coord lo, geom::Coord hi, geom::Coord maxSize,
   }
 }
 
-// Allocating wrappers used by the baseline (pre-optimization) slice path.
-std::vector<geom::Interval> splitSpanFixed(geom::Coord lo, geom::Coord hi,
-                                           geom::Coord size,
-                                           geom::Coord gap) {
-  std::vector<geom::Interval> out;
-  splitSpanFixedInto(lo, hi, size, gap, out);
-  return out;
-}
-
-std::vector<geom::Interval> splitSpan(geom::Coord lo, geom::Coord hi,
-                                      geom::Coord maxSize, geom::Coord gap,
-                                      geom::Coord minSize) {
-  std::vector<geom::Interval> out;
-  splitSpanInto(lo, hi, maxSize, gap, minSize, out);
-  return out;
-}
-
 // Below this many neighbor shapes the brute-force Eqn. 8 scan beats the
 // index build; both paths sum the same integers, so this is purely a
 // performance threshold, never a results switch.
@@ -89,70 +72,44 @@ std::vector<geom::Rect> CandidateGenerator::sliceRegion(
 std::vector<geom::Rect> CandidateGenerator::sliceRegion(
     const geom::Region& region, geom::Coord maxSize) const {
   std::vector<geom::Rect> candidates;
-  sliceRegionInto(region.rects(), maxSize, candidates);
+  Scratch scratch;
+  sliceRegionInto(region.rects(), maxSize, candidates, scratch);
   return candidates;
 }
 
 void CandidateGenerator::sliceRegionInto(std::span<const geom::Rect> rects,
                                          geom::Coord maxSize,
                                          std::vector<geom::Rect>& candidates,
-                                         Scratch* scratch) const {
+                                         Scratch& scratch) const {
   prof::ScopedTimer timer(prof::Stage::kCandidateSlice);
   candidates.clear();
   const geom::Coord gap = gutter();
   const geom::Coord inset = (gap + 1) / 2;
-  auto emitCells = [&](const std::vector<geom::Interval>& xs,
-                       const std::vector<geom::Interval>& ys) {
-    for (const geom::Interval& ix : xs) {
-      for (const geom::Interval& iy : ys) {
-        const geom::Rect cell{ix.lo, iy.lo, ix.hi, iy.hi};
-        if (rules_.shapeOk(cell)) candidates.push_back(cell);
-      }
-    }
-  };
   // Merge decomposed slabs vertically first: taller source rects yield
   // larger (fewer) candidates, which directly helps the file-size score.
-  if (scratch == nullptr) {
-    // Baseline path, allocation pattern kept as the pre-optimization
-    // pipeline (bench_hotpath's brute config): fresh buffers per source.
-    const std::vector<geom::Rect> sources =
-        geom::mergeVertical({rects.begin(), rects.end()});
-    for (const geom::Rect& src : sources) {
-      const geom::Rect r = src.expanded(-inset);
-      if (r.empty() || r.width() < rules_.minWidth ||
-          r.height() < rules_.minWidth) {
-        continue;
-      }
-      const auto xs =
-          options_.uniformCells
-              ? splitSpanFixed(r.xl, r.xh, maxSize, gap)
-              : splitSpan(r.xl, r.xh, maxSize, gap, rules_.minWidth);
-      const auto ys =
-          options_.uniformCells
-              ? splitSpanFixed(r.yl, r.yh, maxSize, gap)
-              : splitSpan(r.yl, r.yh, maxSize, gap, rules_.minWidth);
-      emitCells(xs, ys);
-    }
-    return;
-  }
-  scratch->sliceSources.assign(rects.begin(), rects.end());
-  geom::mergeVerticalInPlace(scratch->sliceSources);
-  for (const geom::Rect& src : scratch->sliceSources) {
+  scratch.sliceSources.assign(rects.begin(), rects.end());
+  geom::mergeVerticalInPlace(scratch.sliceSources);
+  for (const geom::Rect& src : scratch.sliceSources) {
     const geom::Rect r = src.expanded(-inset);
     if (r.empty() || r.width() < rules_.minWidth ||
         r.height() < rules_.minWidth) {
       continue;
     }
     if (options_.uniformCells) {
-      splitSpanFixedInto(r.xl, r.xh, maxSize, gap, scratch->sliceXs);
-      splitSpanFixedInto(r.yl, r.yh, maxSize, gap, scratch->sliceYs);
+      splitSpanFixedInto(r.xl, r.xh, maxSize, gap, scratch.sliceXs);
+      splitSpanFixedInto(r.yl, r.yh, maxSize, gap, scratch.sliceYs);
     } else {
       splitSpanInto(r.xl, r.xh, maxSize, gap, rules_.minWidth,
-                    scratch->sliceXs);
+                    scratch.sliceXs);
       splitSpanInto(r.yl, r.yh, maxSize, gap, rules_.minWidth,
-                    scratch->sliceYs);
+                    scratch.sliceYs);
     }
-    emitCells(scratch->sliceXs, scratch->sliceYs);
+    for (const geom::Interval& ix : scratch.sliceXs) {
+      for (const geom::Interval& iy : scratch.sliceYs) {
+        const geom::Rect cell{ix.lo, iy.lo, ix.hi, iy.hi};
+        if (rules_.shapeOk(cell)) candidates.push_back(cell);
+      }
+    }
   }
 }
 
@@ -167,10 +124,6 @@ void CandidateGenerator::generate(WindowProblem& problem,
   const auto windowArea = static_cast<double>(problem.window.area());
   problem.fills.assign(static_cast<std::size_t>(numLayers), {});
   if (windowArea <= 0) return;
-
-  // Buffer reuse inside slicing rides with the optimized kernels; the
-  // baseline allocates per call like the pre-optimization pipeline.
-  Scratch* const slicing = options_.spatialIndex ? &scratch : nullptr;
 
   // Neighboring-layer shapes seen by the quality score: wires always,
   // candidates once chosen. NOTE: the combined set legitimately self-
@@ -204,13 +157,8 @@ void CandidateGenerator::generate(WindowProblem& problem,
         windowArea;
     auto& out = problem.fills[static_cast<std::size_t>(layer)];
     constexpr int kGrid = 3;
-    // Optimized path reuses the scratch bucket vectors; the baseline
-    // allocates all nine per call like the pre-optimization pipeline.
-    std::array<std::vector<std::size_t>, kGrid * kGrid> local;
-    auto& buckets = options_.spatialIndex ? scratch.takeBuckets : local;
-    if (options_.spatialIndex) {
-      for (auto& b : buckets) b.clear();
-    }
+    auto& buckets = scratch.takeBuckets;
+    for (auto& b : buckets) b.clear();
     for (std::size_t c = 0; c < ranked.size(); ++c) {
       const geom::Coord cx = (ranked[c].xl + ranked[c].xh) / 2;
       const geom::Coord cy = (ranked[c].yl + ranked[c].yh) / 2;
@@ -272,19 +220,13 @@ void CandidateGenerator::generate(WindowProblem& problem,
                          problem.wireDensity[static_cast<std::size_t>(l + 1)]);
         const auto& frUp = problem.fillRegions[static_cast<std::size_t>(l + 1)];
         const double needArea = dgSum * windowArea;
-        if (!options_.spatialIndex) {
-          // Baseline path, kept exactly as the pre-optimization pipeline
-          // (bench_hotpath's brute config): unconditional tree-kernel
-          // intersection.
-          shared = fr.intersect(frUp, geom::SweepKernel::kTree);
-          caseI = static_cast<double>(shared.area()) >= needArea;
-        } else if (static_cast<double>(std::min(fr.area(), frUp.area())) >=
-                   needArea) {
-          // Optimized path. The shared region is contained in both
-          // layers' fill regions, so either layer's area upper-bounds it;
-          // when the bound already fails Case I, skip the sweep entirely
-          // (ranked stays empty and Case II below takes over, exactly as
-          // if shared had been computed and found too small).
+        if (static_cast<double>(std::min(fr.area(), frUp.area())) >=
+            needArea) {
+          // The shared region is contained in both layers' fill regions,
+          // so either layer's area upper-bounds it; when the bound already
+          // fails Case I, skip the sweep entirely (ranked stays empty and
+          // Case II below takes over, exactly as if shared had been
+          // computed and found too small).
           if (problem.blocked.size() == static_cast<std::size_t>(numLayers)) {
             // Both fill regions are "window minus inflated wires"
             // (WindowProblem::blocked), so their intersection covers
@@ -313,7 +255,7 @@ void CandidateGenerator::generate(WindowProblem& problem,
             caseI = static_cast<double>(sharedArea) >= needArea;
           } else {
             // Hand-built problems carry no blocker lists; intersect the
-            // decompositions on the flat kernel instead.
+            // decompositions instead.
             shared = fr.intersect(frUp);
             caseI = static_cast<double>(shared.area()) >= needArea;
           }
@@ -326,13 +268,13 @@ void CandidateGenerator::generate(WindowProblem& problem,
         sliceRegionInto(sharedInScratch
                             ? std::span<const geom::Rect>(scratch.sharedRects)
                             : std::span<const geom::Rect>(shared.rects()),
-                        rules_.maxFillSize, ranked, slicing);
+                        rules_.maxFillSize, ranked, scratch);
       }
     }
     if (ranked.empty()) {
       // Case II (Fig. 5) or topmost layer: use the whole fill region,
       // biggest candidates first (Alg. 1 line 16).
-      sliceRegionInto(fr.rects(), rules_.maxFillSize, ranked, slicing);
+      sliceRegionInto(fr.rects(), rules_.maxFillSize, ranked, scratch);
     }
     prof::count(prof::Counter::kCandidates, ranked.size());
     std::sort(ranked.begin(), ranked.end(),
@@ -347,14 +289,13 @@ void CandidateGenerator::generate(WindowProblem& problem,
   for (int l = 1; l < numLayers; l += 2) {
     const auto& fr = problem.fillRegions[static_cast<std::size_t>(l)];
     auto& candidates = scratch.candidates;
-    sliceRegionInto(fr.rects(), rules_.maxFillSize, candidates, slicing);
+    sliceRegionInto(fr.rects(), rules_.maxFillSize, candidates, scratch);
     prof::count(prof::Counter::kCandidates, candidates.size());
     auto& neighbors = scratch.neighbors;
     neighborShapes(l, neighbors);
 
     prof::ScopedTimer scoreTimer(prof::Stage::kCandidateScore);
-    const bool indexed =
-        options_.spatialIndex && neighbors.size() >= kIndexMinShapes;
+    const bool indexed = neighbors.size() >= kIndexMinShapes;
     if (indexed) {
       scratch.neighborIndex.reset(
           problem.window,
@@ -420,21 +361,15 @@ void CandidateGenerator::generate(WindowProblem& problem,
     for (const geom::Rect& f : chosen) {
       blockers.push_back(f.expanded(rules_.minSpacing));
     }
-    // Optimized path: the span overload runs one flat-kernel boolean
-    // sweep instead of normalize + subtract (expanded blockers overlap
-    // each other heavily, so the Region() normalization pass it skips is
-    // nearly as big as the subtract itself). The baseline keeps the
-    // pre-optimization normalize + tree-kernel subtract. Byte-identical
-    // either way.
+    // The span overload runs one boolean sweep instead of normalize +
+    // subtract (expanded blockers overlap each other heavily, so the
+    // Region() normalization pass it skips is nearly as big as the
+    // subtract itself).
     const auto& region = problem.fillRegions[static_cast<std::size_t>(l)];
     const geom::Region leftover =
-        options_.spatialIndex
-            ? region.subtract(std::span<const geom::Rect>(blockers))
-            : region.subtract(
-                  geom::Region(blockers, geom::SweepKernel::kTree),
-                  geom::SweepKernel::kTree);
+        region.subtract(std::span<const geom::Rect>(blockers));
     std::vector<geom::Rect>& cells = scratch.candidates;
-    sliceRegionInto(leftover.rects(), smallSize, cells, slicing);
+    sliceRegionInto(leftover.rects(), smallSize, cells, scratch);
     std::sort(cells.begin(), cells.end(),
               [](const geom::Rect& a, const geom::Rect& b) {
                 if (a.area() != b.area()) return a.area() > b.area();

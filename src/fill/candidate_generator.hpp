@@ -59,11 +59,6 @@ class CandidateGenerator {
     /// output (layout::toCompactGds) collapses them into AREF arrays —
     /// trading some achievable density for much smaller files.
     bool uniformCells = false;
-    /// Score Eqn. 8 overlays through a per-window GridIndex instead of
-    /// scanning every neighbor shape per candidate. Byte-identical output
-    /// (integer overlap sums commute; shapes the index skips contribute
-    /// zero); kept toggleable for the equivalence tests and benchmarks.
-    bool spatialIndex = true;
   };
 
   /// Reusable buffers for generate(). One Scratch per worker thread;
@@ -112,12 +107,9 @@ class CandidateGenerator {
  private:
   /// Slices a disjoint rect set (a Region's rects, or a raw sweep output —
   /// slicing sorts its own merged copy, so input order does not matter)
-  /// into `out`. With `scratch`, the merge/split work buffers are reused
-  /// across calls (the optimized per-window path); without, each call
-  /// allocates them afresh like the pre-optimization pipeline.
+  /// into `out`, reusing the scratch merge/split work buffers.
   void sliceRegionInto(std::span<const geom::Rect> rects, geom::Coord maxSize,
-                       std::vector<geom::Rect>& out,
-                       Scratch* scratch = nullptr) const;
+                       std::vector<geom::Rect>& out, Scratch& scratch) const;
 
   layout::DesignRules rules_;
   Options options_;

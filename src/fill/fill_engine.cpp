@@ -551,7 +551,7 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
       }
       key = windowFinalKey(prefix, goals);
       WindowCache::Entry entry;
-      if (options_.ecoWindowReuse && cache->lookup(key, entry)) {
+      if (cache->lookup(key, entry)) {
         p.fills = std::move(entry.fills);
         served[a] = 1;
         return;

@@ -49,11 +49,6 @@ struct FillEngineOptions {
   /// is excluded from the service result-cache fingerprint (like
   /// numThreads). nullptr = off.
   WindowCache* windowCache = nullptr;
-  /// When false, the ECO path still pins targets to the cached plans and
-  /// deposits entries, but recomputes every window instead of serving
-  /// cache hits — the A/B switch the byte-identity tests flip to prove a
-  /// served hit equals a fresh re-solve.
-  bool ecoWindowReuse = true;
 };
 
 struct FillReport {

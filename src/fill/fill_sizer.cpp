@@ -194,7 +194,7 @@ void FillSizer::trimToTarget(WindowProblem& problem, int layer,
     opposing.insert(opposing.end(), f.begin(), f.end());
   }
   const geom::GridIndex* index = nullptr;
-  if (options_.spatialIndex && opposing.size() >= kIndexMinShapes) {
+  if (opposing.size() >= kIndexMinShapes) {
     buildIndex(scratch.wireIndex, problem.window,
                geom::windowCellSize(problem.window, rules_.maxFillSize),
                opposing);
@@ -257,9 +257,8 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
   const geom::GridIndex* wireIndex = nullptr;
   const geom::GridIndex* fillIndex = nullptr;
   const geom::GridIndex* selfIndex = nullptr;
-  if (options_.spatialIndex &&
-      opposingWires.size() + opposingFills.size() + fills.size() >=
-          kIndexMinShapes) {
+  if (opposingWires.size() + opposingFills.size() + fills.size() >=
+      kIndexMinShapes) {
     const Coord cell =
         geom::windowCellSize(problem.window, rules_.maxFillSize);
     buildIndex(scratch.wireIndex, problem.window, cell, opposingWires);
@@ -415,20 +414,13 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
       // revisits the same topology and reuses the round r-1 network.
       const std::size_t key =
           static_cast<std::size_t>(layer) * 2 + (horizontal ? 1 : 0);
-      const mcf::DualMcfContext::Options wanted{
-          options_.backend, options_.mcfWarmStart, options_.mcfEarlyExit,
-          /*earlyExitTolerance=*/0, options_.mcfFullRefresh};
-      if (!scratch.mcfContexts.empty() &&
-          (scratch.mcfContextOptions.backend != wanted.backend ||
-           scratch.mcfContextOptions.warmStart != wanted.warmStart ||
-           scratch.mcfContextOptions.earlyExit != wanted.earlyExit ||
-           scratch.mcfContextOptions.fullPivotRefresh !=
-               wanted.fullPivotRefresh)) {
+      if (scratch.mcfBackend != options_.backend) {
         scratch.mcfContexts.clear();
+        scratch.mcfBackend = options_.backend;
       }
       if (scratch.mcfContexts.size() <= key) {
-        scratch.mcfContexts.resize(key + 1, mcf::DualMcfContext(wanted));
-        scratch.mcfContextOptions = wanted;
+        scratch.mcfContexts.resize(key + 1,
+                                   mcf::DualMcfContext(options_.backend));
       }
       return scratch.mcfContexts[key].solve(dlp);
     }

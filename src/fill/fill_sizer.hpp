@@ -37,30 +37,6 @@ class FillSizer {
     /// simplex instead of dual min-cost flow (paper Section 3.3.2 vs
     /// 3.3.3). Same optima, different runtime; see bench_ablation.
     bool useLpSolver = false;
-    /// Compute overlay marginals and spacing pairs through per-pass
-    /// GridIndexes instead of scanning every opposing shape per edge.
-    /// Byte-identical output (the index only skips zero terms of integer
-    /// sums, and the pair set is provably the same); toggleable for the
-    /// equivalence tests and benchmarks.
-    bool spatialIndex = true;
-    /// Restart each window's min-cost-flow solves from the previous
-    /// round's optimal basis when the constraint topology repeats
-    /// (NetworkSimplex::resolve). DEFAULT ON: DualMcfContext canonicalizes
-    /// every solve to the unique componentwise-least optimum, so a warm
-    /// start returns byte-for-byte the cold-start answer, only faster —
-    /// alternate optima can no longer leak into the output. The always-on
-    /// network/workspace reuse is independent of this flag.
-    bool mcfWarmStart = true;
-    /// Skip a re-solve entirely when the LP is unchanged (or changed only
-    /// within DualMcfContext's exact sensitivity bound) since the previous
-    /// round of the same window pass. Exact at the default tolerance; the
-    /// skips are counted separately in Stats::earlyExits.
-    bool mcfEarlyExit = true;
-    /// Benchmark/debug: full spanning-tree rebuild after every simplex
-    /// pivot (the pre-incremental solver). Byte-identical and slower;
-    /// bench_mcf uses it as the baseline when attributing the sizing
-    /// speedup. Leave off.
-    bool mcfFullRefresh = false;
   };
 
   struct Stats {
@@ -102,11 +78,11 @@ class FillSizer {
     std::vector<geom::Coord> repairNeed;
     std::vector<double> weight;
     std::vector<mcf::DualMcfContext> mcfContexts;
-    // Options the cached contexts were constructed with. Scratch objects
+    // Backend the cached contexts were constructed with. Scratch objects
     // are typically thread_local and outlive a single engine run; a later
-    // run with different solver options must rebuild the contexts instead
-    // of silently keeping the old configuration.
-    mcf::DualMcfContext::Options mcfContextOptions;
+    // run with a different backend must rebuild the contexts instead of
+    // silently keeping the old one.
+    mcf::McfBackend mcfBackend = mcf::McfBackend::kNetworkSimplex;
   };
 
   FillSizer(layout::DesignRules rules, Options options)

@@ -19,8 +19,7 @@
 // lookup/insert are thread-safe (the engine calls them from worker
 // threads); plan storage is read before and written after the parallel
 // stages. Entries are content-addressed, so serving a hit can never
-// change results relative to recomputing — a guarantee the engine
-// additionally exposes for verification via ecoWindowReuse = false.
+// change results relative to recomputing.
 #pragma once
 
 #include <cstdint>

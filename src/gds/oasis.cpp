@@ -139,8 +139,7 @@ std::optional<std::int64_t> getVarInt(std::span<const std::uint8_t> bytes,
 }
 
 std::vector<std::uint8_t> OasisWriter::serialize(const Library& lib) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + kMagicLen);
+  std::vector<std::uint8_t> out(kMagic, kMagic + kMagicLen);
   out.push_back(kStart);
   putString(out, lib.name);
   putDouble(out, lib.userUnitsPerDbu);

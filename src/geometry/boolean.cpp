@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 #include "geometry/decompose.hpp"
 
@@ -16,16 +15,6 @@ struct Event {
   int deltaA;
   int deltaB;
 };
-
-bool predicate(BoolOp op, bool inA, bool inB) {
-  switch (op) {
-    case BoolOp::kUnion: return inA || inB;
-    case BoolOp::kIntersect: return inA && inB;
-    case BoolOp::kSubtract: return inA && !inB;
-    case BoolOp::kXor: return inA != inB;
-  }
-  return false;
-}
 
 void buildEventsInto(std::span<const Rect> a, std::span<const Rect> b,
                      std::vector<Event>& events) {
@@ -45,34 +34,11 @@ void buildEventsInto(std::span<const Rect> a, std::span<const Rect> b,
             [](const Event& l, const Event& r) { return l.x < r.x; });
 }
 
-// Vertical coverage state: y-boundary -> (deltaA, deltaB) count changes.
-// Two interchangeable structures hold it (see SweepKernel in the header);
-// both expose bump() and an ascending-y each() and therefore drive the
-// shared sweep to bit-identical output.
-
-// SweepKernel::kTree: the original std::map table.
-class CoverTree {
- public:
-  void bump(Coord y, int da, int db) {
-    auto [it, inserted] = map_.try_emplace(y, 0, 0);
-    it->second.first += da;
-    it->second.second += db;
-    if (it->second.first == 0 && it->second.second == 0) map_.erase(it);
-  }
-  template <typename Fn>
-  void each(Fn&& fn) const {
-    for (const auto& [y, delta] : map_) fn(y, delta.first, delta.second);
-  }
-
- private:
-  std::map<Coord, std::pair<int, int>> map_;
-};
-
-// SweepKernel::kFlat: the same table in a sorted flat vector. Live
-// boundaries at a sweep stop are only the shapes crossing the scanline,
-// so the memmove behind insert()/erase() stays small and each() is a
-// contiguous walk.
-class CoverFlat {
+// Vertical coverage state: y-boundary -> (deltaA, deltaB) count changes,
+// in a sorted flat vector. Live boundaries at a sweep stop are only the
+// shapes crossing the scanline, so the memmove behind insert()/erase()
+// stays small and each() is a contiguous walk.
+class CoverTable {
  public:
   void bump(Coord y, int da, int db) {
     auto it = std::lower_bound(
@@ -101,116 +67,35 @@ class CoverFlat {
   std::vector<Entry> entries_;
 };
 
-// Disjoint, sorted y-intervals where the predicate currently holds. Pred
-// is a callable (inA, inB) -> bool: the tree kernel passes the runtime
-// predicate() switch, the flat kernel an op-specific lambda the compiler
-// inlines into the per-boundary walk.
-template <typename Cover, typename Pred>
-void coveredIntervals(const Cover& cover, Pred&& pred,
-                      std::vector<Interval>& out) {
-  out.clear();
-  int countA = 0;
-  int countB = 0;
-  bool active = false;
-  Coord start = 0;
-  cover.each([&](Coord y, int da, int db) {
-    countA += da;
-    countB += db;
-    const bool nowActive = pred(countA > 0, countB > 0);
-    if (nowActive && !active) {
-      start = y;
-      active = true;
-    } else if (!nowActive && active) {
-      if (out.empty() || out.back().hi != start) {
-        out.push_back({start, y});
-      } else {
-        out.back().hi = y;  // merge abutting runs
-      }
-      active = false;
-    }
-  });
-  // Counts return to zero at the topmost boundary, so `active` is false here.
-}
-
 // Open runs: interval -> x where it started. Kept sorted by interval.
 using OpenRuns = std::vector<std::pair<Interval, Coord>>;
 
-// Reused buffers for the kFlat kernel; one set per thread. The kTree
-// kernel keeps its original per-call locals so the baseline's performance
-// profile stays untouched.
-struct FlatScratch {
+// Reused sweep buffers, one set per thread.
+struct SweepScratch {
   std::vector<Event> events;
-  CoverFlat cover;
+  CoverTable cover;
   OpenRuns open;
   OpenRuns nextOpen;
 };
 
-FlatScratch& flatScratch() {
-  static thread_local FlatScratch scratch;
+SweepScratch& sweepScratch() {
+  static thread_local SweepScratch scratch;
   return scratch;
 }
 
-// Sweep body shared by both kernels. Emit(xl, xh, interval) is called once
-// per maximal x-run of each covered y-interval.
-template <typename Cover, typename Pred, typename EmitFn>
-void sweepLoop(const std::vector<Event>& events, Pred&& pred, Cover& cover,
-               OpenRuns& open, std::vector<Interval>& covered,
-               OpenRuns& nextOpen, EmitFn&& emit) {
-  std::size_t i = 0;
-  while (i < events.size()) {
-    const Coord x = events[i].x;
-    while (i < events.size() && events[i].x == x) {
-      const Event& e = events[i];
-      cover.bump(e.ylo, e.deltaA, e.deltaB);
-      cover.bump(e.yhi, -e.deltaA, -e.deltaB);
-      ++i;
-    }
-    coveredIntervals(cover, pred, covered);
-
-    // Diff `open` against `covered`: an interval present in both continues
-    // (keeping its original start x); one only in `open` is emitted as a
-    // finished rect; one only in `covered` starts a new run at x. Both
-    // lists are sorted by (lo, hi) and internally disjoint, so a
-    // lexicographic two-pointer walk visits each exactly once. Any reshaped
-    // run (split/grow/shrink) simply closes and reopens, which keeps the
-    // output disjoint.
-    auto ivLess = [](const Interval& l, const Interval& r) {
-      return l.lo != r.lo ? l.lo < r.lo : l.hi < r.hi;
-    };
-    nextOpen.clear();
-    std::size_t oi = 0;
-    std::size_t ci = 0;
-    while (oi < open.size() && ci < covered.size()) {
-      if (open[oi].first == covered[ci]) {
-        nextOpen.push_back(open[oi]);
-        ++oi;
-        ++ci;
-      } else if (ivLess(open[oi].first, covered[ci])) {
-        emit(open[oi].second, x, open[oi].first);
-        ++oi;
-      } else {
-        nextOpen.push_back({covered[ci], x});
-        ++ci;
-      }
-    }
-    for (; oi < open.size(); ++oi) emit(open[oi].second, x, open[oi].first);
-    for (; ci < covered.size(); ++ci) nextOpen.push_back({covered[ci], x});
-    open.swap(nextOpen);
-  }
-  // All events processed; counts are zero, so `covered` ended empty and
-  // every run was closed above.
-}
-
-// kFlat-only sweep body: same algorithm as sweepLoop, but the covered
-// intervals stream straight into the open-run diff instead of being
-// materialized first. Each finished covered interval is handled in
-// ascending order, which is exactly the order the two-pointer diff in
-// sweepLoop consumes them, so emits and run starts happen in the same
-// sequence and the output is bit-identical.
+// Sweep body. Pred is an op-specific (inA, inB) -> bool the compiler
+// inlines into the per-boundary walk; Emit(xl, xh, interval) is called
+// once per maximal x-run of each covered y-interval.
+//
+// At each stop the covered y-intervals stream, in ascending order, into a
+// diff against `open`: an interval present in both continues (keeping its
+// original start x); one only in `open` is emitted as a finished rect;
+// one only in the new cover starts a run at x. Any reshaped run
+// (split/grow/shrink) simply closes and reopens, which keeps the output
+// disjoint.
 template <typename Pred, typename EmitFn>
-void sweepLoopFused(const std::vector<Event>& events, Pred&& pred,
-                    CoverFlat& cover, OpenRuns& open, OpenRuns& nextOpen,
-                    EmitFn&& emit) {
+void sweepLoop(const std::vector<Event>& events, Pred&& pred, CoverTable& cover,
+               OpenRuns& open, OpenRuns& nextOpen, EmitFn&& emit) {
   auto ivLess = [](const Interval& l, const Interval& r) {
     return l.lo != r.lo ? l.lo < r.lo : l.hi < r.hi;
   };
@@ -254,31 +139,19 @@ void sweepLoopFused(const std::vector<Event>& events, Pred&& pred,
     for (; oi < open.size(); ++oi) emit(open[oi].second, x, open[oi].first);
     open.swap(nextOpen);
   }
+  // All events processed; counts are zero, so every run was closed above.
 }
 
 template <typename EmitFn>
 void sweep(std::span<const Rect> a, std::span<const Rect> b, BoolOp op,
-           SweepKernel kernel, EmitFn&& emit) {
-  if (kernel == SweepKernel::kTree) {
-    std::vector<Event> events;
-    buildEventsInto(a, b, events);
-    if (events.empty()) return;
-    CoverTree cover;
-    OpenRuns open;
-    std::vector<Interval> covered;
-    OpenRuns nextOpen;
-    sweepLoop(events,
-              [op](bool inA, bool inB) { return predicate(op, inA, inB); },
-              cover, open, covered, nextOpen, emit);
-    return;
-  }
-  FlatScratch& s = flatScratch();
+           EmitFn&& emit) {
+  SweepScratch& s = sweepScratch();
   buildEventsInto(a, b, s.events);
   if (s.events.empty()) return;
   s.cover.clear();
   s.open.clear();
   auto run = [&](auto pred) {
-    sweepLoopFused(s.events, pred, s.cover, s.open, s.nextOpen, emit);
+    sweepLoop(s.events, pred, s.cover, s.open, s.nextOpen, emit);
   };
   switch (op) {
     case BoolOp::kUnion: run([](bool inA, bool inB) { return inA || inB; });
@@ -297,9 +170,9 @@ void sweep(std::span<const Rect> a, std::span<const Rect> b, BoolOp op,
 }  // namespace
 
 std::vector<Rect> booleanOp(std::span<const Rect> a, std::span<const Rect> b,
-                            BoolOp op, SweepKernel kernel) {
+                            BoolOp op) {
   std::vector<Rect> out;
-  sweep(a, b, op, kernel, [&out](Coord xl, Coord xh, const Interval& iv) {
+  sweep(a, b, op, [&out](Coord xl, Coord xh, const Interval& iv) {
     if (xl < xh && !iv.empty()) out.push_back({xl, iv.lo, xh, iv.hi});
   });
   std::sort(out.begin(), out.end(), RectYXLess{});
@@ -309,16 +182,15 @@ std::vector<Rect> booleanOp(std::span<const Rect> a, std::span<const Rect> b,
 void booleanOpInto(std::span<const Rect> a, std::span<const Rect> b, BoolOp op,
                    std::vector<Rect>& out) {
   out.clear();
-  sweep(a, b, op, SweepKernel::kFlat,
-        [&out](Coord xl, Coord xh, const Interval& iv) {
-          if (xl < xh && !iv.empty()) out.push_back({xl, iv.lo, xh, iv.hi});
-        });
+  sweep(a, b, op, [&out](Coord xl, Coord xh, const Interval& iv) {
+    if (xl < xh && !iv.empty()) out.push_back({xl, iv.lo, xh, iv.hi});
+  });
 }
 
 Area booleanArea(std::span<const Rect> a, std::span<const Rect> b,
-                 BoolOp op, SweepKernel kernel) {
+                 BoolOp op) {
   Area total = 0;
-  sweep(a, b, op, kernel, [&total](Coord xl, Coord xh, const Interval& iv) {
+  sweep(a, b, op, [&total](Coord xl, Coord xh, const Interval& iv) {
     total += static_cast<Area>(xh - xl) * iv.length();
   });
   return total;

@@ -20,28 +20,11 @@ enum class BoolOp {
   kXor,        // covered by exactly one of A, B
 };
 
-/// Coverage-table implementation behind the sweep. Both kernels run the
-/// SAME algorithm over the same y-boundary -> (deltaA, deltaB) table and
-/// produce bit-identical output; they differ only in the data structure
-/// holding that table:
-///  - kFlat: sorted flat vector with per-thread buffer reuse. Boundary
-///    counts at any sweep stop are few (shapes crossing the scanline), so
-///    binary search + memmove beats tree rebalancing and the linear walk
-///    per stop is cache-friendly. Default everywhere.
-///  - kTree: the original std::map table, one node allocation per live
-///    boundary. Kept as the A/B baseline (bench_hotpath's brute config
-///    reproduces the pre-optimization pipeline with it).
-enum class SweepKernel {
-  kFlat,
-  kTree,
-};
-
 /// Full Boolean: returns the disjoint rectangle decomposition of op(A, B).
 std::vector<Rect> booleanOp(std::span<const Rect> a, std::span<const Rect> b,
-                            BoolOp op,
-                            SweepKernel kernel = SweepKernel::kFlat);
+                            BoolOp op);
 
-/// booleanOp into a caller-owned buffer (cleared first), flat kernel only.
+/// booleanOp into a caller-owned buffer (cleared first).
 /// Emits the SAME disjoint decomposition as booleanOp but in sweep emission
 /// order, skipping the canonical RectYXLess sort — for hot paths whose next
 /// step imposes its own order anyway (e.g. candidate slicing re-sorts its
@@ -50,8 +33,7 @@ void booleanOpInto(std::span<const Rect> a, std::span<const Rect> b,
                    BoolOp op, std::vector<Rect>& out);
 
 /// Area-only variant; avoids materializing output rectangles.
-Area booleanArea(std::span<const Rect> a, std::span<const Rect> b, BoolOp op,
-                 SweepKernel kernel = SweepKernel::kFlat);
+Area booleanArea(std::span<const Rect> a, std::span<const Rect> b, BoolOp op);
 
 /// Area of the union of one (possibly self-overlapping) rect set.
 Area unionArea(std::span<const Rect> rects);

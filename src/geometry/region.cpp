@@ -4,8 +4,8 @@
 
 namespace ofl::geom {
 
-Region::Region(std::span<const Rect> rects, SweepKernel kernel)
-    : rects_(booleanOp(rects, {}, BoolOp::kUnion, kernel)) {}
+Region::Region(std::span<const Rect> rects)
+    : rects_(booleanOp(rects, {}, BoolOp::kUnion)) {}
 
 Region::Region(const Rect& rect) {
   if (!rect.empty()) rects_.push_back(rect);
@@ -30,18 +30,16 @@ Rect Region::bbox() const {
   return box;
 }
 
-Region Region::unite(const Region& other, SweepKernel kernel) const {
-  return fromDisjoint(booleanOp(rects_, other.rects_, BoolOp::kUnion, kernel));
+Region Region::unite(const Region& other) const {
+  return fromDisjoint(booleanOp(rects_, other.rects_, BoolOp::kUnion));
 }
 
-Region Region::intersect(const Region& other, SweepKernel kernel) const {
-  return fromDisjoint(
-      booleanOp(rects_, other.rects_, BoolOp::kIntersect, kernel));
+Region Region::intersect(const Region& other) const {
+  return fromDisjoint(booleanOp(rects_, other.rects_, BoolOp::kIntersect));
 }
 
-Region Region::subtract(const Region& other, SweepKernel kernel) const {
-  return fromDisjoint(
-      booleanOp(rects_, other.rects_, BoolOp::kSubtract, kernel));
+Region Region::subtract(const Region& other) const {
+  return fromDisjoint(booleanOp(rects_, other.rects_, BoolOp::kSubtract));
 }
 
 Region Region::clipped(const Rect& window) const {

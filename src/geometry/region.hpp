@@ -15,11 +15,9 @@ class Region {
  public:
   Region() = default;
   /// From possibly-overlapping rects; normalizes to a disjoint set.
-  explicit Region(std::span<const Rect> rects,
-                  SweepKernel kernel = SweepKernel::kFlat);
-  explicit Region(const std::vector<Rect>& rects,
-                  SweepKernel kernel = SweepKernel::kFlat)
-      : Region(std::span<const Rect>(rects), kernel) {}
+  explicit Region(std::span<const Rect> rects);
+  explicit Region(const std::vector<Rect>& rects)
+      : Region(std::span<const Rect>(rects)) {}
   explicit Region(const Rect& rect);
 
   /// Adopts rects that the caller guarantees are already disjoint
@@ -33,15 +31,10 @@ class Region {
   Area area() const;
   Rect bbox() const;
 
-  /// Boolean combinations. The kernel selects the sweep's coverage
-  /// structure only (see SweepKernel); results are bit-identical across
-  /// kernels.
-  Region unite(const Region& other,
-               SweepKernel kernel = SweepKernel::kFlat) const;
-  Region intersect(const Region& other,
-                   SweepKernel kernel = SweepKernel::kFlat) const;
-  Region subtract(const Region& other,
-                  SweepKernel kernel = SweepKernel::kFlat) const;
+  /// Boolean combinations.
+  Region unite(const Region& other) const;
+  Region intersect(const Region& other) const;
+  Region subtract(const Region& other) const;
 
   /// Region clipped to `window`.
   Region clipped(const Rect& window) const;
@@ -63,9 +56,8 @@ class Region {
   /// boolean sweep. Byte-identical to subtract(Region(other)) — the sweep
   /// output is a pure function of the covered point set — but skips the
   /// normalization pass over `other`.
-  Region subtract(std::span<const Rect> other,
-                  SweepKernel kernel = SweepKernel::kFlat) const {
-    return fromDisjoint(booleanOp(rects_, other, BoolOp::kSubtract, kernel));
+  Region subtract(std::span<const Rect> other) const {
+    return fromDisjoint(booleanOp(rects_, other, BoolOp::kSubtract));
   }
 
   /// Region shrunk by `d` DBU on all four sides of every covered point

@@ -11,7 +11,9 @@ constexpr std::size_t kReadChunkRects = 4096;
 }  // namespace
 
 ShardStore::ShardStore(const Options& options) : options_(options) {
-  if (options_.spillDir.empty()) options_.spillDir = ".";
+  // Move-assign a temporary: GCC 12 flags operator=(const char*) here with
+  // a false -Wrestrict.
+  if (options_.spillDir.empty()) options_.spillDir = std::string(".");
 }
 
 ShardStore::~ShardStore() {

@@ -50,7 +50,7 @@ Value DifferentialLp::objective(const std::vector<Value>& x) const {
 DiffLpResult DifferentialLpSolver::solve(const DifferentialLp& lp) const {
   // One-shot path: a fresh context cold-starts. The canonical-optimum
   // post-pass makes this byte-identical to any warm-started context.
-  DualMcfContext context(DualMcfContext::Options{backend_, false});
+  DualMcfContext context(backend_);
   return context.solve(lp);
 }
 
@@ -141,7 +141,7 @@ void DualMcfContext::canonicalizeOptimum(const DifferentialLp& lp,
 
 bool DualMcfContext::tryEarlyExit(const DifferentialLp& lp,
                                   DiffLpResult& result) const {
-  if (!options_.earlyExit || !haveMemo_ || !topologyMatches(lp)) return false;
+  if (!haveMemo_ || !topologyMatches(lp)) return false;
   const int n = lp.numVariables();
   for (int v = 0; v < n; ++v) {
     if (memoLowers_[static_cast<std::size_t>(v)] != lp.lower(v) ||
@@ -155,13 +155,14 @@ bool DualMcfContext::tryEarlyExit(const DifferentialLp& lp,
   }
   // Sensitivity bound: with identical bounds and offsets the memoized x is
   // still feasible, and its objective under the new costs is within
-  // sum_v |Δc_v|·(u_v−l_v) of the new optimum. At tolerance 0 only
-  // fixed-variable cost changes pass, which cannot move the optimal face.
-  Value drift = 0;
+  // sum_v |Δc_v|·(u_v−l_v) of the new optimum. Only a zero bound is
+  // accepted: cost changes on fixed variables, which cannot move the
+  // optimal face.
   for (int v = 0; v < n; ++v) {
-    const Value dc = lp.cost(v) - memoCosts_[static_cast<std::size_t>(v)];
-    drift += std::abs(dc) * (lp.upper(v) - lp.lower(v));
-    if (drift > options_.earlyExitTolerance) return false;
+    if (lp.cost(v) != memoCosts_[static_cast<std::size_t>(v)] &&
+        lp.upper(v) != lp.lower(v)) {
+      return false;
+    }
   }
   result = memoResult_;
   if (result.feasible) result.objective = lp.objective(result.x);
@@ -172,7 +173,6 @@ bool DualMcfContext::tryEarlyExit(const DifferentialLp& lp,
 
 void DualMcfContext::rememberSolve(const DifferentialLp& lp,
                                    const DiffLpResult& result) {
-  if (!options_.earlyExit) return;
   const int n = lp.numVariables();
   memoCosts_.resize(static_cast<std::size_t>(n));
   memoLowers_.resize(static_cast<std::size_t>(n));
@@ -276,11 +276,9 @@ DiffLpResult DualMcfContext::solve(const DifferentialLp& lp) {
   }
 
   FlowResult flow;
-  switch (options_.backend) {
+  switch (backend_) {
     case McfBackend::kNetworkSimplex:
-      simplex_.setFullPivotRefresh(options_.fullPivotRefresh);
-      flow = options_.warmStart ? simplex_.resolve(graph_)
-                                : simplex_.solve(graph_);
+      flow = simplex_.resolve(graph_);
       if (simplex_.lastSolveWarm()) {
         result.usedWarmStart = true;
         prof::count(prof::Counter::kMcfWarmStarts);

@@ -98,35 +98,22 @@ class DifferentialLpSolver {
 /// complementary-slackness post-pass over any optimal flow recovers it.
 /// This makes solve() a pure function of the LP — independent of backend,
 /// warm/cold start, and any state this context carries — which is what
-/// lets the options below default to safe-but-fast behavior.
+/// lets the context take both shortcuts below unconditionally:
 ///
-/// `warmStart` restarts the network simplex from the previous optimal
+/// Warm start: the network simplex restarts from the previous optimal
 /// basis (NetworkSimplex::resolve). Thanks to canonicalization it returns
-/// exactly the cold-start answer, only faster.
+/// exactly the cold-start answer, only faster. A fresh context has no
+/// basis yet, so its first solve is a cold one.
 ///
-/// `earlyExit` memoizes the last solved LP + result on a matching
-/// topology. A repeat solve is skipped when the sensitivity bound
-/// sum_v |Δc_v|·(u_v−l_v) <= earlyExitTolerance and all bounds and
-/// constraint offsets are unchanged. At the default tolerance 0 this is
-/// exact (only cost changes on fixed variables, which cannot move the
-/// optimal face); a positive tolerance trades byte-identity for speed and
-/// may return a point whose objective is off by at most the tolerance.
+/// Early exit: the context memoizes the last solved LP + result on a
+/// matching topology. A repeat solve is skipped when all bounds and
+/// constraint offsets are unchanged and every cost change sits on a fixed
+/// variable (u_v == l_v), which cannot move the optimal face — the exact
+/// case of the sensitivity bound sum_v |Δc_v|·(u_v−l_v) = 0.
 class DualMcfContext {
  public:
-  struct Options {
-    McfBackend backend = McfBackend::kNetworkSimplex;
-    bool warmStart = false;
-    bool earlyExit = false;
-    Value earlyExitTolerance = 0;
-    // Benchmark/debug switch (network-simplex backend only): rebuild the
-    // whole spanning tree after every pivot instead of the incremental
-    // reattach. Byte-identical output, just slower — used by bench_mcf to
-    // measure the pre-incremental baseline.
-    bool fullPivotRefresh = false;
-  };
-
-  DualMcfContext() = default;
-  explicit DualMcfContext(Options options) : options_(options) {}
+  explicit DualMcfContext(McfBackend backend = McfBackend::kNetworkSimplex)
+      : backend_(backend) {}
 
   DiffLpResult solve(const DifferentialLp& lp);
 
@@ -137,7 +124,7 @@ class DualMcfContext {
   void canonicalizeOptimum(const DifferentialLp& lp, const FlowResult& flow,
                            DiffLpResult& result);
 
-  Options options_;
+  McfBackend backend_;
   Graph graph_;
   NetworkSimplex simplex_;
   std::vector<std::pair<int, int>> arcPairs_;  // cached constraint (i, j)

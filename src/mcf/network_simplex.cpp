@@ -371,11 +371,7 @@ FlowResult NetworkSimplex::run(const Graph& graph) {
     // The leaving arc was found on one of the two walks; the entering
     // endpoint that started that walk lies in the component the removal
     // detached, so reattach from there.
-    if (fullPivotRefresh_) {
-      refreshTree();
-    } else {
-      reattachSubtree(entering, leavingOnUSide ? u : v);
-    }
+    reattachSubtree(entering, leavingOnUSide ? u : v);
   }
 
   // Any residual flow on artificial arcs means the supplies cannot be

@@ -45,18 +45,8 @@ class NetworkSimplex {
   /// optimal solution, so sizer output is identical warm or cold.
   FlowResult resolve(const Graph& graph);
 
-  /// Debug/benchmark switch: when on, every pivot rebuilds the whole tree
-  /// (the pre-incremental behavior) instead of reattaching only the
-  /// detached component. Results are identical either way — the knob
-  /// exists so benchmarks can attribute speedups to the incremental
-  /// update. Off by default.
-  void setFullPivotRefresh(bool on) { fullPivotRefresh_ = on; }
-
   /// True when the last solve()/resolve() used the retained basis.
   bool lastSolveWarm() const { return lastWarm_; }
-
-  /// Alias of lastSolveWarm() matching the FillSizer::Stats terminology.
-  bool usedWarmStart() const { return lastWarm_; }
 
  private:
   void initCold(const Graph& graph);
@@ -109,8 +99,6 @@ class NetworkSimplex {
     bool uSide;  // recorded on the u-walk (tail side of the entering arc)
   };
   std::vector<Step> steps_;  // pivot-cycle path, reused across pivots
-
-  bool fullPivotRefresh_ = false;
 
   // Basis bookkeeping for resolve().
   bool hasBasis_ = false;

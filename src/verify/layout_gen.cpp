@@ -22,7 +22,7 @@ gds::Library LayoutGen::randomLibrary(Rng& rng, const LibraryParams& params) {
   for (int c = 0; c < cells; ++c) {
     lib.cells.emplace_back();
     gds::Cell& cell = lib.cells.back();
-    cell.name = "C" + std::to_string(c);
+    cell.name = 'C' + std::to_string(c);
     const int shapes =
         static_cast<int>(rng.uniformInt(0, params.maxShapesPerCell));
     for (int s = 0; s < shapes; ++s) {

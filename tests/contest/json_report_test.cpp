@@ -9,8 +9,10 @@ namespace {
 
 ResultRow sampleRow() {
   ResultRow row;
-  row.design = "s";
-  row.team = "ours";
+  // Move-assign temporaries: GCC 12 flags operator=(const char*) here
+  // with a false -Wrestrict.
+  row.design = std::string("s");
+  row.team = std::string("ours");
   row.runtimeSeconds = 1.25;
   row.memoryMiB = 512.0;
   row.raw.overlay = 1e6;

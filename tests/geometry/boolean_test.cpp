@@ -73,8 +73,8 @@ TEST(BooleanTest, DegenerateInputRectsIgnored) {
 }
 
 // Property test: every op agrees with brute-force rasterization on random
-// inputs, and booleanOp output is always disjoint with area matching
-// booleanArea.
+// inputs. booleanOp must reproduce the raster's canonical decomposition
+// rect for rect, and booleanOpInto the same rects in sweep order.
 struct BooleanCase {
   char opChar;
   BoolOp op;
@@ -86,6 +86,7 @@ TEST_P(BooleanPropertyTest, MatchesRasterOracle) {
   const auto [opChar, op] = GetParam();
   Rng rng(0xB001 + static_cast<unsigned>(opChar));
   constexpr int kExtent = 48;
+  std::vector<Rect> into;
   for (int trial = 0; trial < 40; ++trial) {
     std::vector<Rect> a;
     std::vector<Rect> b;
@@ -103,10 +104,13 @@ TEST_P(BooleanPropertyTest, MatchesRasterOracle) {
     EXPECT_EQ(booleanArea(a, b, op), expected) << "trial " << trial;
 
     const auto rects = booleanOp(a, b, op);
-    Area sum = 0;
-    for (const Rect& r : rects) sum += r.area();
-    EXPECT_EQ(sum, expected) << "trial " << trial;
+    EXPECT_EQ(rects, testutil::Raster::opRects(ra, rb, opChar))
+        << "trial " << trial;
     EXPECT_TRUE(testutil::pairwiseDisjoint(rects)) << "trial " << trial;
+
+    booleanOpInto(a, b, op, into);  // reused across trials on purpose
+    std::sort(into.begin(), into.end(), RectYXLess{});
+    EXPECT_EQ(into, rects) << "trial " << trial;
   }
 }
 
@@ -151,32 +155,6 @@ TEST(OverlapSumTest, DisjointVariantAgreesOnDisjointInput) {
   EXPECT_EQ(overlapAreaDisjoint(query, shapes), sum);
   const std::vector<Rect> q{query};
   EXPECT_EQ(intersectionArea(q, shapes), sum);
-}
-
-// The two coverage-table kernels must be interchangeable: same canonical
-// decomposition, rect for rect. booleanOpInto emits that decomposition in
-// sweep order, so it must match after a canonical sort.
-TEST_P(BooleanPropertyTest, KernelsBitIdenticalAndIntoMatches) {
-  const auto [opChar, op] = GetParam();
-  Rng rng(0x5EEB + static_cast<unsigned>(opChar));
-  constexpr int kExtent = 48;
-  std::vector<Rect> into;
-  for (int trial = 0; trial < 40; ++trial) {
-    std::vector<Rect> a;
-    std::vector<Rect> b;
-    const int na = static_cast<int>(rng.uniformInt(0, 12));
-    const int nb = static_cast<int>(rng.uniformInt(0, 12));
-    for (int k = 0; k < na; ++k) a.push_back(testutil::randomRect(rng, kExtent, 20));
-    for (int k = 0; k < nb; ++k) b.push_back(testutil::randomRect(rng, kExtent, 20));
-
-    const auto flat = booleanOp(a, b, op, SweepKernel::kFlat);
-    const auto tree = booleanOp(a, b, op, SweepKernel::kTree);
-    EXPECT_EQ(flat, tree) << "trial " << trial;
-
-    booleanOpInto(a, b, op, into);  // reused across trials on purpose
-    std::sort(into.begin(), into.end(), RectYXLess{});
-    EXPECT_EQ(into, flat) << "trial " << trial;
-  }
 }
 
 TEST(OverlapSumTest, DisjointVariantAssertsOnOverlappingInput) {

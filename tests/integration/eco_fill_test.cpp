@@ -114,14 +114,23 @@ TEST_F(EcoFillTest, WindowCacheSkipsUnchangedWindowsByteIdentically) {
   // With a WindowCache attached, the full run deposits per-window results
   // and its target plans; the ECO pass must then serve every window whose
   // sizing inputs are unchanged from the cache -- and produce EXACTLY the
-  // fills of an identical ECO pass that recomputes every window
-  // (ecoWindowReuse = false is the A/B switch for that contract).
+  // fills of an identical ECO pass that recomputes every window.
   fill::WindowCache cache;
   fill::FillEngineOptions cachedOptions = options_;
   cachedOptions.windowCache = &cache;
   layout::Layout cachedChip = contest::BenchmarkGenerator::generate(spec_);
   fill::FillEngine(cachedOptions).run(cachedChip);
   ASSERT_GT(cache.size(), 0u);
+
+  // The recompute reference: a second cache holding only the full run's
+  // target plans. Targets stay pinned exactly as in the served pass, but
+  // every window lookup misses, so every window is re-solved.
+  const layout::WindowGrid plannedGrid(cachedChip.die(), spec_.windowSize);
+  fill::WindowCache::StoredPlan plan;
+  ASSERT_TRUE(cache.getPlan(plannedGrid.cols(), plannedGrid.rows(),
+                            cachedChip.numLayers(), plan));
+  fill::WindowCache planOnly;
+  planOnly.storePlan(plan);
 
   // Same wire edit on the cached chip as mutateWires() applies to chip_.
   // Declare a change region one window wider than the edit: the ring
@@ -135,12 +144,14 @@ TEST_F(EcoFillTest, WindowCacheSkipsUnchangedWindowsByteIdentically) {
       fill::FillEngine(cachedOptions).runIncremental(chip_, changed);
   EXPECT_GT(served.ecoWindowsSkipped, 0u);
 
-  fill::FillEngineOptions recomputeOptions = cachedOptions;
-  recomputeOptions.ecoWindowReuse = false;
+  fill::FillEngineOptions recomputeOptions = options_;
+  recomputeOptions.windowCache = &planOnly;
   const fill::FillReport recomputed =
       fill::FillEngine(recomputeOptions).runIncremental(recomputeChip,
                                                         changed);
   EXPECT_EQ(recomputed.ecoWindowsSkipped, 0u);
+  EXPECT_EQ(planOnly.hits(), 0);
+  EXPECT_GT(planOnly.misses(), 0);
 
   for (int l = 0; l < chip_.numLayers(); ++l) {
     EXPECT_EQ(chip_.layer(l).fills, recomputeChip.layer(l).fills)

@@ -106,6 +106,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DualLpCrossCheckTest, AgreesWithDenseSimplexOnRandomSystems) {
   Rng rng(2024);
   int feasibleCount = 0;
+  // One context reused across every system: whatever basis or memo it
+  // carries, canonicalization must land on SSP's exact x.
+  DualMcfContext reusedContext;
   for (int trial = 0; trial < 150; ++trial) {
     const int n = static_cast<int>(rng.uniformInt(2, 8));
     DifferentialLp dlp;
@@ -132,11 +135,13 @@ TEST(DualLpCrossCheckTest, AgreesWithDenseSimplexOnRandomSystems) {
         DifferentialLpSolver(McfBackend::kNetworkSimplex).solve(dlp);
     const DiffLpResult sspResult =
         DifferentialLpSolver(McfBackend::kSuccessiveShortestPath).solve(dlp);
+    const DiffLpResult reused = reusedContext.solve(dlp);
     const lp::LpResult lpResult = lp::SimplexSolver().solve(model);
 
     const bool lpFeasible = lpResult.status == lp::LpStatus::kOptimal;
     ASSERT_EQ(mcfResult.feasible, lpFeasible) << "trial " << trial;
     ASSERT_EQ(sspResult.feasible, lpFeasible) << "trial " << trial;
+    ASSERT_EQ(reused.feasible, lpFeasible) << "trial " << trial;
     if (lpFeasible) {
       ++feasibleCount;
       EXPECT_NEAR(static_cast<double>(mcfResult.objective),
@@ -145,6 +150,7 @@ TEST(DualLpCrossCheckTest, AgreesWithDenseSimplexOnRandomSystems) {
       EXPECT_EQ(mcfResult.objective, sspResult.objective) << "trial " << trial;
       EXPECT_TRUE(dlp.isFeasible(mcfResult.x)) << "trial " << trial;
       EXPECT_TRUE(dlp.isFeasible(sspResult.x)) << "trial " << trial;
+      EXPECT_EQ(reused.x, sspResult.x) << "trial " << trial;
     }
   }
   EXPECT_GT(feasibleCount, 50);  // the generator must exercise both outcomes
@@ -216,25 +222,27 @@ TEST(DualMcfContextTest, TopologyChangeRebuildsCorrectly) {
 }
 
 TEST(DualMcfContextTest, WarmStartStaysOptimalAndFeasible) {
-  // With warm starts on, the simplex may land on a different optimal
-  // vertex, but the canonical-optimum post-pass maps every optimum to the
-  // unique componentwise-least solution -- so the warm answer must equal
-  // the cold answer EXACTLY, not just in objective.
+  // A warm-started simplex may land on a different optimal vertex, but
+  // the canonical-optimum post-pass maps every optimum to the unique
+  // componentwise-least solution -- so the warm answer must equal the cold
+  // answer EXACTLY, not just in objective, and so must the SSP backend's.
   Rng rng(73);
-  DualMcfContext warm(DualMcfContext::Options{
-      McfBackend::kNetworkSimplex, /*warmStart=*/true});
+  DualMcfContext warm;
   int feasibleCount = 0;
   int warmCount = 0;
   for (int round = 0; round < 40; ++round) {
     const DifferentialLp lp = randomLpFixedTopology(rng);
     const DiffLpResult cold =
         DifferentialLpSolver(McfBackend::kNetworkSimplex).solve(lp);
+    const DiffLpResult ssp =
+        DifferentialLpSolver(McfBackend::kSuccessiveShortestPath).solve(lp);
     const DiffLpResult hot = warm.solve(lp);
     if (hot.usedWarmStart) ++warmCount;
     ASSERT_EQ(hot.feasible, cold.feasible) << "round " << round;
     if (cold.feasible) {
       ++feasibleCount;
       EXPECT_EQ(hot.x, cold.x) << "round " << round;
+      EXPECT_EQ(hot.x, ssp.x) << "round " << round;
       EXPECT_EQ(hot.objective, cold.objective) << "round " << round;
       EXPECT_TRUE(lp.isFeasible(hot.x)) << "round " << round;
     }
@@ -244,11 +252,10 @@ TEST(DualMcfContextTest, WarmStartStaysOptimalAndFeasible) {
 }
 
 TEST(DualMcfContextTest, EarlyExitSkipsUnchangedResolve) {
-  // An identical repeat solve on a warm+early context is answered from
+  // An identical repeat solve is answered from
   // the sensitivity memo without touching the solver, byte-identically.
   Rng rng(74);
-  DualMcfContext context(DualMcfContext::Options{
-      McfBackend::kNetworkSimplex, /*warmStart=*/true, /*earlyExit=*/true});
+  DualMcfContext context;
   const DifferentialLp lp = randomLpFixedTopology(rng);
   const DiffLpResult first = context.solve(lp);
   ASSERT_TRUE(first.feasible);
@@ -262,8 +269,7 @@ TEST(DualMcfContextTest, EarlyExitSkipsUnchangedResolve) {
 TEST(DualMcfContextTest, EarlyExitDeclinesWhenBoundsChange) {
   // Any bound change disables the memo: the re-solve must run and match
   // a fresh solver on the new LP.
-  DualMcfContext context(DualMcfContext::Options{
-      McfBackend::kNetworkSimplex, /*warmStart=*/true, /*earlyExit=*/true});
+  DualMcfContext context;
   DifferentialLp lp;
   lp.addVariable(3, 0, 10);
   lp.addVariable(-2, 0, 10);
@@ -282,13 +288,37 @@ TEST(DualMcfContextTest, EarlyExitDeclinesWhenBoundsChange) {
   EXPECT_EQ(r.x, fresh.x);
 }
 
+TEST(DualMcfContextTest, EarlyExitDeclinesWhenFreeVariableCostChanges) {
+  // Same bounds and offsets, but a cost moved on a variable with room to
+  // move: the sensitivity bound is positive, so the solve must run -- and
+  // here the optimum really does move.
+  DualMcfContext context;
+  DifferentialLp lp;
+  lp.addVariable(3, 0, 10);  // positive cost: optimum at the lower bound
+  lp.addVariable(-1, 0, 10);
+  lp.addConstraint(1, 0, 2);
+  const DiffLpResult first = context.solve(lp);
+  ASSERT_TRUE(first.feasible);
+
+  DifferentialLp recosted;
+  recosted.addVariable(-3, 0, 10);  // now pulled to the upper bound
+  recosted.addVariable(-1, 0, 10);
+  recosted.addConstraint(1, 0, 2);
+  const DiffLpResult r = context.solve(recosted);
+  EXPECT_FALSE(r.usedEarlyExit);
+  const DiffLpResult fresh =
+      DifferentialLpSolver(McfBackend::kNetworkSimplex).solve(recosted);
+  ASSERT_TRUE(fresh.feasible);
+  EXPECT_NE(fresh.x, first.x);
+  EXPECT_EQ(r.x, fresh.x);
+}
+
 TEST(DualMcfContextTest, EarlyExitOnCostChangeOfFixedVariable) {
   // The sensitivity bound sum |dc_v| * (u_v - l_v) is zero when only
   // fixed (l == u) variables change cost, so the solve is skipped -- and
   // the memoized point's objective must be recomputed under the NEW
   // costs, matching a fresh solve exactly.
-  DualMcfContext context(DualMcfContext::Options{
-      McfBackend::kNetworkSimplex, /*warmStart=*/true, /*earlyExit=*/true});
+  DualMcfContext context;
   DifferentialLp lp;
   lp.addVariable(5, 7, 7);  // fixed
   lp.addVariable(-1, 0, 10);
@@ -306,24 +336,6 @@ TEST(DualMcfContextTest, EarlyExitOnCostChangeOfFixedVariable) {
   ASSERT_TRUE(fresh.feasible);
   EXPECT_EQ(r.x, fresh.x);
   EXPECT_EQ(r.objective, fresh.objective);
-}
-
-TEST(DualMcfContextTest, FullPivotRefreshIsByteIdentical) {
-  // The bench-only full-refresh knob changes pivot bookkeeping cost, not
-  // results: every solve must equal the default incremental path.
-  Rng rng(75);
-  DualMcfContext slow(DualMcfContext::Options{
-      McfBackend::kNetworkSimplex, /*warmStart=*/true, /*earlyExit=*/false,
-      /*earlyExitTolerance=*/0, /*fullPivotRefresh=*/true});
-  DualMcfContext fast(DualMcfContext::Options{
-      McfBackend::kNetworkSimplex, /*warmStart=*/true, /*earlyExit=*/false});
-  for (int round = 0; round < 30; ++round) {
-    const DifferentialLp lp = randomLpFixedTopology(rng);
-    const DiffLpResult a = slow.solve(lp);
-    const DiffLpResult b = fast.solve(lp);
-    ASSERT_EQ(a.feasible, b.feasible) << "round " << round;
-    if (a.feasible) EXPECT_EQ(a.x, b.x) << "round " << round;
-  }
 }
 
 TEST(DualMcfContextTest, EmptyLpIsFeasible) {

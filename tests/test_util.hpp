@@ -1,6 +1,9 @@
 // Shared helpers for the OpenFill test suite.
 #pragma once
 
+#include <algorithm>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -39,21 +42,59 @@ class Raster {
   static long long opArea(const Raster& a, const Raster& b, char op) {
     long long total = 0;
     for (std::size_t i = 0; i < a.cells_.size(); ++i) {
-      const bool inA = a.cells_[i] != 0;
-      const bool inB = b.cells_[i] != 0;
-      bool keep = false;
-      switch (op) {
-        case '|': keep = inA || inB; break;
-        case '&': keep = inA && inB; break;
-        case '-': keep = inA && !inB; break;
-        case '^': keep = inA != inB; break;
-      }
-      total += keep ? 1 : 0;
+      total += keep(a, b, i, op) ? 1 : 0;
     }
     return total;
   }
 
+  /// Canonical disjoint decomposition of the combination, derived from the
+  /// cells alone: per unit column, the maximal covered y-runs; a run
+  /// extends across columns while its interval is unchanged. Sorted by
+  /// RectYXLess — the decomposition booleanOp must reproduce rect for
+  /// rect.
+  static std::vector<geom::Rect> opRects(const Raster& a, const Raster& b,
+                                         char op) {
+    const int n = a.extent_;
+    std::vector<geom::Rect> out;
+    std::map<std::pair<geom::Coord, geom::Coord>, geom::Coord> open;  // -> xl
+    for (int x = 0; x <= n; ++x) {
+      std::map<std::pair<geom::Coord, geom::Coord>, geom::Coord> next;
+      for (int y = 0; x < n && y < n;) {
+        if (!keep(a, b, static_cast<std::size_t>(y) * n + x, op)) {
+          ++y;
+          continue;
+        }
+        const int lo = y;
+        while (y < n && keep(a, b, static_cast<std::size_t>(y) * n + x, op)) {
+          ++y;
+        }
+        const auto run = std::make_pair<geom::Coord, geom::Coord>(lo, y);
+        const auto it = open.find(run);
+        next[run] = it == open.end() ? x : it->second;
+        if (it != open.end()) open.erase(it);
+      }
+      for (const auto& [run, xl] : open) {
+        out.push_back({xl, run.first, x, run.second});
+      }
+      open.swap(next);
+    }
+    std::sort(out.begin(), out.end(), geom::RectYXLess{});
+    return out;
+  }
+
  private:
+  static bool keep(const Raster& a, const Raster& b, std::size_t i, char op) {
+    const bool inA = a.cells_[i] != 0;
+    const bool inB = b.cells_[i] != 0;
+    switch (op) {
+      case '|': return inA || inB;
+      case '&': return inA && inB;
+      case '-': return inA && !inB;
+      case '^': return inA != inB;
+    }
+    return false;
+  }
+
   int extent_;
   std::vector<char> cells_;
 };
