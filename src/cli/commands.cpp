@@ -320,7 +320,9 @@ void printFillJson(const fill::FillReport& report, double seconds,
          << ", \"spilled_bytes\": " << sharded->spilledBytes
          << ", \"spill_events\": " << sharded->spillEvents
          << ", \"wires\": " << sharded->wireCount
-         << ", \"ingest_seconds\": " << sharded->ingestSeconds;
+         << ", \"scan_seconds\": " << sharded->scanSeconds
+         << ", \"ingest_seconds\": " << sharded->ingestSeconds
+         << ", \"output_seconds\": " << sharded->outputSeconds;
   } else {
     json << ", \"stream\": false";
   }

@@ -68,7 +68,7 @@ class ExtentScan : public gds::StreamEvents {
  public:
   void onBoundary(const gds::Boundary& b) override {
     maxLayer = std::max<int>(maxLayer, b.layer);
-    bbox = bbox.bboxUnion(geom::Polygon(b.vertices).bbox());
+    bbox = bbox.bboxUnion(geom::boundingBox(b.vertices));
   }
   geom::Rect bbox;  // default-constructed {0,0,0,0}, like loadFlatLayout
   int maxLayer = 0;
@@ -104,9 +104,11 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   obs::ScopedSpan runSpan("engine.sharded_run", "engine", {{"job", jid}});
 
   // --- Pre-scan: die extents and layer count (bounded memory) ---
+  Timer stage;
   geom::Rect bbox;
   int maxLayer = 0;
   if (!scanExtents(inputPath, &bbox, &maxLayer, error)) return false;
+  rep.scanSeconds = stage.elapsedSeconds();
   const geom::Rect effectiveDie = die.value_or(bbox);
   if (effectiveDie.empty()) {
     return setError(error, "layout is empty and no die given");
@@ -151,7 +153,7 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   }
 
   // --- Ingest: stream + flatten + decompose + route into row spools ---
-  Timer stage;
+  stage.reset();
   {
     obs::ScopedSpan span("shard.ingest", "engine", {{"job", jid}});
     prof::ScopedTimer timer(prof::Stage::kRegionPrep);
@@ -524,6 +526,7 @@ bool ShardedEngine::runFile(const std::string& inputPath,
 
   // --- Output: streaming writer, toGds order (wires then fills, per
   // layer, single TOP cell) ---
+  stage.reset();
   {
     prof::ScopedTimer timer(prof::Stage::kOutput);
     obs::ScopedSpan span("shard.output", "engine", {{"job", jid}});
@@ -544,6 +547,7 @@ bool ShardedEngine::runFile(const std::string& inputPath,
       return setError(error, "write failed: " + outputPath);
     }
   }
+  rep.outputSeconds = stage.elapsedSeconds();
   if (store.ioError() || fillStore.ioError()) {
     return setError(error, "spool IO error");
   }
@@ -584,8 +588,10 @@ bool ShardedEngine::runFile(const std::string& inputPath,
     reg.gauge("scale.rows").set(static_cast<double>(rep.rows));
     reg.gauge("scale.mem_budget_mib")
         .set(static_cast<double>(options_.memBudgetMiB));
+    reg.histogram("scale.scan_seconds").observe(rep.scanSeconds);
     reg.histogram("scale.ingest_seconds").observe(rep.ingestSeconds);
     reg.histogram("scale.fft_seconds").observe(rep.fftSeconds);
+    reg.histogram("scale.output_seconds").observe(rep.outputSeconds);
   }
   logInfo("ShardedEngine: %zu fills from %zu candidates in %.2fs "
           "(%d shards, %d rows, %.1f MiB spilled, %d threads)",

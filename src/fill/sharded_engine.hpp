@@ -70,8 +70,10 @@ struct ShardedReport {
   std::uint64_t spillEvents = 0;
   std::size_t wireCount = 0;
   long long outputBytes = 0;
+  double scanSeconds = 0.0;    // extent pre-scan (scanExtents)
   double ingestSeconds = 0.0;
   double fftSeconds = 0.0;
+  double outputSeconds = 0.0;  // streamed GDSII output encoder
 };
 
 class ShardedEngine {

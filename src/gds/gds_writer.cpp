@@ -1,9 +1,8 @@
 #include "gds/gds_writer.hpp"
 
-#include <cstdio>
-
 #include "gds/gds_records.hpp"
 #include "gds/record_builder.hpp"
+#include "gds/stream_writer.hpp"
 
 namespace ofl::gds {
 
@@ -117,11 +116,43 @@ void appendBoundary(std::vector<std::uint8_t>& out, const Boundary& b) {
 
 void appendRect(std::vector<std::uint8_t>& out, std::int16_t layer,
                 const geom::Rect& r, std::int16_t datatype) {
-  Boundary b;
-  b.layer = layer;
-  b.datatype = datatype;
-  b.vertices = {{r.xl, r.yl}, {r.xh, r.yl}, {r.xh, r.yh}, {r.xl, r.yh}};
-  appendBoundary(out, b);
+  // The fixed record sequence appendBoundary emits for the rect's 4-vertex
+  // loop, stored in place: BOUNDARY (4), LAYER (6), DATATYPE (6), XY with
+  // the closing vertex (4 + 5 * 8), ENDEL (4).
+  static_assert(4 + 6 + 6 + (4 + 5 * 8) + 4 == kRectRecordBytes);
+  const std::size_t at = out.size();
+  out.resize(at + kRectRecordBytes);
+  std::uint8_t* p = out.data() + at;
+  const auto u16 = [&p](std::uint16_t v) {
+    p[0] = static_cast<std::uint8_t>(v >> 8);
+    p[1] = static_cast<std::uint8_t>(v & 0xFF);
+    p += 2;
+  };
+  const auto header = [&u16](std::uint16_t length, RecordTag tag) {
+    u16(length);
+    u16(static_cast<std::uint16_t>(tag));
+  };
+  const auto i32 = [&u16](geom::Coord c) {
+    const auto u = static_cast<std::uint32_t>(static_cast<std::int32_t>(c));
+    u16(static_cast<std::uint16_t>(u >> 16));
+    u16(static_cast<std::uint16_t>(u & 0xFFFF));
+  };
+  const auto point = [&i32](geom::Coord x, geom::Coord y) {
+    i32(x);
+    i32(y);
+  };
+  header(4, RecordTag::kBoundary);
+  header(6, RecordTag::kLayer);
+  u16(static_cast<std::uint16_t>(layer));
+  header(6, RecordTag::kDataType);
+  u16(static_cast<std::uint16_t>(datatype));
+  header(4 + 5 * 8, RecordTag::kXy);
+  point(r.xl, r.yl);
+  point(r.xh, r.yl);
+  point(r.xh, r.yh);
+  point(r.xl, r.yh);
+  point(r.xl, r.yl);
+  header(4, RecordTag::kEndEl);
 }
 
 void appendCellEnd(std::vector<std::uint8_t>& out) {
@@ -150,12 +181,22 @@ std::vector<std::uint8_t> Writer::serialize(const Library& lib) {
 }
 
 long long Writer::writeFile(const Library& lib, const std::string& path) {
-  const std::vector<std::uint8_t> bytes = serialize(lib);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return -1;
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  return written == bytes.size() ? static_cast<long long>(bytes.size()) : -1;
+  // Streamed through the shared record encoders, so the bytes equal
+  // serialize(lib) while only one flush buffer is held in memory.
+  StreamWriter::Options options;
+  options.libName = lib.name;
+  options.userUnitsPerDbu = lib.userUnitsPerDbu;
+  options.metersPerDbu = lib.metersPerDbu;
+  StreamWriter writer(path, options);
+  if (!writer.ok()) return -1;
+  for (const Cell& cell : lib.cells) {
+    writer.beginCell(cell.name);
+    for (const Boundary& b : cell.boundaries) writer.addBoundary(b);
+    for (const Sref& s : cell.srefs) writer.addSref(s);
+    for (const Aref& a : cell.arefs) writer.addAref(a);
+    writer.endCell();
+  }
+  return writer.finish();
 }
 
 long long Writer::streamSize(const Library& lib) {
@@ -172,7 +213,9 @@ long long Writer::streamSize(const Library& lib) {
       size += 4;                    // BOUNDARY
       size += 4 + 2;                // LAYER
       size += 4 + 2;                // DATATYPE
-      size += 4 + 8 * static_cast<long long>(b.vertices.size() + 1);  // XY
+      // XY, with the repeated first vertex when there is one.
+      const auto n = static_cast<long long>(b.vertices.size());
+      size += 4 + 8 * (n > 0 ? n + 1 : 0);
       size += 4;                    // ENDEL
     }
     for (const Sref& s : cell.srefs) {

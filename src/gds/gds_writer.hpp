@@ -56,11 +56,12 @@ struct Library {
 
 class Writer {
  public:
-  /// Serializes the library to GDSII stream bytes.
+  /// Serializes the library to GDSII stream bytes (for in-memory callers).
   static std::vector<std::uint8_t> serialize(const Library& lib);
 
-  /// Writes to a file; returns the byte count (the "file size" metric),
-  /// or -1 on IO failure.
+  /// Writes to a file through StreamWriter, holding one flush buffer
+  /// rather than the whole stream; the bytes equal serialize(lib).
+  /// Returns the byte count (the "file size" metric), or -1 on IO failure.
   static long long writeFile(const Library& lib, const std::string& path);
 
   /// Size in bytes the library would occupy, without materializing it.

@@ -6,6 +6,7 @@
 // alone. Payload layouts follow gds_records.hpp.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,7 +37,11 @@ void appendBoundary(std::vector<std::uint8_t>& out, const Boundary& b);
 void appendSref(std::vector<std::uint8_t>& out, const Sref& s);
 void appendAref(std::vector<std::uint8_t>& out, const Aref& a);
 
-/// One rect as a BOUNDARY, in Writer::addRect vertex order.
+/// Bytes appendRect adds: one rect's BOUNDARY element.
+inline constexpr std::size_t kRectRecordBytes = 64;
+
+/// One rect as a BOUNDARY, in Writer::addRect vertex order. Same bytes as
+/// appendBoundary of that loop, written in place without temporaries.
 void appendRect(std::vector<std::uint8_t>& out, std::int16_t layer,
                 const geom::Rect& r, std::int16_t datatype = 0);
 

@@ -102,7 +102,11 @@ class RecordMachine {
         if (!inCell_) return fail("BOUNDARY outside structure");
         commitElement();
         element_ = Element::kBoundary;
-        boundary_ = Boundary{};
+        // Reset in place: the vertex buffer keeps its capacity across
+        // elements, so steady-state reading allocates nothing per shape.
+        boundary_.layer = 0;
+        boundary_.datatype = 0;
+        boundary_.vertices.clear();
         break;
       case RecordTag::kSref:
         if (!inCell_) return fail("SREF outside structure");

@@ -66,6 +66,21 @@ std::vector<Rect> slabDecompose(const std::vector<VEdge>& edges) {
 }  // namespace
 
 std::vector<Rect> decompose(const Polygon& polygon) {
+  // Rect fast path: a 4-vertex loop whose edges alternate horizontal and
+  // vertical is its bbox, which is exactly what the slab sweep returns
+  // for it (nothing when the loop has zero width or height).
+  const auto& v = polygon.vertices();
+  if (v.size() == 4) {
+    const bool horizontalFirst = v[0].y == v[1].y && v[1].x == v[2].x &&
+                                 v[2].y == v[3].y && v[3].x == v[0].x;
+    const bool verticalFirst = v[0].x == v[1].x && v[1].y == v[2].y &&
+                               v[2].x == v[3].x && v[3].y == v[0].y;
+    if (horizontalFirst || verticalFirst) {
+      const Rect box = polygon.bbox();
+      if (box.empty()) return {};
+      return {box};
+    }
+  }
   return decomposeEvenOdd({polygon});
 }
 

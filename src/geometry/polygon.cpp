@@ -41,10 +41,10 @@ Area Polygon::area() const {
   return std::llabs(twice) / 2;
 }
 
-Rect Polygon::bbox() const {
-  if (vertices_.empty()) return {};
-  Rect r{vertices_[0].x, vertices_[0].y, vertices_[0].x, vertices_[0].y};
-  for (const Point& p : vertices_) {
+Rect boundingBox(const std::vector<Point>& vertices) {
+  if (vertices.empty()) return {};
+  Rect r{vertices[0].x, vertices[0].y, vertices[0].x, vertices[0].y};
+  for (const Point& p : vertices) {
     r.xl = std::min(r.xl, p.x);
     r.yl = std::min(r.yl, p.y);
     r.xh = std::max(r.xh, p.x);
@@ -52,5 +52,7 @@ Rect Polygon::bbox() const {
   }
   return r;
 }
+
+Rect Polygon::bbox() const { return boundingBox(vertices_); }
 
 }  // namespace ofl::geom

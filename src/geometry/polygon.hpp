@@ -12,6 +12,10 @@
 
 namespace ofl::geom {
 
+/// Bounding box of a vertex list (empty Rect for no vertices); what
+/// Polygon::bbox returns for the same vertices, without building one.
+Rect boundingBox(const std::vector<Point>& vertices);
+
 class Polygon {
  public:
   Polygon() = default;

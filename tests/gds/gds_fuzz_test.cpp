@@ -3,6 +3,12 @@
 // corrupted bytes — it may only return nullopt or a best-effort parse.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "gds/gds_reader.hpp"
 #include "gds/gds_writer.hpp"
@@ -36,6 +42,41 @@ TEST(GdsFuzzTest, RandomLibrariesRoundTrip) {
       }
     }
   }
+}
+
+// Writer::writeFile streams through StreamWriter; its bytes must equal
+// the in-memory serialize() for multi-cell libraries with references,
+// odd-length names and non-default units.
+TEST(GdsFuzzTest, WriteFileMatchesSerialize) {
+  Rng rng(0xF00D);
+  const std::string path = "/tmp/ofl_gds_fuzz_writefile.gds";
+  for (int trial = 0; trial < 50; ++trial) {
+    Library lib = randomLibrary(rng);
+    lib.name = trial % 2 == 0 ? "FUZZLIB" : "FUZZ";
+    lib.userUnitsPerDbu = rng.uniformReal(1e-4, 1.0);
+    lib.metersPerDbu = rng.uniformReal(1e-10, 1e-6);
+    for (std::size_t c = 1; c < lib.cells.size(); ++c) {
+      Cell& top = lib.cells.front();
+      const std::string& name = lib.cells[c].name;
+      top.srefs.push_back(
+          {name, {rng.uniformInt(-5000, 5000), rng.uniformInt(-5000, 5000)}});
+      top.arefs.push_back({name,
+                           {rng.uniformInt(-5000, 5000), 0},
+                           static_cast<int>(rng.uniformInt(1, 9)),
+                           static_cast<int>(rng.uniformInt(1, 9)),
+                           rng.uniformInt(1, 400),
+                           rng.uniformInt(1, 400)});
+    }
+    const auto expected = Writer::serialize(lib);
+    ASSERT_EQ(Writer::writeFile(lib, path),
+              static_cast<long long>(expected.size()))
+        << "trial " << trial;
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<std::uint8_t> actual{std::istreambuf_iterator<char>(in),
+                                           std::istreambuf_iterator<char>()};
+    EXPECT_EQ(actual, expected) << "trial " << trial;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(GdsFuzzTest, RandomByteFlipsNeverCrash) {

@@ -2,9 +2,11 @@
 
 #include <cstdio>
 
+#include "common/rng.hpp"
 #include "gds/gds_reader.hpp"
 #include "gds/gds_records.hpp"
 #include "gds/gds_writer.hpp"
+#include "gds/record_builder.hpp"
 
 namespace ofl::gds {
 namespace {
@@ -45,6 +47,48 @@ TEST(GdsWriterTest, StreamSizeMatchesSerializedBytes) {
   const Library lib = sampleLibrary();
   const auto bytes = Writer::serialize(lib);
   EXPECT_EQ(static_cast<long long>(bytes.size()), Writer::streamSize(lib));
+
+  // A zero-vertex boundary (what the reader makes of an empty XY record)
+  // has no closing vertex on disk.
+  Library empty;
+  empty.cells.emplace_back();
+  empty.cells.back().boundaries.emplace_back();
+  const auto emptyBytes = Writer::serialize(empty);
+  EXPECT_EQ(emptyBytes.size(), 134u);
+  EXPECT_EQ(static_cast<long long>(emptyBytes.size()),
+            Writer::streamSize(empty));
+}
+
+// The fixed-size rect encoder must emit exactly the general boundary
+// encoder's bytes for the same 4-vertex loop, across the int32 range.
+TEST(GdsWriterTest, RectEncoderMatchesBoundaryEncoder) {
+  constexpr geom::Coord kMax = 2147483647;
+  Rng rng(0xAC7);
+  std::vector<geom::Rect> rects{{-kMax, -kMax, kMax, kMax},
+                                {kMax, kMax, kMax, kMax},
+                                {-kMax, 0, 0, kMax},
+                                {0, 0, 0, 0}};
+  for (int i = 0; i < 500; ++i) {
+    const geom::Coord x = rng.uniformInt(-kMax, kMax - 1);
+    const geom::Coord y = rng.uniformInt(-kMax, kMax - 1);
+    rects.push_back({x, y, rng.uniformInt(x, kMax), rng.uniformInt(y, kMax)});
+  }
+  for (std::size_t i = 0; i < rects.size(); ++i) {
+    const geom::Rect& r = rects[i];
+    const auto layer = static_cast<std::int16_t>(rng.uniformInt(-32768, 32767));
+    const auto datatype =
+        static_cast<std::int16_t>(rng.uniformInt(-32768, 32767));
+    Cell cell;
+    Writer::addRect(cell, layer, r, datatype);
+    std::vector<std::uint8_t> expected;
+    record::appendBoundary(expected, cell.boundaries.front());
+    std::vector<std::uint8_t> actual{0xAB};  // encoder appends, never clears
+    record::appendRect(actual, layer, r, datatype);
+    ASSERT_EQ(actual.size(), 1 + record::kRectRecordBytes) << "rect " << i;
+    EXPECT_EQ(std::vector<std::uint8_t>(actual.begin() + 1, actual.end()),
+              expected)
+        << "rect " << i;
+  }
 }
 
 TEST(GdsWriterTest, StreamSizeEmptyLibrary) {
@@ -87,6 +131,7 @@ TEST(GdsRoundTripTest, FileIo) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->cells[0].boundaries.size(), 3u);
   std::remove(path.c_str());
+  EXPECT_EQ(Writer::writeFile(lib, "/nonexistent/dir/ofl.gds"), -1);
 }
 
 TEST(GdsReaderTest, RejectsTruncatedStream) {

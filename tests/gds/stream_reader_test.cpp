@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "gds/gds_reader.hpp"
 #include "gds/gds_writer.hpp"
+#include "gds/record_builder.hpp"
 #include "gds/stream_reader.hpp"
 #include "gds/stream_writer.hpp"
 #include "verify/layout_gen.hpp"
@@ -107,6 +108,47 @@ TEST(StreamReaderTest, OversizedRecordRejectedWhenLimitLowered) {
   EXPECT_FALSE(StreamReader::scan(path, collector, &error, o));
   EXPECT_FALSE(error.empty());
   std::remove(path.c_str());
+}
+
+// The record machine reuses one Boundary across elements. A BOUNDARY
+// with no LAYER, DATATYPE or XY after a complete one must still read as
+// layer 0, datatype 0 and no vertices, exactly as Reader::parse builds it.
+TEST(StreamReaderTest, BareBoundaryAfterCompleteOneReadsAsDefaults) {
+  std::vector<std::uint8_t> bytes;
+  record::appendFilePrologue(bytes, "BARE", 1e-3, 1e-9);
+  record::appendCellBegin(bytes, "TOP");
+  record::appendRect(bytes, 7, {-5, -6, 40, 30}, /*datatype=*/3);
+  record::append(bytes, RecordTag::kBoundary);
+  record::append(bytes, RecordTag::kEndEl);
+  record::appendRect(bytes, 2, {1, 2, 3, 4}, /*datatype=*/1);
+  record::append(bytes, RecordTag::kBoundary);  // bare, ended by ENDSTR
+  record::appendCellEnd(bytes);
+  record::appendFileEpilogue(bytes);
+  const std::string path = writeTemp(bytes, "ofl_stream_bare.gds");
+
+  const auto parsed = Reader::parse(bytes);
+  ASSERT_TRUE(parsed.has_value());
+  LibraryCollector collector;
+  std::string error;
+  ASSERT_TRUE(StreamReader::scan(path, collector, &error)) << error;
+  std::remove(path.c_str());
+
+  for (const Library* lib :
+       std::vector<const Library*>{&*parsed, &collector.library()}) {
+    ASSERT_EQ(lib->cells.size(), 1u);
+    const auto& boundaries = lib->cells[0].boundaries;
+    ASSERT_EQ(boundaries.size(), 4u);
+    EXPECT_EQ(boundaries[0].layer, 7);
+    EXPECT_EQ(boundaries[0].datatype, 3);
+    EXPECT_EQ(boundaries[0].vertices.size(), 4u);
+    for (const std::size_t bare : {1u, 3u}) {
+      EXPECT_EQ(boundaries[bare].layer, 0) << "boundary " << bare;
+      EXPECT_EQ(boundaries[bare].datatype, 0) << "boundary " << bare;
+      EXPECT_TRUE(boundaries[bare].vertices.empty()) << "boundary " << bare;
+    }
+  }
+  EXPECT_EQ(Writer::serialize(collector.library()),
+            Writer::serialize(*parsed));
 }
 
 // Property: for arbitrary libraries the streamed scan, the in-memory

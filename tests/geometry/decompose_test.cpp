@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "geometry/boolean.hpp"
 
 #include "../test_util.hpp"
@@ -83,6 +85,64 @@ TEST(DecomposeTest, AreaPreservedOnRandomStaircases) {
     for (const Rect& r : rects) total += r.area();
     EXPECT_EQ(total, expected) << "trial " << trial;
     EXPECT_TRUE(testutil::pairwiseDisjoint(rects)) << "trial " << trial;
+  }
+}
+
+// Property: the rect fast path in decompose() returns exactly what the
+// slab sweep returns for the same loop. Rect loops cover every starting
+// corner (so both horizontal-first and vertical-first edge orders) and
+// both windings, plus zero-width and zero-height loops and negative
+// coordinates. The non-rect loops carry diagonal edges.
+TEST(DecomposeTest, RectFastPathMatchesSlabSweep) {
+  Rng rng(1414);
+  const auto check = [](const std::vector<Point>& loop, int trial) {
+    const Polygon p(loop);
+    EXPECT_EQ(decompose(p), decomposeEvenOdd({p})) << "trial " << trial;
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    const Coord x0 = rng.uniformInt(-1000, 1000);
+    const Coord y0 = rng.uniformInt(-1000, 1000);
+    // Width/height 0 in about one trial in eight each.
+    const auto side = [&rng] {
+      return rng.uniformInt(0, 7) == 0 ? 0 : rng.uniformInt(-300, 300);
+    };
+    const Coord x1 = x0 + side();
+    const Coord y1 = y0 + side();
+    std::vector<Point> rect{{x0, y0}, {x1, y0}, {x1, y1}, {x0, y1}};
+    if (rng.uniformInt(0, 1) == 1) std::reverse(rect.begin(), rect.end());
+    std::rotate(rect.begin(), rect.begin() + rng.uniformInt(0, 3), rect.end());
+    check(rect, trial);
+    if (x0 != x1 && y0 != y1) {
+      EXPECT_EQ(decompose(Polygon(rect)).size(), 1u) << "trial " << trial;
+    } else {
+      EXPECT_TRUE(decompose(Polygon(rect)).empty()) << "trial " << trial;
+    }
+
+    // Bowtie: two vertical edges over the same span joined by diagonals.
+    std::vector<Point> bowtie{{x0, y0}, {x0, y1}, {x1, y0}, {x1, y1}};
+    std::rotate(bowtie.begin(), bowtie.begin() + rng.uniformInt(0, 3),
+                bowtie.end());
+    check(bowtie, trial);
+    // Trapezoid: two horizontal edges joined by diagonals.
+    const Coord shift = rng.uniformInt(1, 50);
+    std::vector<Point> trapezoid{
+        {x0, y0}, {x1, y0}, {x1 + shift, y1}, {x0 - shift, y1}};
+    if (rng.uniformInt(0, 1) == 1) {
+      std::reverse(trapezoid.begin(), trapezoid.end());
+    }
+    check(trapezoid, trial);
+#ifdef NDEBUG
+    // Near misses: three of the four alternating-edge conditions hold and
+    // one edge is diagonal. Such a loop has a single vertical edge, which
+    // the sweep's even-crossing assert rejects in debug builds.
+    if (x0 != x1 && y0 != y1) {
+      std::vector<Point> nearMiss{
+          {x0, y0}, {x1, y0}, {x1, y1}, {x0 + shift, y1}};
+      std::rotate(nearMiss.begin(),
+                  nearMiss.begin() + rng.uniformInt(0, 3), nearMiss.end());
+      check(nearMiss, trial);
+    }
+#endif
   }
 }
 

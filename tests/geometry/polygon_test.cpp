@@ -50,5 +50,19 @@ TEST(PolygonTest, EmptyPolygon) {
   EXPECT_TRUE(p.bbox().empty());
 }
 
+// The extent pre-scan takes bboxes from raw vertex lists, including the
+// degenerate 0-, 1- and 2-vertex boundaries a GDSII file can carry.
+TEST(PolygonTest, BoundingBoxOfVerticesMatchesPolygonBbox) {
+  const std::vector<std::vector<Point>> lists{
+      {},
+      {{-7, 3}},
+      {{5, -2}, {-1, 9}},
+      {{0, 0}, {10, 0}, {10, 5}, {5, 5}, {5, 10}, {0, 10}}};
+  for (const auto& v : lists) {
+    EXPECT_EQ(boundingBox(v), Polygon(v).bbox()) << v.size() << " vertices";
+  }
+  EXPECT_EQ(boundingBox(lists[2]), Rect(-1, -2, 5, 9));
+}
+
 }  // namespace
 }  // namespace ofl::geom
