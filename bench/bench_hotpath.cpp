@@ -2,13 +2,15 @@
 // single-threaded, profiled every rep. Reports absolute stage seconds from
 // the profiling registry -- region prep, planning (bounds + both target
 // sweeps), candidates and its four sub-stages, sizing and its overlay /
-// MCF-solve sub-stages, end-to-end wall -- plus the sizer's
-// warm-start and early-exit ratios (machine-independent, so they gate on
-// any machine).
+// MCF-solve sub-stages, end-to-end wall -- plus the share of sizing
+// passes solved in closed form (machine-independent, so it gates on any
+// machine). A pass without spacing pairs skips the min-cost flow, so
+// mcf_solve_s only counts coupled passes; MCF warm starts and early exits
+// are exercised by bench_mcf.
 //
 // The bench exits nonzero when reps disagree on the fills (the engine is
-// deterministic) or when no MCF warm start fired -- the sizer's warm path
-// must actually engage (the CI perf-smoke gate). The harness discards
+// deterministic) or when no pass took the closed form -- the sizer's fast
+// path must actually engage (the CI perf-smoke gate). The harness discards
 // warmup rounds, so no rep pays the cold-cache start. Results:
 // BENCH_hotpath.json.
 //
@@ -85,10 +87,9 @@ int main(int argc, char** argv) {
   std::vector<Series*> stageSeries;
   for (const auto& s : stages) stageSeries.push_back(&h.series(s.series, "s"));
   Series& wall = h.series("wall_s", "s");
-  Series& warmRatio = h.series("warm_start_ratio", "ratio",
-                               Direction::kHigherIsBetter, Scale::kRatio);
-  Series& earlyRatio = h.series("early_exit_ratio", "ratio",
-                                Direction::kHigherIsBetter, Scale::kRatio);
+  Series& closedFormRatio = h.series("closed_form_ratio", "ratio",
+                                     Direction::kHigherIsBetter,
+                                     Scale::kRatio);
 
   fill::FillEngineOptions options;
   options.windowSize = spec.windowSize;
@@ -110,8 +111,7 @@ int main(int argc, char** argv) {
       stageSeries[i]->record(last.profile.stage(stages[i].stage).seconds());
     }
     const fill::FillSizer::Stats& st = last.sizerStats;
-    warmRatio.record(ratio(st.warmStarts, st.solves));
-    earlyRatio.record(ratio(st.earlyExits, st.solves));
+    closedFormRatio.record(ratio(st.closedFormSolves, st.solves));
     const std::uint64_t hash = fillHash(chip);
     if (!haveRef) {
       refHash = hash;
@@ -126,14 +126,15 @@ int main(int argc, char** argv) {
   std::printf("\n-- last rep (%zu fills, hash %llx) --\n", last.fillCount,
               static_cast<unsigned long long>(refHash));
   std::fputs(last.profile.human().c_str(), stdout);
-  std::printf("  sizer: %lld solves, %lld warm [%.0f%%], %lld early exits "
-              "[%.0f%%]\n\n",
-              st.solves, st.warmStarts, 100.0 * ratio(st.warmStarts, st.solves),
-              st.earlyExits, 100.0 * ratio(st.earlyExits, st.solves));
+  std::printf("  sizer: %lld solves, %lld closed form [%.0f%%], %lld MCF "
+              "warm starts, %lld early exits\n\n",
+              st.solves, st.closedFormSolves,
+              100.0 * ratio(st.closedFormSolves, st.solves), st.warmStarts,
+              st.earlyExits);
 
   h.param("fill_count", static_cast<std::int64_t>(last.fillCount));
   h.param("mcf_solves", static_cast<std::int64_t>(st.solves));
   h.check("deterministic", deterministic);
-  h.check("warm_start_fired", st.warmStarts > 0);
+  h.check("closed_form_engaged", st.closedFormSolves > 0);
   return h.finish();
 }

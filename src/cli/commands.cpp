@@ -341,6 +341,19 @@ void recordFillMetrics(double seconds, long long bytes) {
 }
 
 int fillImpl(const Args& args) {
+  // Every option fill reads: a typo or a removed flag is an error rather
+  // than a silently ignored no-op.
+  const std::vector<std::string> unknown = args.unknownKeys(
+      {"in", "out", "die", "format", "compact", "json", "suite", "stream",
+       "mem-budget-mb", "rows-per-shard", "window", "lambda", "gamma", "eta",
+       "iterations", "threads", "backend", "min-width", "min-spacing",
+       "min-area", "max-fill", "profile", "profile-json", "trace",
+       "metrics-out", "metrics-prom"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "fill: unknown option --%s\n",
+                 unknown.front().c_str());
+    return 2;
+  }
   const std::string out = args.getOr("out", "");
   if (out.empty()) {
     std::fprintf(stderr, "fill: missing --out\n");
@@ -1167,11 +1180,13 @@ std::string usage() {
       "      (implied by xl, ~2M+ wires) writes rects as they are\n"
       "      generated instead of building the layout in memory —\n"
       "      identical bytes either way.\n"
-      "  fill --in FILE.gds --out FILE.gds [--window N] [--lambda X]\n"
-      "       [--eta X] [--iterations N] [--backend ns|ssp|lp] [--compact]\n"
+      "  fill --in FILE.gds --out FILE.gds [--die xl,yl,xh,yh] [--window N]\n"
+      "       [--lambda X] [--gamma X] [--eta X] [--iterations N]\n"
+      "       [--backend ns|ssp|lp] [--format gds|oasis] [--compact]\n"
       "       [--json] [--stream] [--mem-budget-mb N] [--rows-per-shard N]\n"
       "       [--threads N] [--profile] [--profile-json FILE]\n"
       "       [--trace FILE] [--metrics-out FILE] [--metrics-prom FILE]\n"
+      "       [--suite s|b|m|tiny]\n"
       "       [--min-width N --min-spacing N --min-area N --max-fill N]\n"
       "      Insert dummy fills; --compact writes fill arrays as AREFs;\n"
       "      --stream runs the bounded-memory window-sharded pipeline\n"
@@ -1179,15 +1194,15 @@ std::string usage() {
       "      default 512; incompatible with --compact/--format oasis);\n"
       "      --json prints a machine-readable summary (incl. peak RSS);\n"
       "      --threads 0 (default) uses every hardware core, results are\n"
-      "      identical for any thread count. Sizer solves warm-start and\n"
-      "      early-exit by default (byte-identical, faster; the --no-*\n"
-      "      opt-outs are for A/B timing). --profile prints the hot-path\n"
+      "      identical for any thread count. --profile prints the hot-path\n"
       "      stage table (thread-seconds) to stderr; --profile-json writes\n"
       "      the same snapshot as JSON (schema: docs/architecture.md).\n"
       "      --trace writes a Chrome trace-event JSON (open in Perfetto);\n"
       "      --metrics-out / --metrics-prom write the unified metrics\n"
       "      snapshot (stage timers, per-window quality telemetry, score\n"
-      "      decomposition, peak RSS) as JSON / Prometheus text.\n"
+      "      decomposition, peak RSS) as JSON / Prometheus text; --suite\n"
+      "      picks the score table for that decomposition (default s).\n"
+      "      Unknown options are an error (exit 2).\n"
       "  evaluate --in FILE.gds --suite s|b|m [--window N] [--runtime S]\n"
       "       [--memory MiB]\n"
       "      Score a filled layout with the contest metric.\n"

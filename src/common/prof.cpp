@@ -28,7 +28,8 @@ static_assert(sizeof(kStageNames) / sizeof(kStageNames[0]) ==
 constexpr const char* kCounterNames[] = {
     "windows",          "candidates",        "index-builds",
     "index-queries",    "mcf-solves",        "mcf-network-reuses",
-    "mcf-warm-starts",  "mcf-early-exits",   "eco-windows-skipped",
+    "mcf-warm-starts",  "mcf-early-exits",   "sizer-closed-form",
+    "eco-windows-skipped",
 };
 static_assert(sizeof(kCounterNames) / sizeof(kCounterNames[0]) ==
               static_cast<std::size_t>(Counter::kCount));

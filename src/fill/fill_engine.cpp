@@ -70,6 +70,8 @@ void recordRunMetrics(const FillReport& report) {
       .add(static_cast<std::uint64_t>(report.sizerStats.warmStarts));
   reg.counter("engine.mcf_early_exits")
       .add(static_cast<std::uint64_t>(report.sizerStats.earlyExits));
+  reg.counter("engine.sizer_closed_form_solves")
+      .add(static_cast<std::uint64_t>(report.sizerStats.closedFormSolves));
   reg.counter("engine.eco_windows_skipped").add(report.ecoWindowsSkipped);
   reg.histogram("engine.run_seconds").observe(report.totalSeconds);
 }

@@ -370,16 +370,15 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
     repairNeed[j] = std::max(repairNeed[j], need);
   }
 
-  // Build the differential LP: variables 2k (lo edge), 2k+1 (hi edge).
-  mcf::DifferentialLp lp;
-  for (std::size_t fi = 0; fi < n; ++fi) {
+  // Per-fill edge variables of the relaxation: the lo edge may rise and
+  // the hi edge fall by at most maxShrinkEach, subject to hi - lo >= minLen.
+  const auto edgeVariables = [&](std::size_t fi) {
     const Rect& f = fills[fi];
     const Coord lo = ax.lo(f);
     const Coord hi = ax.hi(f);
     const Coord fullFreedom = hi - lo - minLen[fi];
     const Coord maxShrinkEach = std::max<Coord>(
         0, std::min(std::max(step[fi], repairNeed[fi]), fullFreedom));
-
     const auto etaScaled = [this](Coord v) {
       return static_cast<mcf::Value>(
           std::llround(options_.eta * static_cast<double>(v)));
@@ -388,9 +387,49 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
     // d(objective)/d(loEdge) is the mirror image.
     const mcf::Value costHi = densitySign * frozen[fi] + etaScaled(ovHi[fi]);
     const mcf::Value costLo = -densitySign * frozen[fi] - etaScaled(ovLo[fi]);
-    const int vLo = lp.addVariable(costLo, lo, lo + maxShrinkEach);
-    const int vHi = lp.addVariable(costHi, hi - maxShrinkEach, hi);
-    lp.addConstraint(vHi, vLo, minLen[fi]);  // hi - lo >= minLen
+    return std::pair{mcf::PairVariable{costLo, lo, lo + maxShrinkEach},
+                     mcf::PairVariable{costHi, hi - maxShrinkEach, hi}};
+  };
+  const auto applyEdges = [&](const std::vector<mcf::Value>& x) {
+    for (std::size_t i = 0; i < fills.size(); ++i) {
+      const Coord newLo = x[2 * i];
+      const Coord newHi = x[2 * i + 1];
+      assert(newHi > newLo);
+      ax.apply(fills[i], newLo, newHi);
+    }
+  };
+
+  // Uncoupled pass (no spacing pair): the LP separates into one
+  // two-variable problem per fill, whose componentwise-least optimum --
+  // the answer DualMcfContext returns -- has a closed form. The SSP and
+  // dense-simplex backends keep solving the full relaxation as references.
+  if (closePairs.empty() && !options_.useLpSolver &&
+      options_.backend == mcf::McfBackend::kNetworkSimplex) {
+    if (stats != nullptr) {
+      ++stats->solves;
+      ++stats->closedFormSolves;
+    }
+    prof::count(prof::Counter::kSizerClosedForm);
+    auto& edges = scratch.edges;
+    edges.resize(2 * n);
+    for (std::size_t fi = 0; fi < n; ++fi) {
+      const auto [vLo, vHi] = edgeVariables(fi);
+      const auto x = mcf::solvePairLp(vHi, vLo, minLen[fi]);
+      if (!x.has_value()) return;  // infeasible LP: keep current sizes
+      edges[2 * fi] = x->second;
+      edges[2 * fi + 1] = x->first;
+    }
+    applyEdges(edges);
+    return;
+  }
+
+  // Build the differential LP: variables 2k (lo edge), 2k+1 (hi edge).
+  mcf::DifferentialLp lp;
+  for (std::size_t fi = 0; fi < n; ++fi) {
+    const auto [vLo, vHi] = edgeVariables(fi);
+    const int iLo = lp.addVariable(vLo.cost, vLo.lo, vLo.hi);
+    const int iHi = lp.addVariable(vHi.cost, vHi.lo, vHi.hi);
+    lp.addConstraint(iHi, iLo, minLen[fi]);  // hi - lo >= minLen
   }
 
   // Spacing repair constraints (Eqn. 13): pairs violating the spacing rule
@@ -480,13 +519,7 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
     return;
   }
   if (!result.feasible) return;  // keep current sizes
-
-  for (std::size_t i = 0; i < fills.size(); ++i) {
-    const Coord newLo = result.x[2 * i];
-    const Coord newHi = result.x[2 * i + 1];
-    assert(newHi > newLo);
-    ax.apply(fills[i], newLo, newHi);
-  }
+  applyEdges(result.x);
 }
 
 }  // namespace ofl::fill

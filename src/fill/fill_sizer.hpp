@@ -46,6 +46,10 @@ class FillSizer {
     long long spacingConstraints = 0;
     long long warmStarts = 0;  // solves restarted from a retained basis
     long long earlyExits = 0;  // solves skipped via the sensitivity memo
+    /// Solves of uncoupled passes (no spacing pair) done per fill in
+    /// closed form instead of through the min-cost flow; counted in
+    /// `solves` as well.
+    long long closedFormSolves = 0;
 
     /// Merges another window's counters; the engine sizes windows in
     /// parallel into per-window Stats and reduces them in window order.
@@ -56,6 +60,7 @@ class FillSizer {
       spacingConstraints += other.spacingConstraints;
       warmStarts += other.warmStarts;
       earlyExits += other.earlyExits;
+      closedFormSolves += other.closedFormSolves;
     }
   };
 
@@ -77,6 +82,7 @@ class FillSizer {
     std::vector<geom::Coord> step;
     std::vector<geom::Coord> repairNeed;
     std::vector<double> weight;
+    std::vector<mcf::Value> edges;  // closed-form solution, 2 per fill
     std::vector<mcf::DualMcfContext> mcfContexts;
     // Backend the cached contexts were constructed with. Scratch objects
     // are typically thread_local and outlive a single engine run; a later

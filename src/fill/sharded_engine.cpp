@@ -579,6 +579,8 @@ bool ShardedEngine::runFile(const std::string& inputPath,
         .add(static_cast<std::uint64_t>(rep.fill.sizerStats.warmStarts));
     reg.counter("engine.mcf_early_exits")
         .add(static_cast<std::uint64_t>(rep.fill.sizerStats.earlyExits));
+    reg.counter("engine.sizer_closed_form_solves")
+        .add(static_cast<std::uint64_t>(rep.fill.sizerStats.closedFormSolves));
     reg.counter("engine.eco_windows_skipped").add(rep.fill.ecoWindowsSkipped);
     reg.histogram("engine.run_seconds").observe(rep.fill.totalSeconds);
     reg.counter("scale.runs").add();

@@ -47,6 +47,34 @@ Value DifferentialLp::objective(const std::vector<Value>& x) const {
   return obj;
 }
 
+std::optional<std::pair<Value, Value>> solvePairLp(const PairVariable& xi,
+                                                   const PairVariable& xj,
+                                                   Value bound) {
+  assert(xi.lo <= xi.hi && xj.lo <= xj.hi);
+  if (xi.hi - xj.lo < bound) return std::nullopt;
+  const auto bestXi = [&](Value x) {
+    return xi.cost < 0 ? xi.hi : std::max(xi.lo, x + bound);
+  };
+  const auto objective = [&](Value x) {
+    return xi.cost * bestXi(x) + xj.cost * x;
+  };
+  // Feasible x_j range is [l_j, xjMax]; non-empty by the check above.
+  // Candidates ascend, so a strict improvement test keeps the least tie.
+  const Value xjMax = std::min(xj.hi, xi.hi - bound);
+  const Value candidates[] = {xj.lo, std::clamp(xi.lo - bound, xj.lo, xjMax),
+                              xjMax};
+  Value best = candidates[0];
+  Value bestObjective = objective(best);
+  for (const Value x : candidates) {
+    const Value obj = objective(x);
+    if (obj < bestObjective) {
+      best = x;
+      bestObjective = obj;
+    }
+  }
+  return std::pair{bestXi(best), best};
+}
+
 DiffLpResult DifferentialLpSolver::solve(const DifferentialLp& lp) const {
   // One-shot path: a fresh context cold-starts. The canonical-optimum
   // post-pass makes this byte-identical to any warm-started context.

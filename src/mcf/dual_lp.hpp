@@ -12,6 +12,7 @@
 // x_i = y_i - y_0 (Eqn. 16a). Integrality is free: all data are integers.
 #pragma once
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -69,6 +70,30 @@ enum class McfBackend {
   kSuccessiveShortestPath,
   kCycleCanceling,
 };
+
+/// One variable of a two-variable differential LP: objective coefficient
+/// and box [lo, hi] (lo <= hi).
+struct PairVariable {
+  Value cost;
+  Value lo;
+  Value hi;
+};
+
+/// Closed-form solve of the two-variable differential LP
+///
+///   min  c_i x_i + c_j x_j   s.t.  x_i - x_j >= bound,
+///        x_i in [l_i, u_i],  x_j in [l_j, u_j].
+///
+/// Returns (x_i, x_j), the componentwise-least optimum — exactly what
+/// DualMcfContext returns for the same LP with any backend — or nullopt
+/// when the LP is infeasible (u_i - l_j < bound). For a given x_j the
+/// least optimal x_i is u_i when c_i < 0 and max(l_i, x_j + bound)
+/// otherwise; that choice is nondecreasing in x_j, so the least optimum
+/// takes the smallest x_j minimizing the resulting convex piecewise-linear
+/// objective, which sits at an endpoint or at the kink x_j = l_i - bound.
+std::optional<std::pair<Value, Value>> solvePairLp(const PairVariable& xi,
+                                                   const PairVariable& xj,
+                                                   Value bound);
 
 class DifferentialLpSolver {
  public:

@@ -346,6 +346,7 @@ void registerCoreSeries() {
   for (const char* name :
        {"engine.runs", "engine.windows", "engine.candidates", "engine.fills",
         "engine.mcf_warm_starts", "engine.mcf_early_exits",
+        "engine.sizer_closed_form_solves",
         "engine.eco_windows_skipped",
         "scale.runs", "scale.shards", "scale.spill_bytes", "scale.spill_events",
         "cache.hits", "cache.misses", "cache.evictions",

@@ -171,6 +171,47 @@ TEST(CommandsTest, OasisFormatRoundTrip) {
   std::remove(filled.c_str());
 }
 
+TEST(CommandsTest, FillRejectsUnknownOptions) {
+  const std::string wires = "/tmp/ofl_cli_wires_unknown.gds";
+  const std::string filled = "/tmp/ofl_cli_filled_unknown.gds";
+  ASSERT_EQ(runGenerate(Args::parse({"generate", "--suite", "tiny", "--out",
+                                     wires})),
+            0);
+  std::remove(filled.c_str());
+  // A removed flag and a typo both fail before any work, naming the key.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(runFill(Args::parse({"fill", "--in", wires, "--out", filled,
+                                 "--no-warm-start"})),
+            2);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("--no-warm-start"),
+            std::string::npos);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(runFill(Args::parse({"fill", "--in", wires, "--out", filled,
+                                 "--bogus-flag", "3"})),
+            2);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("--bogus-flag"),
+            std::string::npos);
+  std::FILE* f = std::fopen(filled.c_str(), "r");
+  EXPECT_EQ(f, nullptr);
+  if (f != nullptr) std::fclose(f);
+  // Every documented option is still accepted.
+  EXPECT_EQ(runFill(Args::parse(
+                {"fill", "--in", wires, "--out", filled, "--die",
+                 "0,0,9600,9600", "--window", "1200", "--lambda", "1",
+                 "--gamma", "1", "--eta", "1", "--iterations", "2",
+                 "--threads", "1", "--backend", "ns", "--format", "gds",
+                 "--compact", "--json", "--suite", "tiny", "--min-width",
+                 "10", "--min-spacing", "10", "--min-area", "100",
+                 "--max-fill", "500"})),
+            0);
+  EXPECT_EQ(runFill(Args::parse({"fill", "--in", wires, "--out", filled,
+                                 "--stream", "--mem-budget-mb", "64",
+                                 "--rows-per-shard", "2"})),
+            0);
+  std::remove(wires.c_str());
+  std::remove(filled.c_str());
+}
+
 TEST(CommandsTest, MalformedOptionValuesExitWithStatus2) {
   EXPECT_EQ(runFill(Args::parse({"fill", "--in", "x.gds", "--out", "y.gds",
                                  "--window", "2k"})),

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "geometry/boolean.hpp"
 
 namespace ofl::fill {
@@ -167,6 +168,88 @@ TEST(FillSizerTest, McfAndLpBackendsAgreeOnFinalArea) {
   for (const auto& f : viaMcf.fills[0]) a1 += f.area();
   for (const auto& f : viaLp.fills[0]) a2 += f.area();
   EXPECT_EQ(a1, a2);
+}
+
+// Two-layer window with 2-4 fills per layer in one row of 100-DBU cells,
+// every neighbor gap >= minSpacing. `coupled` layers get fill 1 pulled to
+// within 1-9 DBU of fill 0, so their first horizontal pass carries a
+// spacing pair and goes through the min-cost flow; every other pass has
+// none and takes the closed form.
+WindowProblem randomWindow(Rng& rng) {
+  WindowProblem p;
+  p.window = {0, 0, 400, 400};
+  p.fillRegions = {geom::Region(p.window), geom::Region(p.window)};
+  p.wires = {{}, {}};
+  p.fills = {{}, {}};
+  for (int l = 0; l < 2; ++l) {
+    auto& wires = p.wires[static_cast<std::size_t>(l)];
+    const int numWires = static_cast<int>(rng.uniformInt(0, 3));
+    for (int w = 0; w < numWires; ++w) {
+      const geom::Coord x = rng.uniformInt(0, 360);
+      const geom::Coord y = rng.uniformInt(0, 360);
+      wires.push_back({x, y, x + rng.uniformInt(10, 40),
+                       y + rng.uniformInt(10, 40)});
+    }
+    auto& fills = p.fills[static_cast<std::size_t>(l)];
+    const geom::Coord row = 100 * rng.uniformInt(0, 3);
+    const int numFills = static_cast<int>(rng.uniformInt(2, 4));
+    for (int k = 0; k < numFills; ++k) {
+      const geom::Coord col = 100 * k;
+      fills.push_back({col + rng.uniformInt(5, 20), row + rng.uniformInt(5, 20),
+                       col + 100 - rng.uniformInt(5, 20),
+                       row + 100 - rng.uniformInt(5, 20)});
+    }
+    if (rng.uniformInt(0, 1) == 1) {
+      fills[1].xl = fills[0].xh + rng.uniformInt(1, 9);
+    }
+    geom::Area wireArea = 0;
+    for (const geom::Rect& w : wires) wireArea += w.area();
+    p.wireDensity.push_back(static_cast<double>(wireArea) /
+                            static_cast<double>(p.window.area()));
+    p.targetDensity.push_back(0.01 * static_cast<double>(rng.uniformInt(2, 15)));
+  }
+  return p;
+}
+
+TEST(FillSizerTest, ClosedFormAndCoupledPassesMatchReferenceBackends) {
+  // The default backend sizes uncoupled passes in closed form and coupled
+  // ones through warm-started MCF contexts; SSP and the dense simplex
+  // solve every pass's full relaxation. All three must size every window
+  // to the same fills. One Scratch per backend is reused across windows,
+  // as the engine's per-thread scratch is, so coupled passes of equal
+  // topology warm-start from each other.
+  Rng rng(1505);
+  std::vector<WindowProblem> windows;
+  for (int w = 0; w < 300; ++w) windows.push_back(randomWindow(rng));
+
+  FillSizer::Options nsOpt;
+  nsOpt.iterations = 3;
+  FillSizer::Options sspOpt = nsOpt;
+  sspOpt.backend = mcf::McfBackend::kSuccessiveShortestPath;
+  FillSizer::Options lpOpt = nsOpt;
+  lpOpt.useLpSolver = true;
+  FillSizer::Scratch nsScratch;
+  FillSizer::Scratch sspScratch;
+  FillSizer::Scratch lpScratch;
+  FillSizer::Stats nsStats;
+  FillSizer::Stats sspStats;
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    WindowProblem viaNs = windows[w];
+    WindowProblem viaSsp = windows[w];
+    WindowProblem viaLp = windows[w];
+    FillSizer(rules(), nsOpt).size(viaNs, nsScratch, &nsStats);
+    FillSizer(rules(), sspOpt).size(viaSsp, sspScratch, &sspStats);
+    FillSizer(rules(), lpOpt).size(viaLp, lpScratch);
+    EXPECT_EQ(viaNs.fills, viaSsp.fills) << "window " << w;
+    EXPECT_EQ(viaNs.fills, viaLp.fills) << "window " << w;
+  }
+  EXPECT_EQ(nsStats.solves, sspStats.solves);
+  EXPECT_EQ(nsStats.spacingConstraints, sspStats.spacingConstraints);
+  EXPECT_GT(nsStats.spacingConstraints, 0);
+  EXPECT_GT(nsStats.closedFormSolves, 0);
+  EXPECT_LT(nsStats.closedFormSolves, nsStats.solves);
+  EXPECT_GT(nsStats.warmStarts, 0);
+  EXPECT_EQ(sspStats.closedFormSolves, 0);
 }
 
 }  // namespace

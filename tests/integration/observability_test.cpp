@@ -121,7 +121,8 @@ TEST_F(ObservabilityIntegrationTest, BatchProducesTraceAndMetrics) {
   obs::updateProcessGauges();
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::instance().snapshot();
   for (const char* name :
-       {"engine.runs", "engine.windows", "cache.misses",
+       {"engine.runs", "engine.windows", "engine.sizer_closed_form_solves",
+        "cache.misses",
         "sched.tasks_submitted", "sched.tasks_completed",
         "service.jobs_completed", "job.run_seconds", "job.queue_seconds",
         "sched.queue_wait_seconds", "quality.windows",
@@ -129,6 +130,7 @@ TEST_F(ObservabilityIntegrationTest, BatchProducesTraceAndMetrics) {
     EXPECT_TRUE(snap.has(name)) << name;
   }
   EXPECT_EQ(snap.counters.at("engine.runs"), static_cast<std::uint64_t>(kJobs));
+  EXPECT_GT(snap.counters.at("engine.sizer_closed_form_solves"), 0u);
   EXPECT_EQ(snap.counters.at("service.jobs_completed"),
             static_cast<std::uint64_t>(kJobs));
   EXPECT_EQ(snap.histograms.at("job.run_seconds").data.count,

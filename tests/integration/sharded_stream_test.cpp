@@ -15,6 +15,7 @@
 #include "fill/fill_engine.hpp"
 #include "fill/sharded_engine.hpp"
 #include "gds/gds_writer.hpp"
+#include "obs/metrics.hpp"
 
 namespace ofl {
 namespace {
@@ -63,6 +64,9 @@ class ShardedStreamTest : public ::testing::Test {
         << error;
     EXPECT_EQ(report.fill.fillCount, inMemory.fillCount);
     EXPECT_EQ(report.fill.candidateCount, inMemory.candidateCount);
+    EXPECT_EQ(report.fill.sizerStats.solves, inMemory.sizerStats.solves);
+    EXPECT_EQ(report.fill.sizerStats.closedFormSolves,
+              inMemory.sizerStats.closedFormSolves);
 
     const std::vector<char> expected = readAll(refPath);
     const std::vector<char> streamed = readAll(outPath);
@@ -98,6 +102,22 @@ TEST_F(ShardedStreamTest, TightBudgetForcesShardsAndSpillIdentically) {
   EXPECT_GT(report.shardCount, 1);
   EXPECT_GT(report.spillEvents, 0u);
   EXPECT_GT(report.spilledBytes, 0u);
+}
+
+TEST_F(ShardedStreamTest, EmitsClosedFormSolveCounter) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  reg.reset();
+  reg.setEnabled(true);
+  fill::ShardedReport report;
+  expectByteIdentical("tiny", /*threads=*/1, /*memBudgetMiB=*/64,
+                      /*rowsPerShard=*/0, &report);
+  reg.setEnabled(false);
+  // The in-memory reference run adds its own count to the same counter.
+  EXPECT_GT(report.fill.sizerStats.closedFormSolves, 0);
+  EXPECT_EQ(reg.counter("engine.sizer_closed_form_solves").value(),
+            2 * static_cast<std::uint64_t>(
+                    report.fill.sizerStats.closedFormSolves));
+  reg.reset();
 }
 
 TEST_F(ShardedStreamTest, EmptyInputWithoutDieFails) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "lp/simplex.hpp"
 
@@ -344,6 +349,84 @@ TEST(DualMcfContextTest, EmptyLpIsFeasible) {
   EXPECT_TRUE(r.feasible);
   EXPECT_TRUE(r.x.empty());
   EXPECT_EQ(r.objective, 0);
+}
+
+TEST(SolvePairLpTest, MatchesEveryBackendAndBruteForceExhaustively) {
+  // Every box pair with bounds in [-1, 2], every offset in [-3, 4] (from
+  // slack to infeasible) and every cost pair in [-2, 2]^2 (all sign
+  // combinations, zero and cancelling sums included). Brute force
+  // enumerates the box and keeps the lexicographically least optimum,
+  // which for a lattice optimal face is its componentwise-least element.
+  constexpr Value kMin = -1;
+  constexpr Value kMax = 2;
+  const McfBackend backends[] = {McfBackend::kNetworkSimplex,
+                                 McfBackend::kSuccessiveShortestPath,
+                                 McfBackend::kCycleCanceling};
+  int feasible = 0;
+  int infeasible = 0;
+  for (Value li = kMin; li <= kMax; ++li) {
+    for (Value ui = li; ui <= kMax; ++ui) {
+      for (Value lj = kMin; lj <= kMax; ++lj) {
+        for (Value uj = lj; uj <= kMax; ++uj) {
+          for (Value b = -3; b <= 4; ++b) {
+            for (Value ci = -2; ci <= 2; ++ci) {
+              for (Value cj = -2; cj <= 2; ++cj) {
+                const auto got = solvePairLp({ci, li, ui}, {cj, lj, uj}, b);
+                std::optional<std::pair<Value, Value>> brute;
+                Value bruteObjective = 0;
+                for (Value xi = li; xi <= ui; ++xi) {
+                  for (Value xj = lj; xj <= uj; ++xj) {
+                    if (xi - xj < b) continue;
+                    const Value obj = ci * xi + cj * xj;
+                    if (!brute.has_value() || obj < bruteObjective) {
+                      brute = std::pair{xi, xj};
+                      bruteObjective = obj;
+                    }
+                  }
+                }
+                DifferentialLp lp;
+                lp.addVariable(ci, li, ui);
+                lp.addVariable(cj, lj, uj);
+                lp.addConstraint(0, 1, b);
+                const std::string where =
+                    "x_i in [" + std::to_string(li) + "," +
+                    std::to_string(ui) + "] x_j in [" + std::to_string(lj) +
+                    "," + std::to_string(uj) + "] b " + std::to_string(b) +
+                    " c (" + std::to_string(ci) + "," + std::to_string(cj) +
+                    ")";
+                ASSERT_EQ(got, brute) << where;
+                for (const McfBackend backend : backends) {
+                  const DiffLpResult r = DifferentialLpSolver(backend).solve(lp);
+                  ASSERT_EQ(r.feasible, got.has_value()) << where;
+                  if (r.feasible) {
+                    ASSERT_EQ(r.x, (std::vector<Value>{got->first,
+                                                       got->second}))
+                        << where;
+                  }
+                }
+                ++(got.has_value() ? feasible : infeasible);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(feasible, 0);
+  EXPECT_GT(infeasible, 0);
+}
+
+TEST(SolvePairLpTest, LargeCoordinates) {
+  // The sizer's coordinates reach ~1e9; the closed form must stay exact.
+  const Value base = 2'000'000'000;
+  const auto x = solvePairLp({5, base + 60, base + 100}, {-7, base, base + 40},
+                             50);
+  ASSERT_TRUE(x.has_value());
+  // Raising x_j saves 7 per unit and, past the kink at l_i - 50, drags x_i
+  // up at 5 per unit: the objective falls all the way to u_j.
+  EXPECT_EQ(*x, (std::pair<Value, Value>{base + 90, base + 40}));
+  EXPECT_FALSE(solvePairLp({1, base, base + 10}, {1, base, base + 5}, 11)
+                   .has_value());
 }
 
 }  // namespace
