@@ -304,9 +304,11 @@ bool engineOptionsFrom(const Args& args, fill::FillEngineOptions& options,
 }
 
 // `fill --json`: one-line machine-readable run summary on stdout (peak
-// RSS, wall time, output size, shard/spill figures for --stream).
+// RSS, wall time, output size, shard/spill figures for --stream, layout
+// read and write time in memory).
 void printFillJson(const fill::FillReport& report, double seconds,
-                   long long bytes, const fill::ShardedReport* sharded) {
+                   long long bytes, const fill::ShardedReport* sharded,
+                   double readSeconds = 0.0, double writeSeconds = 0.0) {
   std::ostringstream json;
   json << "{\"fills\": " << report.fillCount
        << ", \"candidates\": " << report.candidateCount
@@ -324,7 +326,8 @@ void printFillJson(const fill::FillReport& report, double seconds,
          << ", \"ingest_seconds\": " << sharded->ingestSeconds
          << ", \"output_seconds\": " << sharded->outputSeconds;
   } else {
-    json << ", \"stream\": false";
+    json << ", \"stream\": false, \"read_seconds\": " << readSeconds
+         << ", \"write_seconds\": " << writeSeconds;
   }
   json << "}";
   std::printf("%s\n", json.str().c_str());
@@ -434,27 +437,28 @@ int fillImpl(const Args& args) {
     return rc;
   }
 
-  layout::Layout chip({}, 0);
-  if (!loadLayout(args, chip, &error)) {
-    std::fprintf(stderr, "fill: %s\n", error.c_str());
-    return 2;
-  }
   const bool profiling = profilingRequested(args);
   if (profiling) enableProfiling();
   const ObsRequest obsReq = obsRequestFrom(args);
   enableObservability(obsReq);
 
+  Timer readTimer;
+  layout::Layout chip({}, 0);
+  if (!loadLayout(args, chip, &error)) {
+    std::fprintf(stderr, "fill: %s\n", error.c_str());
+    return 2;
+  }
+  const double readSeconds = readTimer.elapsedSeconds();
+
   Timer timer;
   const fill::FillReport report = fill::FillEngine(options).run(chip);
-  const gds::Library outLib = args.hasFlag("compact")
-                                  ? layout::toCompactGds(chip)
-                                  : chip.toGds();
-  long long bytes = -1;
-  if (format == "gds") {
-    bytes = gds::Writer::writeFile(outLib, out);
-  } else {
-    bytes = gds::OasisWriter::writeFile(outLib, out);
-  }
+  Timer writeTimer;
+  const long long bytes = service::writeLayout(
+      chip, out,
+      format == "oasis" ? service::OutputFormat::kOasis
+                        : service::OutputFormat::kGds,
+      args.hasFlag("compact"));
+  const double writeSeconds = writeTimer.elapsedSeconds();
   if (bytes < 0) {
     std::fprintf(stderr, "fill: cannot write %s\n", out.c_str());
     return 1;
@@ -462,7 +466,7 @@ int fillImpl(const Args& args) {
   const double seconds = timer.elapsedSeconds();
   recordFillMetrics(seconds, bytes);
   if (args.hasFlag("json")) {
-    printFillJson(report, seconds, bytes, nullptr);
+    printFillJson(report, seconds, bytes, nullptr, readSeconds, writeSeconds);
   } else {
     std::printf(
         "filled: %zu fills (%zu candidates) in %.2fs "

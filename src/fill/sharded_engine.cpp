@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 
 #include "common/logging.hpp"
 #include "common/prof.hpp"
@@ -13,13 +11,9 @@
 #include "density/density_map.hpp"
 #include "density/fft_density.hpp"
 #include "density/metrics.hpp"
-#include "gds/oasis.hpp"
-#include "gds/stream_flatten.hpp"
-#include "gds/stream_reader.hpp"
+#include "gds/layout_scan.hpp"
 #include "gds/stream_writer.hpp"
 #include "geometry/boolean.hpp"
-#include "geometry/decompose.hpp"
-#include "geometry/polygon.hpp"
 #include "layout/shard_store.hpp"
 #include "obs/metrics.hpp"
 #include "obs/quality.hpp"
@@ -37,43 +31,6 @@ bool setError(std::string* error, const std::string& message) {
   return false;
 }
 
-// GDSII vs OFL-OASIS by magic (loadFlatLayout tries GDS then OASIS; for
-// well-formed files the leading bytes decide it).
-bool isOasisFile(const std::string& path) {
-  static constexpr char kOasisMagic[] = "OFLOASIS1\n";
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char head[sizeof(kOasisMagic) - 1];
-  const std::size_t got = std::fread(head, 1, sizeof(head), f);
-  std::fclose(f);
-  return got == sizeof(head) &&
-         std::memcmp(head, kOasisMagic, sizeof(head)) == 0;
-}
-
-bool scanFile(const std::string& path, gds::StreamEvents& events,
-              std::string* error, std::size_t chunkBytes) {
-  if (isOasisFile(path)) {
-    gds::OasisStreamReader::Options o;
-    o.chunkBytes = chunkBytes;
-    return gds::OasisStreamReader::scan(path, events, error, o);
-  }
-  gds::StreamReader::Options o;
-  o.chunkBytes = chunkBytes;
-  return gds::StreamReader::scan(path, events, error, o);
-}
-
-// Pre-scan sink with loadFlatLayout's bbox/maxLayer semantics: every
-// structure's boundaries count, unflattened.
-class ExtentScan : public gds::StreamEvents {
- public:
-  void onBoundary(const gds::Boundary& b) override {
-    maxLayer = std::max<int>(maxLayer, b.layer);
-    bbox = bbox.bboxUnion(geom::boundingBox(b.vertices));
-  }
-  geom::Rect bbox;  // default-constructed {0,0,0,0}, like loadFlatLayout
-  int maxLayer = 0;
-};
-
 std::string directoryOf(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   if (slash == std::string::npos) return ".";
@@ -84,8 +41,8 @@ std::string directoryOf(const std::string& path) {
 
 bool ShardedEngine::scanExtents(const std::string& path, geom::Rect* bbox,
                                 int* maxLayer, std::string* error) {
-  ExtentScan scan;
-  if (!scanFile(path, scan, error, 256 * 1024)) return false;
+  gds::ExtentScan scan;
+  if (!gds::scanLayoutFile(path, scan, error)) return false;
   if (bbox != nullptr) *bbox = scan.bbox;
   if (maxLayer != nullptr) *maxLayer = scan.maxLayer;
   return true;
@@ -157,30 +114,29 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   {
     obs::ScopedSpan span("shard.ingest", "engine", {{"job", jid}});
     prof::ScopedTimer timer(prof::Stage::kRegionPrep);
-    gds::FlattenStream flatten([&](const gds::Boundary& b) {
-      const int l = b.layer - 1;
-      if (l < 0 || l >= numLayers) return;
-      if (b.datatype == 1) return;  // stale fills; run() clears them anyway
-      for (const geom::Rect& r : geom::decompose(geom::Polygon(b.vertices))) {
-        store.append(passWire[static_cast<std::size_t>(l)], r);
-        ++rep.wireCount;
-        // Route by the minSpacing-inflated extent: the halo rows see the
-        // rect too, exactly as global bucketClipped(inflated) would.
-        const geom::Rect e = r.expanded(eng.rules.minSpacing);
-        if (e.empty()) continue;
-        int i0, j0, i1, j1;
-        grid.windowRange(e, i0, j0, i1, j1);
-        for (int j = j0; j <= j1; ++j) {
-          store.append(rowWire[static_cast<std::size_t>(l)]
-                              [static_cast<std::size_t>(j)],
-                       r);
-        }
+    gds::RectIngest ingest([&](int l, std::int16_t datatype,
+                               const geom::Rect& r) {
+      if (l >= numLayers) return;
+      if (datatype == 1) return;  // stale fills; run() clears them anyway
+      store.append(passWire[static_cast<std::size_t>(l)], r);
+      ++rep.wireCount;
+      // Route by the minSpacing-inflated extent: the halo rows see the
+      // rect too, exactly as global bucketClipped(inflated) would.
+      const geom::Rect e = r.expanded(eng.rules.minSpacing);
+      if (e.empty()) return;
+      int i0, j0, i1, j1;
+      grid.windowRange(e, i0, j0, i1, j1);
+      for (int j = j0; j <= j1; ++j) {
+        store.append(
+            rowWire[static_cast<std::size_t>(l)][static_cast<std::size_t>(j)],
+            r);
       }
     });
-    if (!scanFile(inputPath, flatten, error, options_.readerChunkBytes)) {
+    if (!gds::scanLayoutFile(inputPath, ingest, error,
+                             options_.readerChunkBytes)) {
       return false;
     }
-    if (!flatten.finish(error)) return false;
+    if (!ingest.finish(error)) return false;
   }
   rep.ingestSeconds = stage.elapsedSeconds();
   checkCancel(eng.cancel);

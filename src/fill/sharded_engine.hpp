@@ -5,7 +5,8 @@
 // PAPER.md) cannot. ShardedEngine runs the same five-stage flow without
 // ever materializing the layout:
 //
-//   ingest    stream GDS/OASIS -> flatten -> decompose -> route each rect
+//   ingest    stream GDS/OASIS -> flatten -> decompose (gds::RectIngest,
+//             the in-memory loader's front end) -> route each rect
 //             into per-(layer, window-row) spools (ShardStore, spill to
 //             disk over budget). A rect inflated by minSpacing that
 //             crosses a row border is routed into both rows — that is the
@@ -80,9 +81,9 @@ class ShardedEngine {
  public:
   explicit ShardedEngine(const ShardedOptions& options) : options_(options) {}
 
-  /// Bounded-memory pre-scan with service::loadFlatLayout's exact
-  /// semantics: bbox over every structure's boundary bboxes and the
-  /// maximum GDS layer number. Detects GDSII vs OFL-OASIS by magic.
+  /// Bounded-memory extents pre-scan (gds::ExtentScan, the rule
+  /// service::loadFlatLayout applies too): bbox over every structure's
+  /// boundaries and the maximum GDS layer number, either file format.
   static bool scanExtents(const std::string& path, geom::Rect* bbox,
                           int* maxLayer, std::string* error);
 

@@ -49,21 +49,6 @@ std::map<std::string, const Cell*> indexCells(const Library& lib) {
 
 }  // namespace
 
-Library flatten(const Library& lib, int maxDepth) {
-  const auto byName = indexCells(lib);
-  Library out;
-  out.name = lib.name;
-  out.userUnitsPerDbu = lib.userUnitsPerDbu;
-  out.metersPerDbu = lib.metersPerDbu;
-  for (const Cell& cell : lib.cells) {
-    Cell flat;
-    flat.name = cell.name;
-    expandInto(flat, cell, byName, 0, 0, maxDepth);
-    out.cells.push_back(std::move(flat));
-  }
-  return out;
-}
-
 Cell flattenCell(const Library& lib, const std::string& top, int maxDepth) {
   const auto byName = indexCells(lib);
   Cell flat;

@@ -86,73 +86,67 @@ void appendAref(std::vector<std::uint8_t>& out, const Aref& a) {
   append(out, RecordTag::kEndEl);
 }
 
+namespace {
+
+// Big-endian field writers over raw output bytes; each returns the byte
+// after the field.
+std::uint8_t* putU16At(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+  return p + 2;
+}
+
+std::uint8_t* putHeaderAt(std::uint8_t* p, std::size_t length,
+                          RecordTag tag) {
+  return putU16At(putU16At(p, static_cast<std::uint16_t>(length)),
+                  static_cast<std::uint16_t>(tag));
+}
+
+std::uint8_t* putPointAt(std::uint8_t* p, const geom::Point& pt) {
+  const std::uint64_t xy =
+      (std::uint64_t{static_cast<std::uint32_t>(static_cast<std::int32_t>(pt.x))}
+       << 32) |
+      static_cast<std::uint32_t>(static_cast<std::int32_t>(pt.y));
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    *p++ = static_cast<std::uint8_t>(xy >> shift);
+  }
+  return p;
+}
+
+// One BOUNDARY element for an n-vertex loop, written in place with one
+// resize: BOUNDARY (4), LAYER (6), DATATYPE (6), XY (4 + 8 per vertex,
+// plus the repeated first vertex GDS uses to close a non-empty loop),
+// ENDEL (4). The XY length field wraps like a 16-bit record length.
+inline void appendLoop(std::vector<std::uint8_t>& out, std::int16_t layer,
+                       std::int16_t datatype, const geom::Point* v,
+                       std::size_t n) {
+  const std::size_t xyBytes = 8 * (n > 0 ? n + 1 : 0);
+  const std::size_t at = out.size();
+  out.resize(at + 4 + 6 + 6 + (4 + xyBytes) + 4);
+  std::uint8_t* p = out.data() + at;
+  p = putHeaderAt(p, 4, RecordTag::kBoundary);
+  p = putU16At(putHeaderAt(p, 6, RecordTag::kLayer),
+               static_cast<std::uint16_t>(layer));
+  p = putU16At(putHeaderAt(p, 6, RecordTag::kDataType),
+               static_cast<std::uint16_t>(datatype));
+  p = putHeaderAt(p, 4 + xyBytes, RecordTag::kXy);
+  for (std::size_t i = 0; i < n; ++i) p = putPointAt(p, v[i]);
+  if (n > 0) p = putPointAt(p, v[0]);
+  putHeaderAt(p, 4, RecordTag::kEndEl);
+}
+
+}  // namespace
+
 void appendBoundary(std::vector<std::uint8_t>& out, const Boundary& b) {
-  append(out, RecordTag::kBoundary);
-  {
-    std::vector<std::uint8_t> p;
-    putU16(p, static_cast<std::uint16_t>(b.layer));
-    append(out, RecordTag::kLayer, p);
-  }
-  {
-    std::vector<std::uint8_t> p;
-    putU16(p, static_cast<std::uint16_t>(b.datatype));
-    append(out, RecordTag::kDataType, p);
-  }
-  {
-    std::vector<std::uint8_t> p;
-    for (const geom::Point& pt : b.vertices) {
-      putI32(p, static_cast<std::int32_t>(pt.x));
-      putI32(p, static_cast<std::int32_t>(pt.y));
-    }
-    // GDS repeats the first vertex to close the loop.
-    if (!b.vertices.empty()) {
-      putI32(p, static_cast<std::int32_t>(b.vertices.front().x));
-      putI32(p, static_cast<std::int32_t>(b.vertices.front().y));
-    }
-    append(out, RecordTag::kXy, p);
-  }
-  append(out, RecordTag::kEndEl);
+  appendLoop(out, b.layer, b.datatype, b.vertices.data(), b.vertices.size());
 }
 
 void appendRect(std::vector<std::uint8_t>& out, std::int16_t layer,
                 const geom::Rect& r, std::int16_t datatype) {
-  // The fixed record sequence appendBoundary emits for the rect's 4-vertex
-  // loop, stored in place: BOUNDARY (4), LAYER (6), DATATYPE (6), XY with
-  // the closing vertex (4 + 5 * 8), ENDEL (4).
-  static_assert(4 + 6 + 6 + (4 + 5 * 8) + 4 == kRectRecordBytes);
-  const std::size_t at = out.size();
-  out.resize(at + kRectRecordBytes);
-  std::uint8_t* p = out.data() + at;
-  const auto u16 = [&p](std::uint16_t v) {
-    p[0] = static_cast<std::uint8_t>(v >> 8);
-    p[1] = static_cast<std::uint8_t>(v & 0xFF);
-    p += 2;
-  };
-  const auto header = [&u16](std::uint16_t length, RecordTag tag) {
-    u16(length);
-    u16(static_cast<std::uint16_t>(tag));
-  };
-  const auto i32 = [&u16](geom::Coord c) {
-    const auto u = static_cast<std::uint32_t>(static_cast<std::int32_t>(c));
-    u16(static_cast<std::uint16_t>(u >> 16));
-    u16(static_cast<std::uint16_t>(u & 0xFFFF));
-  };
-  const auto point = [&i32](geom::Coord x, geom::Coord y) {
-    i32(x);
-    i32(y);
-  };
-  header(4, RecordTag::kBoundary);
-  header(6, RecordTag::kLayer);
-  u16(static_cast<std::uint16_t>(layer));
-  header(6, RecordTag::kDataType);
-  u16(static_cast<std::uint16_t>(datatype));
-  header(4 + 5 * 8, RecordTag::kXy);
-  point(r.xl, r.yl);
-  point(r.xh, r.yl);
-  point(r.xh, r.yh);
-  point(r.xl, r.yh);
-  point(r.xl, r.yl);
-  header(4, RecordTag::kEndEl);
+  // Writer::addRect's vertex order.
+  const geom::Point loop[4] = {
+      {r.xl, r.yl}, {r.xh, r.yl}, {r.xh, r.yh}, {r.xl, r.yh}};
+  appendLoop(out, layer, datatype, loop, 4);
 }
 
 void appendCellEnd(std::vector<std::uint8_t>& out) {

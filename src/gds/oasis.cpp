@@ -392,14 +392,6 @@ std::optional<Library> OasisReader::parse(std::span<const std::uint8_t> bytes) {
   return std::nullopt;  // missing END
 }
 
-std::optional<Library> OasisReader::readFile(const std::string& path) {
-  // Route through the bounded-buffer scanner so the non-streamed path no
-  // longer pays 1x file size of extra RSS before parsing.
-  LibraryCollector collector;
-  if (!OasisStreamReader::scan(path, collector, nullptr)) return std::nullopt;
-  return collector.takeLibrary();
-}
-
 namespace {
 
 // Incremental varint/string decoders over a ByteSource; std::nullopt on
@@ -480,6 +472,7 @@ bool OasisStreamReader::scan(const std::string& path, StreamEvents& events,
 
   bool inCell = false;
   Modal modal;
+  Boundary shape;  // reused: its vertex buffer keeps its capacity
   while (true) {
     if (src.ensure(1) < 1) {
       return fail(src.ioError() ? "read error" : "missing END record");
@@ -532,14 +525,13 @@ bool OasisStreamReader::scan(const std::string& path, StreamEvents& events,
         }
         modal.x += *dx;
         modal.y += *dy;
-        Boundary b;
-        b.layer = static_cast<std::int16_t>(modal.layer);
-        b.datatype = static_cast<std::int16_t>(modal.datatype);
-        b.vertices = {{modal.x, modal.y},
-                      {modal.x + modal.width, modal.y},
-                      {modal.x + modal.width, modal.y + modal.height},
-                      {modal.x, modal.y + modal.height}};
-        events.onBoundary(b);
+        shape.layer = static_cast<std::int16_t>(modal.layer);
+        shape.datatype = static_cast<std::int16_t>(modal.datatype);
+        shape.vertices = {{modal.x, modal.y},
+                          {modal.x + modal.width, modal.y},
+                          {modal.x + modal.width, modal.y + modal.height},
+                          {modal.x, modal.y + modal.height}};
+        events.onBoundary(shape);
         break;
       }
       case kPolygonRec: {
@@ -550,20 +542,20 @@ bool OasisStreamReader::scan(const std::string& path, StreamEvents& events,
         if (!layer || !datatype || !count || *count > 1u << 20) {
           return fail("malformed POLYGON record");
         }
-        Boundary b;
-        b.layer = static_cast<std::int16_t>(*layer);
-        b.datatype = static_cast<std::int16_t>(*datatype);
+        shape.layer = static_cast<std::int16_t>(*layer);
+        shape.datatype = static_cast<std::int16_t>(*datatype);
+        shape.vertices.clear();
         geom::Point prev{modal.x, modal.y};
         for (std::uint64_t i = 0; i < *count; ++i) {
           const auto dx = readVarInt(src);
           const auto dy = readVarInt(src);
           if (!dx || !dy) return fail("malformed POLYGON record");
           prev = {prev.x + *dx, prev.y + *dy};
-          b.vertices.push_back(prev);
+          shape.vertices.push_back(prev);
         }
         modal.x = prev.x;
         modal.y = prev.y;
-        events.onBoundary(b);
+        events.onBoundary(shape);
         break;
       }
       case kPlacementRec: {

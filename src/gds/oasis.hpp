@@ -35,13 +35,12 @@ class OasisWriter {
 class OasisReader {
  public:
   static std::optional<Library> parse(std::span<const std::uint8_t> bytes);
-  static std::optional<Library> readFile(const std::string& path);
 };
 
 /// Chunked OFL-OASIS scanner: the OASIS counterpart of StreamReader.
 /// Decodes records (varints read incrementally) from a bounded buffer and
-/// fires the same StreamEvents, so the sharded ingest path and
-/// OasisReader::readFile share one bounded-memory front end.
+/// fires the same StreamEvents, so layout files of either format load
+/// through one bounded-memory front end (gds/layout_scan.hpp).
 class OasisStreamReader {
  public:
   struct Options {

@@ -40,8 +40,8 @@ void appendAref(std::vector<std::uint8_t>& out, const Aref& a);
 /// Bytes appendRect adds: one rect's BOUNDARY element.
 inline constexpr std::size_t kRectRecordBytes = 64;
 
-/// One rect as a BOUNDARY, in Writer::addRect vertex order. Same bytes as
-/// appendBoundary of that loop, written in place without temporaries.
+/// One rect as a BOUNDARY, in Writer::addRect vertex order: the bytes
+/// appendBoundary writes for that loop, through the same in-place encoder.
 void appendRect(std::vector<std::uint8_t>& out, std::int16_t layer,
                 const geom::Rect& r, std::int16_t datatype = 0);
 

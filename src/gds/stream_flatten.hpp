@@ -10,8 +10,9 @@
 //
 // One deliberate restriction: a reference that flattenCell would resolve
 // to the top cell itself (self-referential hierarchies) is an error here,
-// because the top cell's geometry has already been streamed away. The
-// batch path (Reader::readFile + flattenCell) still handles those.
+// because the top cell's geometry has already been streamed away. Every
+// layout file loads through this class, so such files are rejected by
+// the in-memory and the streamed fill alike.
 #pragma once
 
 #include <functional>

@@ -62,9 +62,9 @@ std::uint64_t u64From(std::span<const std::uint8_t> p) {
   return v;
 }
 
-// Record-level state machine mirroring Reader::parse: elements are
-// accumulated across their LAYER/DATATYPE/XY/SNAME/COLROW records and
-// committed to the sink when the element (or its structure) ends.
+// The one GDSII record state machine: elements are accumulated across
+// their LAYER/DATATYPE/XY/SNAME/COLROW records and committed to the sink
+// when the element (or its structure) ends.
 class RecordMachine {
  public:
   explicit RecordMachine(StreamEvents& events) : events_(events) {}
@@ -236,11 +236,41 @@ class RecordMachine {
   std::string error_;
 };
 
-}  // namespace
+// Record framing over an in-memory span, with RecordStream's interface
+// and rejections (a record running past the end is truncated).
+class SpanRecords {
+ public:
+  explicit SpanRecords(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-bool StreamReader::scan(const std::string& path, StreamEvents& events,
-                        std::string* error, const Options& options) {
-  RecordStream records(path, options);
+  RecordStream::Status next(RecordTag& tag,
+                            std::span<const std::uint8_t>& payload) {
+    if (pos_ == bytes_.size()) return RecordStream::Status::kEnd;
+    if (pos_ + 4 > bytes_.size()) return fail("truncated record header");
+    const std::uint16_t len = getU16(bytes_.data() + pos_);
+    if (len < 4) return fail("record length below header size");
+    if (pos_ + len > bytes_.size()) return fail("truncated record payload");
+    tag = static_cast<RecordTag>(getU16(bytes_.data() + pos_ + 2));
+    payload = bytes_.subspan(pos_ + 4, len - 4u);
+    pos_ += len;
+    return RecordStream::Status::kRecord;
+  }
+
+  const std::string& error() const { return error_; }
+
+ private:
+  RecordStream::Status fail(const char* message) {
+    error_ = message;
+    return RecordStream::Status::kError;
+  }
+
+  std::span<const std::uint8_t> bytes_;
+  std::size_t pos_ = 0;
+  std::string error_;
+};
+
+// Feeds every record of `records` to one RecordMachine until ENDLIB.
+template <typename Records>
+bool runMachine(Records& records, StreamEvents& events, std::string* error) {
   RecordMachine machine(events);
   RecordTag tag;
   std::span<const std::uint8_t> payload;
@@ -265,6 +295,21 @@ bool StreamReader::scan(const std::string& path, StreamEvents& events,
         break;
     }
   }
+}
+
+}  // namespace
+
+bool StreamReader::scan(const std::string& path, StreamEvents& events,
+                        std::string* error, const Options& options) {
+  RecordStream records(path, options);
+  return runMachine(records, events, error);
+}
+
+std::optional<Library> Reader::parse(std::span<const std::uint8_t> bytes) {
+  SpanRecords records(bytes);
+  LibraryCollector collector;
+  if (!runMachine(records, collector, nullptr)) return std::nullopt;
+  return collector.takeLibrary();
 }
 
 }  // namespace ofl::gds

@@ -2,16 +2,13 @@
 //
 // Parses records from a bounded sliding buffer (gds/byte_source.hpp) and
 // reports shapes through an event sink, so arbitrarily large inputs are
-// read with O(record) memory instead of O(file). Two consumers share the
-// machinery:
-//   - Reader::readFile builds a full Library through LibraryCollector
-//     (the non-streamed path no longer slurps the file);
-//   - fill::ShardedEngine routes boundaries straight into per-window-row
-//     spools without materializing a Layout at all.
-//
-// The record state machine mirrors Reader::parse (same skipped unknown
-// records, same closing-vertex strip, same malformed-input rejections);
-// the StreamReader-vs-Reader property test pins the equivalence.
+// read with O(record) memory instead of O(file). It holds the only GDSII
+// record state machine; its consumers are
+//   - Reader::parse, which runs it over bytes already in memory into a
+//     LibraryCollector;
+//   - the layout front end (gds/layout_scan.hpp), which flattens and
+//     decomposes boundaries straight into the in-memory loader's layers
+//     or the sharded engine's spools without building a Library.
 #pragma once
 
 #include <cstdint>
@@ -78,14 +75,15 @@ class StreamReader {
   using Options = RecordStream::Options;
 
   /// Scans `path`, firing events in stream order. Returns false (with
-  /// `*error` set when non-null) on IO failure or malformed input — the
-  /// same inputs Reader::parse rejects.
+  /// `*error` set when non-null) on IO failure or malformed input.
   static bool scan(const std::string& path, StreamEvents& events,
                    std::string* error, const Options& options = {});
+
 };
 
-/// StreamEvents sink that assembles a full Library (Reader::readFile's
-/// backing store; also used by the stream-vs-batch equivalence tests).
+/// StreamEvents sink that assembles a full Library (Reader::parse's
+/// backing store; also collects a scanned file when a whole Library is
+/// wanted).
 class LibraryCollector : public StreamEvents {
  public:
   void onLibraryName(const std::string& name) override { lib_.name = name; }
@@ -112,6 +110,14 @@ class LibraryCollector : public StreamEvents {
 
  private:
   Library lib_;
+};
+
+/// Whole-Library GDSII parser over stream bytes already in memory: the
+/// record machine StreamReader::scan runs, with the same rejections.
+class Reader {
+ public:
+  /// Parses stream bytes; returns nullopt on malformed input.
+  static std::optional<Library> parse(std::span<const std::uint8_t> bytes);
 };
 
 }  // namespace ofl::gds

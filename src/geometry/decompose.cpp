@@ -54,7 +54,8 @@ std::vector<Rect> slabDecompose(const std::vector<VEdge>& edges) {
     std::sort(xs.begin(), xs.end());
     // Even-odd: consecutive pairs of crossings bound interior runs. A
     // repeated x (two coincident edges) cancels out, which the pairing
-    // handles naturally since the pair spans zero width.
+    // handles naturally since the pair spans zero width. The count is
+    // even for Manhattan loops (isManhattan), which ingest enforces.
     assert(xs.size() % 2 == 0);
     for (std::size_t i = 0; i + 1 < xs.size(); i += 2) {
       if (xs[i] < xs[i + 1]) out.push_back({xs[i], ylo, xs[i + 1], yhi});
@@ -65,21 +66,22 @@ std::vector<Rect> slabDecompose(const std::vector<VEdge>& edges) {
 
 }  // namespace
 
+std::optional<Rect> rectLoop(const std::vector<Point>& v) {
+  if (v.size() != 4) return std::nullopt;
+  const bool horizontalFirst = v[0].y == v[1].y && v[1].x == v[2].x &&
+                               v[2].y == v[3].y && v[3].x == v[0].x;
+  const bool verticalFirst = v[0].x == v[1].x && v[1].y == v[2].y &&
+                             v[2].x == v[3].x && v[3].y == v[0].y;
+  if (!horizontalFirst && !verticalFirst) return std::nullopt;
+  return boundingBox(v);
+}
+
 std::vector<Rect> decompose(const Polygon& polygon) {
-  // Rect fast path: a 4-vertex loop whose edges alternate horizontal and
-  // vertical is its bbox, which is exactly what the slab sweep returns
+  // A rect loop is its bbox, which is exactly what the slab sweep returns
   // for it (nothing when the loop has zero width or height).
-  const auto& v = polygon.vertices();
-  if (v.size() == 4) {
-    const bool horizontalFirst = v[0].y == v[1].y && v[1].x == v[2].x &&
-                                 v[2].y == v[3].y && v[3].x == v[0].x;
-    const bool verticalFirst = v[0].x == v[1].x && v[1].y == v[2].y &&
-                               v[2].x == v[3].x && v[3].y == v[0].y;
-    if (horizontalFirst || verticalFirst) {
-      const Rect box = polygon.bbox();
-      if (box.empty()) return {};
-      return {box};
-    }
+  if (const auto box = rectLoop(polygon.vertices())) {
+    if (box->empty()) return {};
+    return {*box};
   }
   return decomposeEvenOdd({polygon});
 }

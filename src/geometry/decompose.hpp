@@ -2,6 +2,7 @@
 // Gourley & Green) plus rectangle-set compaction helpers.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "geometry/polygon.hpp"
@@ -13,6 +14,11 @@ namespace ofl::geom {
 /// horizontal slab sweeping with even-odd parity. Output rects are disjoint
 /// and their areas sum to polygon.area().
 std::vector<Rect> decompose(const Polygon& polygon);
+
+/// decompose's fast path on a bare vertex list: a 4-vertex loop whose
+/// edges alternate horizontal and vertical covers its bbox (empty when
+/// the loop has zero width or height). nullopt for any other loop.
+std::optional<Rect> rectLoop(const std::vector<Point>& v);
 
 /// Decomposes a set of loops under even-odd fill rule: a point is inside
 /// when covered by an odd number of loops. This is how GDSII/OASIS express

@@ -53,6 +53,16 @@ Rect boundingBox(const std::vector<Point>& vertices) {
   return r;
 }
 
+bool isManhattan(const std::vector<Point>& vertices) {
+  const std::size_t n = vertices.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const Point& a = vertices[i];
+    const Point& b = vertices[(i + 1) % n];
+    if (a.x != b.x && a.y != b.y) return false;
+  }
+  return true;
+}
+
 Rect Polygon::bbox() const { return boundingBox(vertices_); }
 
 }  // namespace ofl::geom

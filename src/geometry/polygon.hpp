@@ -16,6 +16,11 @@ namespace ofl::geom {
 /// Polygon::bbox returns for the same vertices, without building one.
 Rect boundingBox(const std::vector<Point>& vertices);
 
+/// True when every edge of the closed loop, the closing one included, is
+/// horizontal or vertical (zero-length edges allowed). The rectangle
+/// decomposition is only defined for such loops.
+bool isManhattan(const std::vector<Point>& vertices);
+
 class Polygon {
  public:
   Polygon() = default;

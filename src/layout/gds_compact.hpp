@@ -9,7 +9,8 @@
 // Detection is exact and lossless: fills are grouped by (width, height),
 // split into x-runs of >= minRunLength equal-pitch shapes per row, and
 // equal x-runs stacked at a constant y pitch merge into 2-D arrays.
-// Flattening the result (gds::flatten) reproduces the input rects exactly.
+// Flattening the result (gds::flattenCell) reproduces the input rects
+// exactly.
 #pragma once
 
 #include "gds/gds_writer.hpp"

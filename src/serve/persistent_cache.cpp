@@ -73,15 +73,6 @@ bool readFileBytes(const fs::path& p, std::string* out) {
   return static_cast<bool>(in);
 }
 
-std::size_t approximateBytes(
-    const std::vector<std::vector<geom::Rect>>& fillsPerLayer) {
-  std::size_t bytes = 256;  // matches CachedFill::capture's bookkeeping
-  for (const auto& fills : fillsPerLayer) {
-    bytes += 64 + fills.size() * sizeof(geom::Rect);
-  }
-  return bytes;
-}
-
 }  // namespace
 
 std::string PersistentCache::serialize(const service::CachedFill& entry) {
@@ -97,8 +88,9 @@ std::string PersistentCache::serialize(const service::CachedFill& entry) {
   putU32(out, static_cast<std::uint32_t>(rep.threadsUsed));
   putU32(out, static_cast<std::uint32_t>(rep.layerTargets.size()));
   for (const double t : rep.layerTargets) putF64(out, t);
-  putU32(out, static_cast<std::uint32_t>(entry.fillsPerLayer.size()));
-  for (const auto& fills : entry.fillsPerLayer) {
+  const auto fillsPerLayer = entry.fillsPerLayer();
+  putU32(out, static_cast<std::uint32_t>(fillsPerLayer.size()));
+  for (const auto& fills : fillsPerLayer) {
     putU64(out, fills.size());
     for (const geom::Rect& f : fills) {
       putI64(out, f.xl);
@@ -113,8 +105,7 @@ std::string PersistentCache::serialize(const service::CachedFill& entry) {
 std::shared_ptr<const service::CachedFill> PersistentCache::deserialize(
     const std::string& payload) {
   ByteReader in(payload);
-  auto entry = std::make_shared<service::CachedFill>();
-  fill::FillReport& rep = entry->report;
+  fill::FillReport rep;
   std::uint32_t threads = 0, targets = 0, layers = 0;
   if (!in.f64(&rep.planningSeconds) || !in.f64(&rep.candidateSeconds) ||
       !in.f64(&rep.sizingSeconds) || !in.f64(&rep.totalSeconds)) {
@@ -136,8 +127,8 @@ std::shared_ptr<const service::CachedFill> PersistentCache::deserialize(
     if (!in.f64(&t)) return nullptr;
   }
   if (!in.u32(&layers) || layers > 4096) return nullptr;
-  entry->fillsPerLayer.resize(layers);
-  for (auto& fills : entry->fillsPerLayer) {
+  std::vector<std::vector<geom::Rect>> fillsPerLayer(layers);
+  for (auto& fills : fillsPerLayer) {
     std::uint64_t count = 0;
     if (!in.u64(&count)) return nullptr;
     // Remaining payload must plausibly hold `count` rects.
@@ -153,8 +144,7 @@ std::shared_ptr<const service::CachedFill> PersistentCache::deserialize(
     }
   }
   if (!in.atEnd()) return nullptr;  // trailing garbage
-  entry->bytes = approximateBytes(entry->fillsPerLayer);
-  return entry;
+  return service::CachedFill::fromFills(fillsPerLayer, rep);
 }
 
 PersistentCache::PersistentCache(std::string dir, std::size_t byteBudget)

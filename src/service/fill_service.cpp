@@ -8,9 +8,6 @@
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "fill/sharded_engine.hpp"
-#include "gds/gds_writer.hpp"
-#include "gds/oasis.hpp"
-#include "layout/gds_compact.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/fingerprint.hpp"
@@ -254,7 +251,7 @@ JobResult FillService::runJob(Job& job) const {
   job.token.throwIfExpired();
 
   const auto entry = cache_.find(r.cacheKey);
-  if (entry != nullptr && entry->fillsPerLayer.size() ==
+  if (entry != nullptr && entry->layers.size() ==
                               static_cast<std::size_t>(chip.numLayers())) {
     entry->applyTo(chip);
     r.report = entry->report;
@@ -269,11 +266,8 @@ JobResult FillService::runJob(Job& job) const {
   r.fillCount = chip.fillCount();
 
   if (!spec.outputPath.empty()) {
-    const gds::Library lib =
-        spec.compact ? layout::toCompactGds(chip) : chip.toGds();
-    r.outputBytes = spec.format == OutputFormat::kOasis
-                        ? gds::OasisWriter::writeFile(lib, spec.outputPath)
-                        : gds::Writer::writeFile(lib, spec.outputPath);
+    r.outputBytes =
+        writeLayout(chip, spec.outputPath, spec.format, spec.compact);
     if (r.outputBytes < 0) {
       r.status = JobStatus::kFailed;
       r.error = "cannot write " + spec.outputPath;

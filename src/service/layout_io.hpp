@@ -1,20 +1,34 @@
-// Loading flattened layouts from disk for the batch service and the CLI.
+// Layout file I/O for the batch service and the CLI: one streamed load
+// pass and one writer entry point, each the single trace probe of its
+// stage (`layout.load`, `gds.write`).
 #pragma once
 
 #include <optional>
 #include <string>
 
 #include "layout/layout.hpp"
+#include "service/job.hpp"
 
 namespace ofl::service {
 
-/// Loads a layout from a GDS or OFL-OASIS file (auto-detected by trying
-/// both readers). The die is `die` when given, else the bounding box of
-/// every shape; the layer count is the highest GDS layer seen (floor 1).
-/// Returns false and sets `*error` (never null) on unreadable files or an
-/// empty layout with no die.
+/// Loads a layout from a GDS or OFL-OASIS file (told apart by its magic)
+/// in one streamed pass, with no intermediate Library: the first
+/// structure's hierarchy is expanded and every boundary on GDS layer
+/// l >= 1 decomposed straight into layer l-1's fills (datatype 1) or
+/// wires (any other datatype); layers below 1 are dropped. The die is
+/// `die` when given (shapes are not clipped to it), else the bbox of every
+/// structure's boundaries; the layer count is the highest GDS layer seen
+/// (floor 1). Returns false and sets `*error` (never null) on unreadable
+/// files, non-Manhattan boundaries, references back to the top cell, or
+/// an empty layout with no die.
 bool loadFlatLayout(const std::string& path,
                     const std::optional<geom::Rect>& die, layout::Layout* out,
                     std::string* error);
+
+/// Writes `chip` as GDSII or OFL-OASIS, flat (Layout::toGds) or
+/// compacted (layout::toCompactGds). Returns the byte count, or -1 on IO
+/// failure.
+long long writeLayout(const layout::Layout& chip, const std::string& path,
+                      OutputFormat format, bool compact);
 
 }  // namespace ofl::service

@@ -1,5 +1,6 @@
 #include "service/result_cache.hpp"
 
+#include "gds/oasis.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -20,25 +21,90 @@ void recordProbe(bool hit) {
   (hit ? hits : misses).add();
 }
 
+// Zigzag varint of the wrapped 64-bit difference a - b.
+void putDelta(std::vector<std::uint8_t>& out, geom::Coord a, geom::Coord b) {
+  gds::putVarInt(out, static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                                static_cast<std::uint64_t>(b)));
+}
+
+// b + the delta at `pos` (the inverse of putDelta). Packed layers are only
+// ever written by pack(), so the varint is always complete.
+geom::Coord getDelta(const std::vector<std::uint8_t>& bytes, std::size_t& pos,
+                     geom::Coord b) {
+  return static_cast<geom::Coord>(
+      static_cast<std::uint64_t>(b) +
+      static_cast<std::uint64_t>(*gds::getVarInt(bytes, pos)));
+}
+
+CachedFill::PackedLayer pack(const std::vector<geom::Rect>& fills) {
+  CachedFill::PackedLayer packed;
+  packed.count = fills.size();
+  geom::Coord x = 0, y = 0;
+  for (const geom::Rect& f : fills) {
+    putDelta(packed.bytes, f.xl, x);
+    putDelta(packed.bytes, f.yl, y);
+    putDelta(packed.bytes, f.xh, f.xl);
+    putDelta(packed.bytes, f.yh, f.yl);
+    x = f.xl;
+    y = f.yl;
+  }
+  packed.bytes.shrink_to_fit();
+  return packed;
+}
+
+void unpack(const CachedFill::PackedLayer& packed,
+            std::vector<geom::Rect>& fills) {
+  fills.clear();
+  fills.reserve(packed.count);
+  std::size_t pos = 0;
+  geom::Coord x = 0, y = 0;
+  for (std::size_t i = 0; i < packed.count; ++i) {
+    geom::Rect& f = fills.emplace_back();
+    f.xl = x = getDelta(packed.bytes, pos, x);
+    f.yl = y = getDelta(packed.bytes, pos, y);
+    f.xh = getDelta(packed.bytes, pos, f.xl);
+    f.yh = getDelta(packed.bytes, pos, f.yl);
+  }
+}
+
+std::size_t footprint(const std::vector<CachedFill::PackedLayer>& layers) {
+  std::size_t bytes = 256;  // fixed bookkeeping overhead per entry
+  for (const auto& layer : layers) bytes += 64 + layer.bytes.size();
+  return bytes;
+}
+
 }  // namespace
 
 std::shared_ptr<const CachedFill> CachedFill::capture(
     const layout::Layout& chip, const fill::FillReport& report) {
   auto entry = std::make_shared<CachedFill>();
   entry->report = report;
-  entry->fillsPerLayer.reserve(static_cast<std::size_t>(chip.numLayers()));
-  std::size_t bytes = 256;  // fixed bookkeeping overhead per entry
   for (int l = 0; l < chip.numLayers(); ++l) {
-    entry->fillsPerLayer.push_back(chip.layer(l).fills);
-    bytes += 64 + entry->fillsPerLayer.back().size() * sizeof(geom::Rect);
+    entry->layers.push_back(pack(chip.layer(l).fills));
   }
-  entry->bytes = bytes;
+  entry->bytes = footprint(entry->layers);
   return entry;
+}
+
+std::shared_ptr<const CachedFill> CachedFill::fromFills(
+    const std::vector<std::vector<geom::Rect>>& fillsPerLayer,
+    const fill::FillReport& report) {
+  auto entry = std::make_shared<CachedFill>();
+  entry->report = report;
+  for (const auto& fills : fillsPerLayer) entry->layers.push_back(pack(fills));
+  entry->bytes = footprint(entry->layers);
+  return entry;
+}
+
+std::vector<std::vector<geom::Rect>> CachedFill::fillsPerLayer() const {
+  std::vector<std::vector<geom::Rect>> out(layers.size());
+  for (std::size_t l = 0; l < layers.size(); ++l) unpack(layers[l], out[l]);
+  return out;
 }
 
 void CachedFill::applyTo(layout::Layout& chip) const {
   for (int l = 0; l < chip.numLayers(); ++l) {
-    chip.layer(l).fills = fillsPerLayer[static_cast<std::size_t>(l)];
+    unpack(layers[static_cast<std::size_t>(l)], chip.layer(l).fills);
   }
 }
 

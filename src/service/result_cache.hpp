@@ -30,14 +30,33 @@ namespace ofl::service {
 
 /// A cached fill solution. Immutable once inserted (shared_ptr<const>), so
 /// readers replay it without holding the cache lock.
+///
+/// Fills are held packed, because a long-running daemon keeps every miss
+/// and ECO result it served: per layer, zigzag LEB128 varints of each
+/// fill's xl and yl as deltas from the previous fill's, then its width and
+/// height. That is about 7 bytes a fill where a Rect takes 32. The
+/// arithmetic wraps, so every 64-bit coordinate round-trips.
 struct CachedFill {
-  std::vector<std::vector<geom::Rect>> fillsPerLayer;
+  struct PackedLayer {
+    std::size_t count = 0;
+    std::vector<std::uint8_t> bytes;
+  };
+  std::vector<PackedLayer> layers;
   fill::FillReport report;
-  std::size_t bytes = 0;  // approximate footprint, computed by capture()
+  std::size_t bytes = 0;  // footprint charged to the cache: packed + overhead
 
   /// Snapshots `chip`'s fills (after an engine run).
   static std::shared_ptr<const CachedFill> capture(
       const layout::Layout& chip, const fill::FillReport& report);
+
+  /// An entry holding the given per-layer fills (the persistent cache's
+  /// load path).
+  static std::shared_ptr<const CachedFill> fromFills(
+      const std::vector<std::vector<geom::Rect>>& fillsPerLayer,
+      const fill::FillReport& report);
+
+  /// Decodes every layer's fills, in capture order.
+  std::vector<std::vector<geom::Rect>> fillsPerLayer() const;
 
   /// Replays the cached solution into `chip` (which must have the same
   /// layer count — guaranteed by key equality). Replaces existing fills.

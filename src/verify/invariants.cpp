@@ -11,9 +11,9 @@
 #include "density/density_map.hpp"
 #include "density/metrics.hpp"
 #include "density/sliding.hpp"
-#include "gds/gds_reader.hpp"
 #include "gds/gds_writer.hpp"
 #include "gds/oasis.hpp"
+#include "gds/stream_reader.hpp"
 #include "layout/drc_checker.hpp"
 #include "layout/fill_region.hpp"
 #include "layout/window_grid.hpp"

@@ -347,6 +347,76 @@ TEST(CommandsTest, DrcReportsViolationsWithExitCode) {
   std::remove(path.c_str());
 }
 
+TEST(CommandsTest, FillJsonReportsReadAndWriteSeconds) {
+  const std::string wires = "/tmp/ofl_cli_json_wires.gds";
+  const std::string filled = "/tmp/ofl_cli_json_filled.gds";
+  ASSERT_EQ(runGenerate(Args::parse({"generate", "--suite", "tiny", "--out",
+                                     wires})),
+            0);
+  testing::internal::CaptureStdout();
+  const int rc = runFill(
+      Args::parse({"fill", "--in", wires, "--out", filled, "--json"}));
+  const std::string out = testing::internal::GetCapturedStdout();
+  ASSERT_EQ(rc, 0);
+  const auto doc = json::Value::parse(out.substr(0, out.find('\n')));
+  ASSERT_TRUE(doc.has_value()) << out;
+  for (const char* key : {"read_seconds", "write_seconds"}) {
+    const json::Value* v = doc->find(key);
+    ASSERT_NE(v, nullptr) << key;
+    EXPECT_GE(v->number, 0.0) << key;
+  }
+  std::remove(wires.c_str());
+  std::remove(filled.c_str());
+}
+
+// Inputs ingest rejects on purpose, with the same message in memory (exit
+// 2, a load error) and with --stream (exit 1, a run error).
+void expectFillRejects(const gds::Library& lib, const std::string& name,
+                       const std::string& message) {
+  const std::string in = "/tmp/ofl_cli_" + name + ".gds";
+  const std::string out = "/tmp/ofl_cli_" + name + "_out.gds";
+  ASSERT_GT(gds::Writer::writeFile(lib, in), 0);
+  for (const bool stream : {false, true}) {
+    std::vector<std::string> argv{"fill", "--in", in, "--out", out};
+    if (stream) argv.push_back("--stream");
+    testing::internal::CaptureStderr();
+    const int rc = runFill(Args::parse(argv));
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, stream ? 1 : 2) << name << " stream=" << stream;
+    EXPECT_NE(err.find("fill: " + message), std::string::npos)
+        << name << " stream=" << stream << ": " << err;
+  }
+  std::remove(in.c_str());
+  std::remove(out.c_str());
+}
+
+TEST(CommandsTest, FillRejectsReferenceToTopCellInBothModes) {
+  gds::Library lib;
+  lib.cells.emplace_back();
+  lib.cells.back().name = "TOP";
+  gds::Writer::addRect(lib.cells.back(), 1, {0, 0, 4000, 4000});
+  lib.cells.back().srefs.push_back({"TOP", {8000, 0}});
+  expectFillRejects(
+      lib, "selfref",
+      "reference to top cell 'TOP' cannot be expanded while streaming");
+}
+
+TEST(CommandsTest, FillRejectsNonManhattanBoundaryInBothModes) {
+  gds::Library lib;
+  lib.cells.emplace_back();
+  gds::Writer::addRect(lib.cells.back(), 1, {0, 0, 4000, 4000});
+  lib.cells.emplace_back();  // the offending shape sits in a master cell
+  lib.cells.back().name = "SUB";
+  gds::Boundary slanted;
+  slanted.layer = 2;
+  slanted.vertices = {{0, 0}, {900, 0}, {1000, 700}, {0, 700}};
+  lib.cells.back().boundaries.push_back(slanted);
+  lib.cells.front().srefs.push_back({"SUB", {100, 100}});
+  expectFillRejects(lib, "slanted",
+                    "non-Manhattan BOUNDARY on layer 2: only horizontal and "
+                    "vertical edges are supported");
+}
+
 TEST(CommandsTest, CheckVerifiesFilledLayout) {
   const std::string wires = "/tmp/ofl_cli_check_wires.gds";
   const std::string filled = "/tmp/ofl_cli_check_filled.gds";
@@ -413,14 +483,20 @@ TEST(CommandsTest, FillWritesTraceAndMetricsArtifacts) {
   EXPECT_GT(events->array.size(), 10u);
   bool sawEngineRun = false;
   bool sawWindow = false;
+  bool sawLoad = false;
+  bool sawWrite = false;
   for (const auto& e : events->array) {
     const json::Value* name = e.find("name");
     if (name == nullptr) continue;
     if (name->str == "engine.run") sawEngineRun = true;
     if (name->str == "window.sizing") sawWindow = true;
+    if (name->str == "layout.load") sawLoad = true;
+    if (name->str == "gds.write") sawWrite = true;
   }
   EXPECT_TRUE(sawEngineRun);
   EXPECT_TRUE(sawWindow);
+  EXPECT_TRUE(sawLoad);
+  EXPECT_TRUE(sawWrite);
 
   // The metrics snapshot pretty-prints and satisfies a --require list;
   // a missing series fails with exit 1.

@@ -5,8 +5,8 @@
 #include <algorithm>
 
 #include "gds/flatten.hpp"
-#include "gds/gds_reader.hpp"
 #include "gds/gds_writer.hpp"
+#include "gds/stream_reader.hpp"
 #include "layout/gds_compact.hpp"
 
 namespace ofl::gds {

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "gds/gds_reader.hpp"
 #include "gds/gds_writer.hpp"
+#include "gds/stream_reader.hpp"
 #include "verify/layout_gen.hpp"
 
 namespace ofl::gds {

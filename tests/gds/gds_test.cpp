@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
-#include "gds/gds_reader.hpp"
 #include "gds/gds_records.hpp"
 #include "gds/gds_writer.hpp"
 #include "gds/record_builder.hpp"
+#include "gds/stream_reader.hpp"
 
 namespace ofl::gds {
 namespace {
@@ -91,6 +95,68 @@ TEST(GdsWriterTest, RectEncoderMatchesBoundaryEncoder) {
   }
 }
 
+// Pinned GDSII bytes for a small library with non-rect polygons, an
+// empty BOUNDARY and a reference, recorded from the encoder before it
+// wrote boundaries in place. serialize() and writeFile() share that
+// encoder, so only a fixed expectation like this one pins their bytes.
+TEST(GdsWriterTest, GoldenBytesForPolygonLibrary) {
+  Library lib;
+  lib.name = "GOLD";
+  lib.cells.emplace_back();
+  Cell& top = lib.cells.back();
+  top.name = "TOP";
+  Writer::addRect(top, 1, {-20, -10, 30, 40});
+  Boundary ell;
+  ell.layer = 2;
+  ell.datatype = 1;
+  ell.vertices = {{0, 0},   {70000, 0}, {70000, 5},
+                  {5, 5},   {5, -300},  {0, -300}};
+  top.boundaries.push_back(ell);
+  Boundary bare;
+  bare.layer = 3;
+  top.boundaries.push_back(bare);
+  top.srefs.push_back({"SUB", {100, -200}});
+  lib.cells.emplace_back();
+  lib.cells.back().name = "SUB";
+  Boundary tee;
+  tee.layer = 1;
+  tee.vertices = {{0, 0}, {9, 0}, {9, 2}, {6, 2},
+                  {6, 7}, {3, 7}, {3, 2}, {0, 2}};
+  lib.cells.back().boundaries.push_back(tee);
+
+  const std::string hex =
+      "000600020258001c010200000000000000000000000000000000000000000000"
+      "000000080206474f4c44001403053e4189374bc6a7f03944b82fa09b5a54001c"
+      "050200000000000000000000000000000000000000000000000000080606544f"
+      "50000004080000060d02000100060e020000002c1003ffffffecfffffff60000"
+      "001efffffff60000001e00000028ffffffec00000028ffffffecfffffff60004"
+      "11000004080000060d02000200060e020001003c100300000000000000000001"
+      "1170000000000001117000000005000000050000000500000005fffffed40000"
+      "0000fffffed40000000000000000000411000004080000060d02000300060e02"
+      "0000000410030004110000040a000008120653554200000c100300000064ffff"
+      "ff380004110000040700001c0502000000000000000000000000000000000000"
+      "00000000000000080606535542000004080000060d02000100060e020000004c"
+      "1003000000000000000000000009000000000000000900000002000000060000"
+      "0002000000060000000700000003000000070000000300000002000000000000"
+      "00020000000000000000000411000004070000040400";
+  std::vector<std::uint8_t> golden;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    golden.push_back(
+        static_cast<std::uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  ASSERT_EQ(golden.size(), 438u);
+  EXPECT_EQ(Writer::serialize(lib), golden);
+  EXPECT_EQ(Writer::streamSize(lib), 438);
+
+  const std::string path = "/tmp/ofl_gds_golden.gds";
+  ASSERT_EQ(Writer::writeFile(lib, path), 438);
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> written{std::istreambuf_iterator<char>(in),
+                                          std::istreambuf_iterator<char>()};
+  EXPECT_EQ(written, golden);
+  std::remove(path.c_str());
+}
+
 TEST(GdsWriterTest, StreamSizeEmptyLibrary) {
   Library lib;
   lib.cells.clear();
@@ -127,9 +193,10 @@ TEST(GdsRoundTripTest, FileIo) {
   const std::string path = "/tmp/ofl_gds_test.gds";
   const long long written = Writer::writeFile(lib, path);
   EXPECT_GT(written, 0);
-  const auto parsed = Reader::readFile(path);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->cells[0].boundaries.size(), 3u);
+  LibraryCollector collector;
+  std::string error;
+  ASSERT_TRUE(StreamReader::scan(path, collector, &error)) << error;
+  EXPECT_EQ(collector.library().cells[0].boundaries.size(), 3u);
   std::remove(path.c_str());
   EXPECT_EQ(Writer::writeFile(lib, "/nonexistent/dir/ofl.gds"), -1);
 }
@@ -149,7 +216,10 @@ TEST(GdsReaderTest, RejectsGarbage) {
 }
 
 TEST(GdsReaderTest, MissingFileFails) {
-  EXPECT_FALSE(Reader::readFile("/nonexistent/path.gds").has_value());
+  LibraryCollector collector;
+  std::string error;
+  EXPECT_FALSE(StreamReader::scan("/nonexistent/path.gds", collector, &error));
+  EXPECT_EQ(error, "cannot open file");
 }
 
 }  // namespace

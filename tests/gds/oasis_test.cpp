@@ -135,9 +135,10 @@ TEST(OasisTest, FileIo) {
   const Library lib = sampleLibrary();
   const std::string path = "/tmp/ofl_oasis_test.oas";
   ASSERT_GT(OasisWriter::writeFile(lib, path), 0);
-  const auto parsed = OasisReader::readFile(path);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->cells.size(), 2u);
+  LibraryCollector collector;
+  std::string error;
+  ASSERT_TRUE(OasisStreamReader::scan(path, collector, &error)) << error;
+  EXPECT_EQ(collector.library().cells.size(), 2u);
   std::remove(path.c_str());
 }
 

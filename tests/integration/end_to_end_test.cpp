@@ -8,7 +8,7 @@
 #include "density/density_map.hpp"
 #include "density/metrics.hpp"
 #include "fill/fill_engine.hpp"
-#include "gds/gds_reader.hpp"
+#include "gds/stream_reader.hpp"
 #include "layout/drc_checker.hpp"
 
 namespace ofl {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "gds/gds_reader.hpp"
+#include "gds/stream_reader.hpp"
 #include "geometry/boolean.hpp"
 
 namespace ofl::layout {

@@ -60,7 +60,7 @@ TEST(PersistentCacheTest, SerializeDeserializeRoundTrips) {
   const std::string payload = PersistentCache::serialize(*entry);
   const auto back = PersistentCache::deserialize(payload);
   ASSERT_NE(nullptr, back);
-  EXPECT_EQ(entry->fillsPerLayer, back->fillsPerLayer);
+  EXPECT_EQ(entry->fillsPerLayer(), back->fillsPerLayer());
   EXPECT_EQ(entry->bytes, back->bytes);
   EXPECT_DOUBLE_EQ(entry->report.totalSeconds, back->report.totalSeconds);
   EXPECT_EQ(entry->report.fillCount, back->report.fillCount);
@@ -89,7 +89,7 @@ TEST(PersistentCacheTest, EntriesSurviveReopen) {
   EXPECT_EQ(1u, cache.counters().entries);
   const auto back = cache.load(0xabcdef12u);
   ASSERT_NE(nullptr, back);
-  EXPECT_EQ(entry->fillsPerLayer, back->fillsPerLayer);
+  EXPECT_EQ(entry->fillsPerLayer(), back->fillsPerLayer());
   EXPECT_EQ(1u, cache.counters().loadHits);
   // Wrong key misses without touching the stored entry.
   EXPECT_EQ(nullptr, cache.load(0x12345u));
@@ -203,7 +203,7 @@ TEST(PersistentCacheTest, ResultCachePromotesStoreHitsAcrossRestart) {
   // Memory-cold probe: served from disk, promoted, counted.
   const auto back = cache.find(99);
   ASSERT_NE(nullptr, back);
-  EXPECT_EQ(entry->fillsPerLayer, back->fillsPerLayer);
+  EXPECT_EQ(entry->fillsPerLayer(), back->fillsPerLayer());
   auto c = cache.counters();
   EXPECT_EQ(1u, c.persistentHits);
   EXPECT_EQ(1u, c.hits);

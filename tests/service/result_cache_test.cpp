@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -180,6 +181,55 @@ TEST(ResultCacheTest, HitRefreshesAndReplays) {
   EXPECT_EQ(c.hits, 1u);
   EXPECT_EQ(c.misses, 1u);
   EXPECT_EQ(c.entries, 1u);
+}
+
+// Packed entries replay every fill exactly, in order, including
+// coordinates and deltas that do not fit in 32 bits and the extremes of
+// the 64-bit range, where the delta arithmetic wraps.
+TEST(CachedFillTest, PackedRoundTripBeyondInt32) {
+  constexpr geom::Coord kMax = std::numeric_limits<geom::Coord>::max();
+  constexpr geom::Coord kMin = std::numeric_limits<geom::Coord>::min();
+  layout::Layout chip({0, 0, 1000, 1000}, 3);
+  chip.layer(0).fills = {{10, 20, 30, 45},
+                         {5, 20, 9, 21},  // negative delta from the last
+                         {-7000000000, 3, -6999999990, 9000000000},
+                         {kMin, kMin, kMax, kMax},
+                         {kMax - 1, kMin + 1, kMax, kMin + 2},
+                         {0, 0, 0, 0}};
+  // Layer 1 stays empty.
+  for (geom::Coord i = 0; i < 100; ++i) {
+    chip.layer(2).fills.push_back(
+        {i * 4000000000LL, -i, i * 4000000000LL + 7, 50 - i});
+  }
+  fill::FillReport report;
+  report.fillCount = chip.fillCount();
+  const auto entry = CachedFill::capture(chip, report);
+  ASSERT_EQ(entry->layers.size(), 3u);
+  EXPECT_EQ(entry->layers[2].count, 100u);
+
+  const auto decoded = entry->fillsPerLayer();
+  for (int l = 0; l < 3; ++l) {
+    EXPECT_EQ(decoded[static_cast<std::size_t>(l)], chip.layer(l).fills)
+        << "layer " << l;
+  }
+  layout::Layout replay({0, 0, 1000, 1000}, 3);
+  replay.layer(1).fills.push_back({1, 1, 2, 2});  // stale; replaced
+  entry->applyTo(replay);
+  for (int l = 0; l < 3; ++l) {
+    EXPECT_EQ(replay.layer(l).fills, chip.layer(l).fills) << "layer " << l;
+  }
+
+  // fromFills packs the same bytes and charges the same footprint.
+  const auto rebuilt = CachedFill::fromFills(decoded, report);
+  EXPECT_EQ(rebuilt->bytes, entry->bytes);
+  EXPECT_EQ(rebuilt->fillsPerLayer(), decoded);
+}
+
+// The cache charges the packed size, not sizeof(Rect) per fill: each of
+// these fills packs to four one-byte varints.
+TEST(CachedFillTest, ChargesPackedBytes) {
+  const auto entry = makeEntry(1000);
+  EXPECT_EQ(entry->bytes, 256u + 64u + 1000u * 4u);
 }
 
 TEST(ResultCacheTest, EvictsLeastRecentlyUsedUnderTightBudget) {
