@@ -2,11 +2,12 @@
 // single-threaded, profiled every rep. Reports absolute stage seconds from
 // the profiling registry -- region prep, planning (bounds + both target
 // sweeps), candidates and its four sub-stages, sizing and its overlay /
-// MCF-solve sub-stages, end-to-end wall -- plus the share of sizing
-// passes solved in closed form (machine-independent, so it gates on any
-// machine). A pass without spacing pairs skips the min-cost flow, so
-// mcf_solve_s only counts coupled passes; MCF warm starts and early exits
-// are exercised by bench_mcf.
+// MCF-solve sub-stages, end-to-end wall -- plus two machine-independent
+// ratios that gate on any machine: the share of sizing passes solved in
+// closed form, and the overlay-marginal kernel's share of sizing time. A
+// pass without spacing pairs skips the min-cost flow, so mcf_solve_s only
+// counts coupled passes; MCF warm starts and early exits are exercised by
+// bench_mcf.
 //
 // The bench exits nonzero when reps disagree on the fills (the engine is
 // deterministic) or when no pass took the closed form -- the sizer's fast
@@ -90,6 +91,8 @@ int main(int argc, char** argv) {
   Series& closedFormRatio = h.series("closed_form_ratio", "ratio",
                                      Direction::kHigherIsBetter,
                                      Scale::kRatio);
+  Series& overlayShare = h.series("sizing_overlay_share", "ratio",
+                                  Direction::kLowerIsBetter, Scale::kRatio);
 
   fill::FillEngineOptions options;
   options.windowSize = spec.windowSize;
@@ -112,6 +115,11 @@ int main(int argc, char** argv) {
     }
     const fill::FillSizer::Stats& st = last.sizerStats;
     closedFormRatio.record(ratio(st.closedFormSolves, st.solves));
+    const double sizing = last.profile.stage(prof::Stage::kSizing).seconds();
+    overlayShare.record(
+        sizing > 0
+            ? last.profile.stage(prof::Stage::kSizerOverlay).seconds() / sizing
+            : 0.0);
     const std::uint64_t hash = fillHash(chip);
     if (!haveRef) {
       refHash = hash;

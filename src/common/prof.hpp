@@ -36,7 +36,7 @@ enum class Stage : int {
   kCandidateScore,    //   - Eqn. 8 overlay scoring of even layers
   kCandidateRefine,   //   - hierarchical small-cell backfill
   kSizing,            // per-window fill sizing (engine stage 4)
-  kSizerOverlay,      //   - overlay marginals + close-pair search
+  kSizerOverlay,      //   - window index + contact build, marginal scans
   kMcfSolve,          //   - differential-LP / min-cost-flow solves
   kOutput,            // fill merge + layout output
   kCount

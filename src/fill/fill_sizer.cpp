@@ -15,11 +15,6 @@ using geom::Area;
 using geom::Coord;
 using geom::Rect;
 
-// Below this many shapes in play, brute-force scans beat index builds;
-// both paths compute identical integers, so this is a performance
-// threshold only, never a results switch.
-constexpr std::size_t kIndexMinShapes = 16;
-
 // Axis abstraction: `horizontal` passes size x-extents with y frozen;
 // vertical passes swap the roles.
 struct AxisView {
@@ -47,82 +42,26 @@ struct AxisView {
   }
 };
 
-// Marginal overlay of moving an edge inward: total frozen-axis overlap of
-// opposing shapes that the edge currently cuts through. Raising the LOW
-// edge reduces overlap with shapes satisfying lo(s) <= edge < hi(s);
-// lowering the HIGH edge with lo(s) < edge <= hi(s).
-//
-// With `index` non-null the candidate set comes from a GridIndex query for
-// the one-DBU strip the edge sweeps; the exact cut test still runs per
-// candidate, so the total is the same integer sum in a different order.
-Coord overlayMarginal(const Rect& fill, Coord edge, bool isLowEdge,
-                      const std::vector<Rect>& opposing,
-                      const geom::GridIndex* index, const AxisView& ax) {
-  Coord total = 0;
-  const auto accumulate = [&](const Rect& s) {
-    if (ax.frozenOverlap(fill, s) <= 0) return;
-    const bool cuts = isLowEdge ? (ax.lo(s) <= edge && edge < ax.hi(s))
-                                : (ax.lo(s) < edge && edge <= ax.hi(s));
-    if (cuts) total += ax.frozenOverlap(fill, s);
-  };
-  if (index == nullptr) {
-    for (const Rect& s : opposing) accumulate(s);
-    return total;
-  }
-  // Shapes cutting the edge are exactly those intersecting the one-DBU
-  // strip at the edge (low: [edge, edge+1); high: [edge-1, edge)) with the
-  // fill's frozen extent; anything else contributes zero.
-  Rect query = fill;
-  if (ax.horizontal) {
-    query.xl = isLowEdge ? edge : edge - 1;
-    query.xh = query.xl + 1;
-  } else {
-    query.yl = isLowEdge ? edge : edge - 1;
-    query.yh = query.yl + 1;
-  }
-  index->visit(query, [&](std::uint32_t id) {
-    accumulate(opposing[static_cast<std::size_t>(id)]);
-  });
-  return total;
-}
-
-void buildIndex(geom::GridIndex& index, const Rect& window, Coord cellSize,
-                const std::vector<Rect>& shapes) {
-  index.reset(window, cellSize);
-  for (std::size_t i = 0; i < shapes.size(); ++i) {
-    if (shapes[i].empty()) continue;  // contributes zero either way
-    index.insert(static_cast<std::uint32_t>(i), shapes[i]);
-  }
-  prof::count(prof::Counter::kIndexBuilds);
-}
-
 // All unordered fill pairs (i < j) with frozen-axis overlap whose gap in
 // the variable axis is below minSpacing. Membership is evaluated with the
 // symmetric max-gap form max(lo_j - hi_i, lo_i - hi_j): for non-empty
 // intervals it admits a pair iff the lo-ordered oriented gap does (when
 // the oriented gap is not the max, the other gap is negative, hence below
 // any minSpacing >= 0), so the repair-need pass and the constraint pass
-// can share one list. The indexed path queries each fill's variable-axis
-// expansion by minSpacing — intersection with the expansion is exactly
-// "both oriented gaps < minSpacing" — then sorts, matching the brute
-// (i, j)-ascending order.
-void collectClosePairs(const std::vector<Rect>& fills, const AxisView& ax,
-                       Coord minSpacing, const geom::GridIndex* index,
+// can share one list. Each fill queries the layer's window index (ids:
+// `numWires` wires, then fills) with its variable-axis expansion by
+// minSpacing -- intersection with the expansion is exactly "both oriented
+// gaps < minSpacing" -- and the list is sorted into (i, j) order.
+void collectClosePairs(const std::vector<Rect>& fills, std::size_t numWires,
+                       const AxisView& ax, Coord minSpacing,
+                       const geom::GridIndex& index,
                        std::vector<std::pair<std::size_t, std::size_t>>& out) {
   out.clear();
   const auto maxGap = [&](std::size_t i, std::size_t j) {
     return std::max(ax.lo(fills[j]) - ax.hi(fills[i]),
                     ax.lo(fills[i]) - ax.hi(fills[j]));
   };
-  if (index == nullptr) {
-    for (std::size_t i = 0; i < fills.size(); ++i) {
-      for (std::size_t j = i + 1; j < fills.size(); ++j) {
-        if (ax.frozenOverlap(fills[i], fills[j]) <= 0) continue;
-        if (maxGap(i, j) < minSpacing) out.push_back({i, j});
-      }
-    }
-    return;
-  }
+  prof::count(prof::Counter::kIndexQueries, fills.size());
   for (std::size_t i = 0; i < fills.size(); ++i) {
     Rect query = fills[i];
     if (ax.horizontal) {
@@ -132,8 +71,9 @@ void collectClosePairs(const std::vector<Rect>& fills, const AxisView& ax,
       query.yl -= minSpacing;
       query.yh += minSpacing;
     }
-    index->visit(query, [&](std::uint32_t id) {
-      const auto j = static_cast<std::size_t>(id);
+    index.visit(query, [&](std::uint32_t id) {
+      if (id < numWires) return;
+      const std::size_t j = id - numWires;
       if (j <= i) return;  // each pair once, from its smaller index
       if (ax.frozenOverlap(fills[i], fills[j]) <= 0) return;
       if (maxGap(i, j) < minSpacing) out.push_back({i, j});
@@ -144,6 +84,83 @@ void collectClosePairs(const std::vector<Rect>& fills, const AxisView& ax,
 
 }  // namespace
 
+namespace detail {
+
+void indexWindow(const WindowProblem& problem, Coord cellSize,
+                 FillSizer::Scratch& scratch) {
+  prof::ScopedTimer overlayTimer(prof::Stage::kSizerOverlay);
+  const std::size_t numLayers = problem.fills.size();
+  scratch.layerIndex.resize(numLayers);
+  scratch.fillBase.assign(1, 0);
+  for (std::size_t l = 0; l < numLayers; ++l) {
+    geom::GridIndex& index = scratch.layerIndex[l];
+    index.reset(problem.window, cellSize);
+    std::uint32_t id = 0;
+    for (const auto* shapes : {&problem.wires[l], &problem.fills[l]}) {
+      for (const Rect& r : *shapes) {
+        if (!r.empty()) index.insert(id, r);  // empty: never overlaps
+        ++id;
+      }
+    }
+    scratch.fillBase.push_back(scratch.fillBase.back() +
+                               problem.fills[l].size());
+    prof::count(prof::Counter::kIndexBuilds);
+  }
+  scratch.contacts.clear();
+  scratch.contactStart.assign(1, 0);
+  std::uint64_t queries = 0;
+  for (std::size_t l = 0; l < numLayers; ++l) {
+    for (const Rect& f : problem.fills[l]) {
+      for (const std::size_t nb : {l - 1, l + 1}) {
+        if (nb >= numLayers) continue;  // l - 1 wraps for l == 0
+        ++queries;
+        const auto& wires = problem.wires[nb];
+        scratch.layerIndex[nb].visit(f, [&](std::uint32_t id) {
+          const Rect& s = id < wires.size()
+                              ? wires[id]
+                              : problem.fills[nb][id - wires.size()];
+          if (s.overlaps(f)) {
+            scratch.contacts.push_back({static_cast<std::uint32_t>(nb), id});
+          }
+        });
+      }
+      scratch.contactStart.push_back(
+          static_cast<std::uint32_t>(scratch.contacts.size()));
+    }
+  }
+  prof::count(prof::Counter::kIndexQueries, queries);
+}
+
+EdgeMarginals edgeMarginals(const WindowProblem& problem,
+                            const FillSizer::Scratch& scratch, int layer,
+                            std::size_t k, bool horizontal) {
+  const AxisView ax{horizontal};
+  const auto l = static_cast<std::size_t>(layer);
+  const Rect& f = problem.fills[l][k];
+  const Coord lo = ax.lo(f);
+  const Coord hi = ax.hi(f);
+  const std::size_t slot = scratch.fillBase[l] + k;
+  EdgeMarginals m;
+  for (std::uint32_t c = scratch.contactStart[slot];
+       c < scratch.contactStart[slot + 1]; ++c) {
+    const auto [nb, id] = scratch.contacts[c];
+    const auto& wires = problem.wires[nb];
+    const bool isWire = id < wires.size();
+    const Rect& s = isWire ? wires[id] : problem.fills[nb][id - wires.size()];
+    const Coord overlap = ax.frozenOverlap(f, s);
+    if (overlap <= 0) continue;
+    if (ax.lo(s) <= lo && lo < ax.hi(s)) {
+      (isWire ? m.wireLo : m.fillLo) += overlap;
+    }
+    if (ax.lo(s) < hi && hi <= ax.hi(s)) {
+      (isWire ? m.wireHi : m.fillHi) += overlap;
+    }
+  }
+  return m;
+}
+
+}  // namespace detail
+
 void FillSizer::size(WindowProblem& problem, Stats* stats) const {
   Scratch scratch;
   size(problem, scratch, stats);
@@ -152,6 +169,10 @@ void FillSizer::size(WindowProblem& problem, Stats* stats) const {
 void FillSizer::size(WindowProblem& problem, Scratch& scratch,
                      Stats* stats) const {
   const int numLayers = static_cast<int>(problem.fills.size());
+  detail::indexWindow(
+      problem, geom::windowCellSize(problem.window, rules_.maxFillSize),
+      scratch);
+  scratch.pairFree.assign(2 * problem.fills.size(), 0);
   for (int round = 0; round < options_.iterations; ++round) {
     for (const bool horizontal : {true, false}) {
       for (int l = 0; l < numLayers; ++l) {
@@ -168,7 +189,7 @@ void FillSizer::size(WindowProblem& problem, Scratch& scratch,
 }
 
 void FillSizer::trimToTarget(WindowProblem& problem, int layer,
-                             Scratch& scratch) const {
+                             const Scratch& scratch) const {
   auto& fills = problem.fills[static_cast<std::size_t>(layer)];
   if (fills.empty()) return;
   const auto windowArea = static_cast<double>(problem.window.area());
@@ -183,33 +204,14 @@ void FillSizer::trimToTarget(WindowProblem& problem, int layer,
 
   // Prefer trimming fills whose right edge currently cuts opposing shapes
   // (free overlay win); opposing geometry is the neighboring layers'.
-  const int numLayers = static_cast<int>(problem.fills.size());
-  auto& opposing = scratch.opposingWires;  // combined wires + fills here
-  opposing.clear();
-  for (int nb : {layer - 1, layer + 1}) {
-    if (nb < 0 || nb >= numLayers) continue;
-    const auto& w = problem.wires[static_cast<std::size_t>(nb)];
-    const auto& f = problem.fills[static_cast<std::size_t>(nb)];
-    opposing.insert(opposing.end(), w.begin(), w.end());
-    opposing.insert(opposing.end(), f.begin(), f.end());
-  }
-  const geom::GridIndex* index = nullptr;
-  if (opposing.size() >= kIndexMinShapes) {
-    buildIndex(scratch.wireIndex, problem.window,
-               geom::windowCellSize(problem.window, rules_.maxFillSize),
-               opposing);
-    index = &scratch.wireIndex;
-    prof::count(prof::Counter::kIndexQueries, fills.size());
-  }
-  const AxisView ax{true};
   std::vector<std::pair<Coord, std::size_t>> order;  // (-marginal, index)
   order.reserve(fills.size());
   {
     prof::ScopedTimer overlayTimer(prof::Stage::kSizerOverlay);
     for (std::size_t i = 0; i < fills.size(); ++i) {
-      order.push_back(
-          {-overlayMarginal(fills[i], fills[i].xh, false, opposing, index, ax),
-           i});
+      const detail::EdgeMarginals m =
+          detail::edgeMarginals(problem, scratch, layer, i, true);
+      order.push_back({-(m.wireHi + m.fillHi), i});
     }
   }
   std::sort(order.begin(), order.end());
@@ -235,41 +237,6 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
   auto& fills = problem.fills[static_cast<std::size_t>(layer)];
   if (fills.empty()) return;
   const AxisView ax{horizontal};
-  const int numLayers = static_cast<int>(problem.fills.size());
-
-  // Opposing geometry (frozen for this pass): wires and fills of l +- 1,
-  // kept separate so overlay with signal wires can be weighted harder.
-  auto& opposingWires = scratch.opposingWires;
-  auto& opposingFills = scratch.opposingFills;
-  opposingWires.clear();
-  opposingFills.clear();
-  for (int nb : {layer - 1, layer + 1}) {
-    if (nb < 0 || nb >= numLayers) continue;
-    const auto& w = problem.wires[static_cast<std::size_t>(nb)];
-    const auto& f = problem.fills[static_cast<std::size_t>(nb)];
-    opposingWires.insert(opposingWires.end(), w.begin(), w.end());
-    opposingFills.insert(opposingFills.end(), f.begin(), f.end());
-  }
-
-  // Per-pass spatial indexes over the (frozen) opposing sets and this
-  // layer's own fills. Every indexed total re-checks the exact predicate
-  // per candidate shape, so results match the brute scans bit for bit.
-  const geom::GridIndex* wireIndex = nullptr;
-  const geom::GridIndex* fillIndex = nullptr;
-  const geom::GridIndex* selfIndex = nullptr;
-  if (opposingWires.size() + opposingFills.size() + fills.size() >=
-      kIndexMinShapes) {
-    const Coord cell =
-        geom::windowCellSize(problem.window, rules_.maxFillSize);
-    buildIndex(scratch.wireIndex, problem.window, cell, opposingWires);
-    buildIndex(scratch.fillIndex, problem.window, cell, opposingFills);
-    buildIndex(scratch.selfIndex, problem.window, cell, fills);
-    wireIndex = &scratch.wireIndex;
-    fillIndex = &scratch.fillIndex;
-    selfIndex = &scratch.selfIndex;
-    // 4 marginal queries per fill (2 edges x wires/fills) + 1 pair query.
-    prof::count(prof::Counter::kIndexQueries, 5 * fills.size());
-  }
 
   // Density pressure: above target rewards shrinking, below target
   // penalizes it (Eqn. 10's absolute value, linearized at the current
@@ -306,18 +273,14 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
           static_cast<Coord>((rules_.minArea + frozen[i] - 1) / frozen[i]));
       // Wire overlay weighted by etaWireFactor relative to fill overlay.
       const double wf = options_.etaWireFactor;
-      ovLo[i] = static_cast<Coord>(std::llround(
-          wf * static_cast<double>(
-                   overlayMarginal(f, ax.lo(f), /*isLowEdge=*/true,
-                                   opposingWires, wireIndex, ax)) +
-          static_cast<double>(overlayMarginal(f, ax.lo(f), /*isLowEdge=*/true,
-                                              opposingFills, fillIndex, ax))));
-      ovHi[i] = static_cast<Coord>(std::llround(
-          wf * static_cast<double>(
-                   overlayMarginal(f, ax.hi(f), /*isLowEdge=*/false,
-                                   opposingWires, wireIndex, ax)) +
-          static_cast<double>(overlayMarginal(f, ax.hi(f), /*isLowEdge=*/false,
-                                              opposingFills, fillIndex, ax))));
+      const detail::EdgeMarginals m =
+          detail::edgeMarginals(problem, scratch, layer, i, horizontal);
+      ovLo[i] = static_cast<Coord>(
+          std::llround(wf * static_cast<double>(m.wireLo) +
+                       static_cast<double>(m.fillLo)));
+      ovHi[i] = static_cast<Coord>(
+          std::llround(wf * static_cast<double>(m.wireHi) +
+                       static_cast<double>(m.fillHi)));
     }
   }
 
@@ -355,7 +318,14 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
   // spacing constraints (their membership conditions are equivalent; see
   // collectClosePairs).
   auto& closePairs = scratch.closePairs;
-  collectClosePairs(fills, ax, rules_.minSpacing, selfIndex, closePairs);
+  closePairs.clear();
+  const auto l = static_cast<std::size_t>(layer);
+  char& pairFree = scratch.pairFree[2 * l + (horizontal ? 1 : 0)];
+  if (pairFree == 0) {
+    collectClosePairs(fills, problem.wires[l].size(), ax, rules_.minSpacing,
+                      scratch.layerIndex[l], closePairs);
+    pairFree = closePairs.empty() ? 1 : 0;
+  }
 
   // Fills involved in spacing violations get extra shrink freedom, enough
   // for one fill alone to clear the worst of its violations: repairing DRC
@@ -515,6 +485,11 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
       }
     }
     fills = std::move(kept);
+    // The only place a fills vector is replaced: re-index the window so
+    // no contact or index id points at a moved or freed fill.
+    detail::indexWindow(
+        problem, geom::windowCellSize(problem.window, rules_.maxFillSize),
+        scratch);
     sizeLayerDirection(problem, layer, horizontal, scratch, stats);
     return;
   }

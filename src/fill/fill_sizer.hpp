@@ -9,9 +9,12 @@
 // solved exactly as a dual min-cost flow (Eqns. 15-16). Directions
 // alternate for `iterations` rounds; layers are visited in sequence with
 // neighboring-layer geometry frozen (the linearization the paper uses for
-// the overlay term, Eqn. 11).
+// the overlay term, Eqn. 11). Each window indexes its shapes once, with
+// a contact list per fill, so a pass reads each fill's overlay marginals
+// from the few shapes that touch it.
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -65,15 +68,30 @@ class FillSizer {
   };
 
   /// Reusable buffers and min-cost-flow contexts for size(). One Scratch
-  /// per worker thread; contents are overwritten pass by pass, and the MCF
-  /// contexts (keyed by layer*2 + horizontal) let round >= 2 of a window
-  /// reuse the round-1 network when the constraint topology repeats.
+  /// per worker thread; indexes are rebuilt per window, per-fill buffers
+  /// are overwritten pass by pass, and the MCF contexts (keyed by
+  /// layer*2 + horizontal) let round >= 2 of a window reuse the round-1
+  /// network when the constraint topology repeats.
   struct Scratch {
-    std::vector<geom::Rect> opposingWires;
-    std::vector<geom::Rect> opposingFills;
-    geom::GridIndex wireIndex;
-    geom::GridIndex fillIndex;
-    geom::GridIndex selfIndex;
+    /// An opposing shape of `layer` in that layer's index numbering: a
+    /// wire when id < wires[layer].size(), else fill id - wires.size().
+    struct Contact {
+      std::uint32_t layer;
+      std::uint32_t id;
+    };
+    // Built once per window by detail::indexWindow. Fills only shrink, so
+    // shapes indexed at their candidate rects stay findable all window
+    // long, and a fill's contacts (the l +- 1 shapes overlapping its
+    // candidate rect) hold every shape its edges can ever cut. Fill k of
+    // layer l owns contacts[contactStart[s], contactStart[s + 1]) for
+    // s = fillBase[l] + k.
+    std::vector<geom::GridIndex> layerIndex;  // wires, then fills
+    std::vector<std::size_t> fillBase;
+    std::vector<std::uint32_t> contactStart;
+    std::vector<Contact> contacts;
+    // Per layer * 2 + horizontal: a pass found no close pair. Shrinking
+    // only widens gaps and narrows overlaps, so none reappears.
+    std::vector<char> pairFree;
     std::vector<std::pair<std::size_t, std::size_t>> closePairs;
     std::vector<geom::Coord> frozen;
     std::vector<geom::Coord> minLen;
@@ -110,10 +128,36 @@ class FillSizer {
   /// Removes the residual density surplus left by step rounding with an
   /// exact width trim, preferring fills whose trim also reduces overlay.
   void trimToTarget(WindowProblem& problem, int layer,
-                    Scratch& scratch) const;
+                    const Scratch& scratch) const;
 
   layout::DesignRules rules_;
   Options options_;
 };
+
+namespace detail {
+
+/// Frozen-axis overlap of the opposing shapes each edge of a fill cuts
+/// along a pass axis, split into wires and fills: raising the low edge
+/// reduces overlap with shapes where lo(s) <= edge < hi(s), lowering the
+/// high edge with lo(s) < edge <= hi(s).
+struct EdgeMarginals {
+  geom::Coord wireLo = 0;
+  geom::Coord fillLo = 0;
+  geom::Coord wireHi = 0;
+  geom::Coord fillHi = 0;
+};
+
+/// (Re)builds the scratch's per-layer indexes and contact lists for the
+/// current rects of `problem`; timed as the sizer's overlay kernel.
+void indexWindow(const WindowProblem& problem, geom::Coord cellSize,
+                 FillSizer::Scratch& scratch);
+
+/// Marginals of fill `k` of `layer` at its current rect, from one scan of
+/// its contact list.
+EdgeMarginals edgeMarginals(const WindowProblem& problem,
+                            const FillSizer::Scratch& scratch, int layer,
+                            std::size_t k, bool horizontal);
+
+}  // namespace detail
 
 }  // namespace ofl::fill

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/prof.hpp"
@@ -144,25 +145,29 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   // Rebuilds one row's per-window wire and blocked buckets from its
   // spool, equal in content and order to the global bucketClipped results
   // restricted to row j (the spool preserves wire input order, and a
-  // window's clips depend only on rects that touch it).
-  std::vector<std::vector<geom::Rect>> wireBuckets(
-      static_cast<std::size_t>(cols));
-  std::vector<std::vector<geom::Rect>> blockedBuckets(
-      static_cast<std::size_t>(cols));
-  const auto buildRowBuckets = [&](std::size_t l, int j) {
+  // window's clips depend only on rects that touch it). The blocked
+  // buckets are skipped when `blockedBuckets` is null.
+  using RowBuckets = std::vector<std::vector<geom::Rect>>;
+  const auto buildRowBuckets = [&](std::size_t l, int j,
+                                   RowBuckets& wireBuckets,
+                                   RowBuckets* blockedBuckets) {
+    wireBuckets.resize(static_cast<std::size_t>(cols));
     for (auto& b : wireBuckets) b.clear();
-    for (auto& b : blockedBuckets) b.clear();
+    if (blockedBuckets != nullptr) {
+      blockedBuckets->resize(static_cast<std::size_t>(cols));
+      for (auto& b : *blockedBuckets) b.clear();
+    }
     store.forEach(rowWire[l][static_cast<std::size_t>(j)],
                   [&](const geom::Rect& r) {
       const geom::Rect e = r.expanded(eng.rules.minSpacing);
-      if (!e.empty()) {
+      if (blockedBuckets != nullptr && !e.empty()) {
         int i0, j0, i1, j1;
         grid.windowRange(e, i0, j0, i1, j1);
         if (j0 <= j && j <= j1) {
           for (int i = i0; i <= i1; ++i) {
             const geom::Rect clip = e.intersection(grid.windowRect(i, j));
             if (!clip.empty()) {
-              blockedBuckets[static_cast<std::size_t>(i)].push_back(clip);
+              (*blockedBuckets)[static_cast<std::size_t>(i)].push_back(clip);
             }
           }
         }
@@ -193,10 +198,12 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   }
   {
     obs::ScopedSpan span("shard.bounds", "engine", {{"job", jid}});
+    RowBuckets wireBuckets;
+    RowBuckets blockedBuckets;
     for (std::size_t l = 0; l < nl; ++l) {
       for (int j = 0; j < rows; ++j) {
         checkCancel(eng.cancel);
-        buildRowBuckets(l, j);
+        buildRowBuckets(l, j, wireBuckets, &blockedBuckets);
         pool.parallelFor(static_cast<std::size_t>(cols), [&](std::size_t i) {
           prof::ScopedTimer timer(prof::Stage::kPlanning);
           const auto w = static_cast<std::size_t>(
@@ -313,12 +320,10 @@ bool ShardedEngine::runFile(const std::string& inputPath,
         std::vector<WindowProblem> problems(static_cast<std::size_t>(cols));
         std::vector<std::vector<geom::Region>> rowRegions(
             nl, std::vector<geom::Region>(static_cast<std::size_t>(cols)));
-        std::vector<std::vector<std::vector<geom::Rect>>> rowWires(
-            nl), rowBlocked(nl);
+        std::vector<RowBuckets> rowWires(nl);
+        std::vector<RowBuckets> rowBlocked(nl);
         for (std::size_t l = 0; l < nl; ++l) {
-          buildRowBuckets(l, j);
-          rowWires[l] = wireBuckets;
-          rowBlocked[l] = blockedBuckets;
+          buildRowBuckets(l, j, rowWires[l], &rowBlocked[l]);
           pool.parallelFor(static_cast<std::size_t>(cols), [&](std::size_t i) {
             prof::ScopedTimer timer(prof::Stage::kRegionPrep);
             const std::vector<geom::Rect> windowRects{
@@ -337,9 +342,9 @@ bool ShardedEngine::runFile(const std::string& inputPath,
           p.wires.reserve(nl);
           p.blocked.reserve(nl);
           for (std::size_t l = 0; l < nl; ++l) {
-            p.fillRegions.push_back(rowRegions[l][i]);
-            p.wires.push_back(rowWires[l][i]);
-            p.blocked.push_back(rowBlocked[l][i]);
+            p.fillRegions.push_back(std::move(rowRegions[l][i]));
+            p.wires.push_back(std::move(rowWires[l][i]));
+            p.blocked.push_back(std::move(rowBlocked[l][i]));
             p.wireDensity.push_back(wireDen[l][w]);
             p.targetDensity.push_back(plan.windowTarget[l][w]);
           }
@@ -414,10 +419,9 @@ bool ShardedEngine::runFile(const std::string& inputPath,
         std::vector<WindowProblem> problems(static_cast<std::size_t>(cols));
         std::vector<FillSizer::Stats> windowStats(
             static_cast<std::size_t>(cols));
-        std::vector<std::vector<std::vector<geom::Rect>>> rowWires(nl);
+        std::vector<RowBuckets> rowWires(nl);
         for (std::size_t l = 0; l < nl; ++l) {
-          buildRowBuckets(l, j);
-          rowWires[l] = wireBuckets;
+          buildRowBuckets(l, j, rowWires[l], nullptr);
         }
         // Serial assembly: candidates stream out of the per-layer spools
         // in the same flat window order they were deposited.
@@ -427,7 +431,8 @@ bool ShardedEngine::runFile(const std::string& inputPath,
           p.window = grid.windowRect(i, j);
           p.fills.resize(nl);
           for (std::size_t l = 0; l < nl; ++l) {
-            p.wires.push_back(rowWires[l][static_cast<std::size_t>(i)]);
+            p.wires.push_back(
+                std::move(rowWires[l][static_cast<std::size_t>(i)]));
             p.wireDensity.push_back(wireDen[l][w]);
             p.targetDensity.push_back(plan.windowTarget[l][w]);
             auto& fills = p.fills[l];

@@ -1,8 +1,14 @@
 // Property tests for FillSizer on randomized window problems: whatever
 // the candidate layout, sizing may only shrink, must respect DRC minima,
 // must land at or below target within trim precision, and must never
-// create spacing violations that were not already present.
+// create spacing violations that were not already present. The sizer's
+// per-window contact lists must give the same overlay marginals as a
+// brute scan of every opposing shape, however the fills shrink.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "fill/fill_sizer.hpp"
@@ -104,6 +110,122 @@ TEST_P(SizerPropertyTest, InvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SizerPropertyTest,
                          ::testing::Values(101u, 202u, 303u, 404u, 505u,
                                            606u, 707u, 808u));
+
+// Reference for detail::edgeMarginals: a brute scan of every opposing
+// shape. Raising the LOW edge reduces overlap with shapes satisfying
+// lo(s) <= edge < hi(s); lowering the HIGH edge with lo(s) < edge <= hi(s).
+geom::Coord bruteMarginal(const geom::Rect& fill, bool horizontal,
+                          bool lowEdge,
+                          const std::vector<geom::Rect>& opposing) {
+  const auto lo = [&](const geom::Rect& r) { return horizontal ? r.xl : r.yl; };
+  const auto hi = [&](const geom::Rect& r) { return horizontal ? r.xh : r.yh; };
+  const geom::Coord edge = lowEdge ? lo(fill) : hi(fill);
+  geom::Coord total = 0;
+  for (const geom::Rect& s : opposing) {
+    const geom::Coord overlap = std::max<geom::Coord>(
+        0, horizontal ? std::min(fill.yh, s.yh) - std::max(fill.yl, s.yl)
+                      : std::min(fill.xh, s.xh) - std::max(fill.xl, s.xl));
+    if (overlap <= 0) continue;
+    const bool cuts = lowEdge ? (lo(s) <= edge && edge < hi(s))
+                              : (lo(s) < edge && edge <= hi(s));
+    if (cuts) total += overlap;
+  }
+  return total;
+}
+
+// Random rect on a 10-DBU lattice (so edges abut, touch and coincide
+// often), occasionally with zero extent.
+geom::Rect latticeRect(Rng& rng, const geom::Rect& window) {
+  const geom::Coord x = 10 * rng.uniformInt(0, window.xh / 10 - 1);
+  const geom::Coord y = 10 * rng.uniformInt(0, window.yh / 10 - 1);
+  const geom::Coord w = rng.bernoulli(0.05) ? 0 : 10 * rng.uniformInt(1, 12);
+  const geom::Coord h = 10 * rng.uniformInt(1, 12);
+  return {x, y, std::min(x + w, window.xh), std::min(y + h, window.yh)};
+}
+
+class ContactMarginalTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ContactMarginalTest, MatchesBruteScanThroughShrinks) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 20; ++trial) {
+    WindowProblem p;
+    p.window = {0, 0, 400, 400};
+    const auto numLayers = static_cast<std::size_t>(rng.uniformInt(3, 5));
+    p.wires.resize(numLayers);
+    p.fills.resize(numLayers);
+    for (std::size_t l = 0; l < numLayers; ++l) {
+      const int wires = static_cast<int>(rng.uniformInt(0, 25));
+      for (int k = 0; k < wires; ++k) {
+        p.wires[l].push_back(latticeRect(rng, p.window));
+      }
+      // Fills may overlap or sit closer than minSpacing (DRC-dirty).
+      const int fills = static_cast<int>(rng.uniformInt(0, 30));
+      for (int k = 0; k < fills; ++k) {
+        geom::Rect f = latticeRect(rng, p.window);
+        f.xh = std::max(f.xh, f.xl + 10);
+        p.fills[l].push_back(f);
+      }
+    }
+    FillSizer::Scratch scratch;
+    detail::indexWindow(p, geom::windowCellSize(p.window, 40), scratch);
+
+    for (int step = 0; step < 40; ++step) {
+      for (std::size_t l = 0; l < numLayers; ++l) {
+        std::vector<geom::Rect> wires;
+        std::vector<geom::Rect> fills;
+        for (const std::size_t nb : {l - 1, l + 1}) {
+          if (nb >= numLayers) continue;
+          wires.insert(wires.end(), p.wires[nb].begin(), p.wires[nb].end());
+          fills.insert(fills.end(), p.fills[nb].begin(), p.fills[nb].end());
+        }
+        for (std::size_t k = 0; k < p.fills[l].size(); ++k) {
+          const geom::Rect& f = p.fills[l][k];
+          for (const bool horizontal : {true, false}) {
+            const detail::EdgeMarginals m = detail::edgeMarginals(
+                p, scratch, static_cast<int>(l), k, horizontal);
+            const std::string where = "seed " + std::to_string(GetParam()) +
+                                      " trial " + std::to_string(trial) +
+                                      " step " + std::to_string(step) +
+                                      " layer " + std::to_string(l) + " " +
+                                      f.str() + (horizontal ? " H" : " V");
+            ASSERT_EQ(m.wireLo, bruteMarginal(f, horizontal, true, wires))
+                << where;
+            ASSERT_EQ(m.fillLo, bruteMarginal(f, horizontal, true, fills))
+                << where;
+            ASSERT_EQ(m.wireHi, bruteMarginal(f, horizontal, false, wires))
+                << where;
+            ASSERT_EQ(m.fillHi, bruteMarginal(f, horizontal, false, fills))
+                << where;
+          }
+        }
+      }
+      // Shrink a few fills: one edge moves inward by 1 DBU up to all but
+      // 1 DBU of the extent, or by one lattice step.
+      for (int s = 0; s < 8; ++s) {
+        auto& fills = p.fills[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(numLayers) - 1))];
+        if (fills.empty()) continue;
+        geom::Rect& f = fills[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(fills.size()) - 1))];
+        const bool horizontal = rng.bernoulli(0.5);
+        geom::Coord& lo = horizontal ? f.xl : f.yl;
+        geom::Coord& hi = horizontal ? f.xh : f.yh;
+        if (hi - lo < 2) continue;
+        const geom::Coord by = rng.bernoulli(0.5)
+                                   ? rng.uniformInt(1, hi - lo - 1)
+                                   : std::min<geom::Coord>(10, hi - lo - 1);
+        if (rng.bernoulli(0.5)) {
+          lo += by;
+        } else {
+          hi -= by;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ContactMarginalTest,
+                         ::testing::Values(11u, 22u, 33u, 44u, 55u, 66u));
 
 }  // namespace
 }  // namespace ofl::fill

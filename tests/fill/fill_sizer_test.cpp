@@ -123,6 +123,37 @@ TEST_P(FillSizerBackendTest, DropsFillWhenSpacingUnrepairable) {
   EXPECT_GE(stats.droppedFills, 1);
 }
 
+TEST(FillSizerTest, DropFallbackReindexesBeforeNeighborsAreSized) {
+  // Layer 0's first horizontal pass drops fill 1 of an unrepairable pair,
+  // which shifts every later fill of that layer down by one; layer 1,
+  // sized next in the same round, overlaps those fills. Its overlay
+  // marginals must come from the shifted vector, not ids taken before the
+  // drop. Expected fills recorded with per-pass opposing-shape copies.
+  WindowProblem p;
+  p.window = {0, 0, 400, 400};
+  p.fillRegions = {geom::Region(p.window), geom::Region(p.window),
+                   geom::Region(p.window)};
+  p.wires = {{}, {{0, 300, 400, 320}}, {{140, 0, 170, 400}}};
+  p.wireDensity = {0.0, 8000.0 / 160000, 12000.0 / 160000};
+  p.targetDensity = {0.1, 0.12, 0.14};
+  p.fills = {{{0, 0, 22, 100},
+              {4, 0, 24, 100},
+              {100, 0, 200, 100},
+              {250, 0, 350, 100},
+              {100, 200, 200, 300}},
+             {{150, 50, 260, 150}, {120, 250, 180, 350}, {300, 20, 400, 80}},
+             {{200, 30, 300, 130}, {0, 200, 100, 300}}};
+  FillSizer::Stats stats;
+  FillSizer(rules(), {}).size(p, &stats);
+  EXPECT_EQ(stats.droppedFills, 1);
+  const std::vector<std::vector<geom::Rect>> expected = {
+      {{0, 6, 10, 94}, {121, 6, 179, 94}, {276, 6, 324, 94},
+       {116, 207, 184, 293}},
+      {{177, 50, 233, 150}, {139, 253, 159, 347}, {319, 20, 381, 80}},
+      {{227, 31, 272, 129}, {19, 201, 81, 299}}};
+  EXPECT_EQ(p.fills, expected);
+}
+
 TEST_P(FillSizerBackendTest, EmptyLayerIsNoop) {
   WindowProblem p = singleLayerProblem({}, 0.5);
   FillSizer::Stats stats;
