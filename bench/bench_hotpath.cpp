@@ -1,13 +1,13 @@
 // Hot-path profile of the default fill engine: one contest benchmark,
 // single-threaded, profiled every rep. Reports absolute stage seconds from
-// the profiling registry -- region prep, planning (bounds + both target
-// sweeps), candidates and its four sub-stages, sizing and its overlay /
-// MCF-solve sub-stages, end-to-end wall -- plus two machine-independent
-// ratios that gate on any machine: the share of sizing passes solved in
-// closed form, and the overlay-marginal kernel's share of sizing time. A
-// pass without spacing pairs skips the min-cost flow, so mcf_solve_s only
-// counts coupled passes; MCF warm starts and early exits are exercised by
-// bench_mcf.
+// the profiling registry -- region prep, wire density, planning (bounds +
+// both target sweeps), candidates and its four sub-stages, sizing and its
+// overlay / MCF-solve sub-stages, end-to-end wall -- plus two machine-
+// independent ratios that gate on any machine: the share of sizing passes
+// solved in closed form, and the overlay-marginal kernel's share of sizing
+// time. A pass without spacing pairs skips the min-cost flow, so
+// mcf_solve_s only counts coupled passes; MCF warm starts and early exits
+// are exercised by bench_mcf.
 //
 // The bench exits nonzero when reps disagree on the fills (the engine is
 // deterministic) or when no pass took the closed form -- the sizer's fast
@@ -75,6 +75,7 @@ int main(int argc, char** argv) {
     prof::Stage stage;
   } stages[] = {
       {"region_prep_s", prof::Stage::kRegionPrep},
+      {"density_compute_s", prof::Stage::kDensityCompute},
       {"planning_s", prof::Stage::kPlanning},
       {"candidates_s", prof::Stage::kCandidates},
       {"candidates_region_s", prof::Stage::kCandidateRegion},

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "common/prof.hpp"
-#include "common/thread_pool.hpp"
-
 namespace ofl::density {
 
 WindowBound computeWindowBound(double wireDensity, geom::Area windowArea,
@@ -30,21 +27,18 @@ WindowBound computeWindowBound(double wireDensity, geom::Area windowArea,
   return bound;
 }
 
-DensityBounds computeBounds(const DensityMap& wireDensity,
+DensityBounds computeBounds(const layout::Layout& layout, int layer,
                             const layout::WindowGrid& grid,
                             const std::vector<geom::Region>& fillRegions,
-                            const layout::DesignRules& rules,
-                            ThreadPool& pool) {
+                            const layout::DesignRules& rules) {
+  const DensityMap wireDensity =
+      DensityMap::computeFromShapes(layout.layer(layer).wires, grid);
   DensityBounds bounds;
   const auto n = static_cast<std::size_t>(grid.windowCount());
   bounds.lower.resize(n);
   bounds.upper.resize(n);
-
   static const geom::Region kEmptyRegion;
-  const auto rows = static_cast<std::size_t>(grid.rows());
-  pool.parallelFor(rows, [&](std::size_t row) {
-    prof::ScopedTimer timer(prof::Stage::kPlanning);
-    const int j = static_cast<int>(row);
+  for (int j = 0; j < grid.rows(); ++j) {
     for (int i = 0; i < grid.cols(); ++i) {
       const auto w = static_cast<std::size_t>(grid.flatIndex(i, j));
       const geom::Region& region =
@@ -54,18 +48,8 @@ DensityBounds computeBounds(const DensityMap& wireDensity,
       bounds.lower[w] = b.lower;
       bounds.upper[w] = b.upper;
     }
-  });
+  }
   return bounds;
-}
-
-DensityBounds computeBounds(const layout::Layout& layout, int layer,
-                            const layout::WindowGrid& grid,
-                            const std::vector<geom::Region>& fillRegions,
-                            const layout::DesignRules& rules) {
-  ThreadPool serial(1);
-  return computeBounds(
-      DensityMap::computeFromShapes(layout.layer(layer).wires, grid), grid,
-      fillRegions, rules, serial);
 }
 
 }  // namespace ofl::density

@@ -21,10 +21,6 @@
 #include "layout/layout.hpp"
 #include "layout/window_grid.hpp"
 
-namespace ofl {
-class ThreadPool;
-}
-
 namespace ofl::density {
 
 struct DensityBounds {
@@ -40,24 +36,14 @@ struct WindowBound {
 
 /// Bound arithmetic for a single window: `wireDensity` is the window's
 /// wire-only density, `windowArea` its true (edge-clipped) area,
-/// `fillRegion` its free space. Both computeBounds and the sharded
-/// engine's row-at-a-time pass call this, so the two paths agree by
-/// construction.
+/// `fillRegion` its free space. computeBounds and the engines' row tasks
+/// all call this, so every path agrees by construction.
 WindowBound computeWindowBound(double wireDensity, geom::Area windowArea,
                                const geom::Region& fillRegion,
                                const layout::DesignRules& rules);
 
-/// Bounds for one layer from its wire densities (the engine's stage-0
-/// map) and per-window fill regions (from layout::computeFillRegions).
-/// Window rows run on `pool`, each timed under prof::Stage::kPlanning.
-DensityBounds computeBounds(const DensityMap& wireDensity,
-                            const layout::WindowGrid& grid,
-                            const std::vector<geom::Region>& fillRegions,
-                            const layout::DesignRules& rules,
-                            ThreadPool& pool);
-
-/// Same, computing the layer's wire densities itself and running on the
-/// calling thread only, so it is safe inside another pool's parallelFor.
+/// Bounds for one layer from its wire densities and per-window fill
+/// regions (from layout::computeFillRegions), on the calling thread.
 DensityBounds computeBounds(const layout::Layout& layout, int layer,
                             const layout::WindowGrid& grid,
                             const std::vector<geom::Region>& fillRegions,

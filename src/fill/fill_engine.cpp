@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
@@ -10,6 +11,7 @@
 #include "common/timer.hpp"
 #include "density/density_map.hpp"
 #include "density/metrics.hpp"
+#include "geometry/boolean.hpp"
 #include "layout/fill_region.hpp"
 #include "obs/metrics.hpp"
 #include "obs/quality.hpp"
@@ -158,11 +160,79 @@ std::uint64_t windowFinalKey(std::uint64_t prefix,
 
 // Parallelization contract (docs/architecture.md, "Parallel execution"):
 // every parallelFor below iterates an index space whose items are
-// independent — layers in the region/density/bounds stages, windows in
-// candidate generation and sizing. Workers only write to slot [index] of
+// independent — (layer, window row) pairs in stage 0, windows in candidate
+// generation and sizing. Workers only write to their own slots of
 // pre-sized vectors; all cross-item reductions (candidate counts, sizer
 // stats, fill output) happen sequentially in index order afterwards, so
 // the result is bit-identical for any thread count.
+
+namespace detail {
+
+WindowPrep prepareWindows(const layout::Layout& layout,
+                          const layout::WindowGrid& grid,
+                          const FillEngineOptions& options, ThreadPool& pool) {
+  obs::ScopedSpan span("engine.region_prep", "engine",
+                       {{"job", static_cast<double>(options.jobId)}});
+  const auto nl = static_cast<std::size_t>(layout.numLayers());
+  const auto cols = static_cast<std::size_t>(grid.cols());
+  const auto rows = static_cast<std::size_t>(grid.rows());
+  const std::size_t numWindows = cols * rows;
+  WindowPrep prep;
+  prep.fillRegions.assign(nl, std::vector<geom::Region>(numWindows));
+  prep.wires.assign(nl, std::vector<std::vector<geom::Rect>>(numWindows));
+  prep.blocked.assign(nl, std::vector<std::vector<geom::Rect>>(numWindows));
+  prep.wireDensity.assign(nl, std::vector<double>(numWindows));
+  prep.bounds.assign(nl, {std::vector<double>(numWindows),
+                          std::vector<double>(numWindows)});
+
+  std::vector<std::vector<std::vector<geom::Rect>>> rowRects(nl);
+  pool.parallelFor(nl, [&](std::size_t l) {
+    prof::ScopedTimer timer(prof::Stage::kRegionPrep);
+    rowRects[l] = layout::routeRows(grid, options.rules,
+                                    layout.layer(static_cast<int>(l)).wires);
+  });
+
+  pool.parallelFor(nl * rows, [&](std::size_t task) {
+    checkCancel(options.cancel);
+    const std::size_t l = task / rows;
+    const int j = static_cast<int>(task % rows);
+    const std::size_t first = static_cast<std::size_t>(j) * cols;
+    const auto wires = std::span(prep.wires[l]).subspan(first, cols);
+    const auto blocked = std::span(prep.blocked[l]).subspan(first, cols);
+    {
+      prof::ScopedTimer timer(prof::Stage::kRegionPrep);
+      layout::bucketRow(grid, options.rules, j,
+                        rowRects[l][static_cast<std::size_t>(j)], wires,
+                        blocked);
+      for (std::size_t i = 0; i < cols; ++i) {
+        prep.fillRegions[l][first + i] = layout::windowFillRegion(
+            grid.windowRect(static_cast<int>(i), j), blocked[i]);
+      }
+    }
+    {
+      prof::ScopedTimer timer(prof::Stage::kDensityCompute);
+      for (std::size_t i = 0; i < cols; ++i) {
+        const geom::Area area = grid.windowRect(static_cast<int>(i), j).area();
+        prep.wireDensity[l][first + i] =
+            area > 0 ? static_cast<double>(geom::unionArea(wires[i])) / area
+                     : 0.0;
+      }
+    }
+    prof::ScopedTimer timer(prof::Stage::kPlanning);
+    for (std::size_t i = 0; i < cols; ++i) {
+      const std::size_t w = first + i;
+      const density::WindowBound b = density::computeWindowBound(
+          prep.wireDensity[l][w],
+          grid.windowRect(static_cast<int>(i), j).area(),
+          prep.fillRegions[l][w], options.rules);
+      prep.bounds[l].lower[w] = b.lower;
+      prep.bounds[l].upper[w] = b.upper;
+    }
+  });
+  return prep;
+}
+
+}  // namespace detail
 
 FillReport FillEngine::run(layout::Layout& layout) const {
   FillReport report;
@@ -178,46 +248,17 @@ FillReport FillEngine::run(layout::Layout& layout) const {
   ThreadPool pool(options_.numThreads);
   report.threadsUsed = pool.size();
 
-  // --- Stage 0: fill regions, wire buckets, wire densities ---
+  // --- Stage 0: wire buckets, fill regions, wire densities, bounds ---
   Timer stage;
-  std::vector<std::vector<geom::Region>> fillRegions(
-      static_cast<std::size_t>(numLayers));  // [layer][window]
-  std::vector<std::vector<std::vector<geom::Rect>>> blockedBuckets(
-      static_cast<std::size_t>(numLayers));
-  std::vector<std::vector<std::vector<geom::Rect>>> wireBuckets(
-      static_cast<std::size_t>(numLayers));
-  std::vector<density::DensityMap> wireDensity(
-      static_cast<std::size_t>(numLayers));
-  {
-    obs::ScopedSpan span("engine.region_prep", "engine", {{"job", jid}});
-    pool.parallelFor(static_cast<std::size_t>(numLayers), [&](std::size_t l) {
-      const int layer = static_cast<int>(l);
-      {
-        prof::ScopedTimer timer(prof::Stage::kRegionPrep);
-        obs::ScopedSpan layerSpan(
-            "layer.region_prep", "window",
-            {{"job", jid}, {"layer", static_cast<double>(layer + 1)}});
-        fillRegions[l] = layout::computeFillRegions(
-            layout, layer, grid, options_.rules, &blockedBuckets[l]);
-        wireBuckets[l] = grid.bucketClipped(layout.layer(layer).wires);
-      }
-      prof::ScopedTimer timer(prof::Stage::kDensityCompute);
-      wireDensity[l] = density::DensityMap::computeFromShapes(
-          layout.layer(layer).wires, grid);
-    });
-  }
+  detail::WindowPrep prep =
+      detail::prepareWindows(layout, grid, options_, pool);
+  std::vector<density::DensityBounds>& bounds = prep.bounds;
 
   // --- Stage 1: density planning on the geometric bounds (Section 3.1) ---
-  std::vector<density::DensityBounds> bounds(
-      static_cast<std::size_t>(numLayers));
   const TargetDensityPlanner planner(options_.plannerWeights);
   TargetPlan plan;
   {
     obs::ScopedSpan span("engine.planning", "engine", {{"job", jid}});
-    for (std::size_t l = 0; l < bounds.size(); ++l) {
-      bounds[l] = density::computeBounds(wireDensity[l], grid, fillRegions[l],
-                                         options_.rules, pool);
-    }
     prof::ScopedTimer timer(prof::Stage::kPlanning);
     plan = planner.plan(bounds, grid.cols(), grid.rows());
   }
@@ -253,14 +294,13 @@ FillReport FillEngine::run(layout::Layout& layout) const {
       p.fillRegions.reserve(static_cast<std::size_t>(numLayers));
       p.wires.reserve(static_cast<std::size_t>(numLayers));
       p.blocked.reserve(static_cast<std::size_t>(numLayers));
-      for (int l = 0; l < numLayers; ++l) {
-        p.fillRegions.push_back(fillRegions[static_cast<std::size_t>(l)][w]);
-        p.wires.push_back(wireBuckets[static_cast<std::size_t>(l)][w]);
-        p.blocked.push_back(blockedBuckets[static_cast<std::size_t>(l)][w]);
-        p.wireDensity.push_back(
-            wireDensity[static_cast<std::size_t>(l)].at(i, j));
-        p.targetDensity.push_back(
-            plan.windowTarget[static_cast<std::size_t>(l)][w]);
+      // Each window reads only its own stage-0 slots, so move them.
+      for (std::size_t l = 0; l < prep.wires.size(); ++l) {
+        p.fillRegions.push_back(std::move(prep.fillRegions[l][w]));
+        p.wires.push_back(std::move(prep.wires[l][w]));
+        p.blocked.push_back(std::move(prep.blocked[l][w]));
+        p.wireDensity.push_back(prep.wireDensity[l][w]);
+        p.targetDensity.push_back(plan.windowTarget[l][w]);
       }
       if (cache != nullptr) prefixKeys[w] = windowPrefixKey(optionsDigest, p);
       // Worker-local scratch: buffers survive across the windows this
@@ -431,35 +471,12 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
       cache != nullptr &&
       cache->getPlan(grid.cols(), grid.rows(), numLayers, stored);
 
-  // Fill regions are computed for every window (the bounds need them), but
-  // only affected windows' regions are read after planning.
+  // Stage 0 runs over every window (the bounds need them all), but only
+  // affected windows' buckets and regions are read after planning.
   Timer stage;
-  std::vector<std::vector<geom::Region>> fillRegions(
-      static_cast<std::size_t>(numLayers));
-  std::vector<std::vector<std::vector<geom::Rect>>> blockedBuckets(
-      static_cast<std::size_t>(numLayers));
-  std::vector<std::vector<std::vector<geom::Rect>>> wireBuckets(
-      static_cast<std::size_t>(numLayers));
-  std::vector<density::DensityMap> wireDensity(
-      static_cast<std::size_t>(numLayers));
-  std::vector<density::DensityMap> current(
-      pinned ? 0 : static_cast<std::size_t>(numLayers));
-  pool.parallelFor(static_cast<std::size_t>(numLayers), [&](std::size_t l) {
-    const int layer = static_cast<int>(l);
-    wireBuckets[l] = grid.bucketClipped(layout.layer(layer).wires);
-    {
-      prof::ScopedTimer timer(prof::Stage::kDensityCompute);
-      wireDensity[l] = density::DensityMap::computeFromShapes(
-          layout.layer(layer).wires, grid);
-      if (!pinned) {
-        current[l] = density::DensityMap::compute(layout, layer, grid);
-      }
-    }
-    prof::ScopedTimer timer(prof::Stage::kRegionPrep);
-    fillRegions[l] = layout::computeFillRegions(layout, layer, grid,
-                                                options_.rules,
-                                                &blockedBuckets[l]);
-  });
+  detail::WindowPrep prep =
+      detail::prepareWindows(layout, grid, options_, pool);
+  std::vector<density::DensityBounds>& bounds = prep.bounds;
   // Legacy mode plans with unaffected windows frozen at their current
   // density: their lower and upper bounds collapse to the as-filled value,
   // so the target sweep can only adapt the affected windows. Pinned mode
@@ -467,19 +484,20 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
   // stored targets into them exactly as the depositing run did, so
   // unchanged-wire windows reproduce its targets bit-for-bit. No as-filled
   // freeze is needed — targets are not re-swept here, so they cannot drift.
-  std::vector<density::DensityBounds> bounds(
-      static_cast<std::size_t>(numLayers));
-  for (std::size_t l = 0; l < bounds.size(); ++l) {
-    auto& b = bounds[l];
-    b = density::computeBounds(wireDensity[l], grid, fillRegions[l],
-                               options_.rules, pool);
-    if (pinned) continue;
-    for (std::size_t w = 0; w < numWindows; ++w) {
-      if (affected[w] != 0) continue;
-      const int i = static_cast<int>(w) % grid.cols();
-      const int j = static_cast<int>(w) / grid.cols();
-      b.lower[w] = current[l].at(i, j);
-      b.upper[w] = current[l].at(i, j);
+  if (!pinned) {
+    std::vector<density::DensityMap> current(bounds.size());
+    pool.parallelFor(current.size(), [&](std::size_t l) {
+      prof::ScopedTimer timer(prof::Stage::kDensityCompute);
+      current[l] =
+          density::DensityMap::compute(layout, static_cast<int>(l), grid);
+    });
+    for (std::size_t l = 0; l < bounds.size(); ++l) {
+      for (std::size_t w = 0; w < numWindows; ++w) {
+        if (affected[w] != 0) continue;
+        const double d = current[l].values()[w];
+        bounds[l].lower[w] = d;
+        bounds[l].upper[w] = d;
+      }
     }
   }
   const TargetDensityPlanner planner(options_.plannerWeights);
@@ -517,11 +535,10 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
     WindowProblem& p = problems[a];
     p.window = grid.windowRect(i, j);
     for (int l = 0; l < numLayers; ++l) {
-      p.fillRegions.push_back(fillRegions[static_cast<std::size_t>(l)][w]);
-      p.wires.push_back(wireBuckets[static_cast<std::size_t>(l)][w]);
-      p.blocked.push_back(blockedBuckets[static_cast<std::size_t>(l)][w]);
-      p.wireDensity.push_back(
-          wireDensity[static_cast<std::size_t>(l)].at(i, j));
+      p.fillRegions.push_back(prep.fillRegions[static_cast<std::size_t>(l)][w]);
+      p.wires.push_back(prep.wires[static_cast<std::size_t>(l)][w]);
+      p.blocked.push_back(prep.blocked[static_cast<std::size_t>(l)][w]);
+      p.wireDensity.push_back(prep.wireDensity[static_cast<std::size_t>(l)][w]);
       p.targetDensity.push_back(
           plan.windowTarget[static_cast<std::size_t>(l)][w]);
     }

@@ -17,6 +17,10 @@
 #include "layout/layout.hpp"
 #include "layout/window_grid.hpp"
 
+namespace ofl {
+class ThreadPool;
+}
+
 namespace ofl::fill {
 
 struct FillEngineOptions {
@@ -92,5 +96,29 @@ class FillEngine {
  private:
   FillEngineOptions options_;
 };
+
+namespace detail {
+
+/// Engine stage 0 for every (layer, window): what window problems are
+/// assembled from, plus the Section 3.1 bounds the first plan sweeps.
+/// Every table is indexed [layer][WindowGrid::flatIndex].
+struct WindowPrep {
+  std::vector<std::vector<geom::Region>> fillRegions;
+  std::vector<std::vector<std::vector<geom::Rect>>> wires;    // plain clips
+  std::vector<std::vector<std::vector<geom::Rect>>> blocked;  // inflated
+  std::vector<std::vector<double>> wireDensity;
+  std::vector<density::DensityBounds> bounds;
+};
+
+/// Stage 0 of run() and runIncremental(): routes each layer's wires to
+/// window rows, then runs one task per (layer, window row) that buckets
+/// the row (layout::bucketRow) and derives each window's wire density,
+/// fill region and density bound. Reads options.rules, cancel and jobId;
+/// the result is identical for any pool size.
+WindowPrep prepareWindows(const layout::Layout& layout,
+                          const layout::WindowGrid& grid,
+                          const FillEngineOptions& options, ThreadPool& pool);
+
+}  // namespace detail
 
 }  // namespace ofl::fill

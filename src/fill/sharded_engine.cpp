@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -15,6 +16,7 @@
 #include "gds/layout_scan.hpp"
 #include "gds/stream_writer.hpp"
 #include "geometry/boolean.hpp"
+#include "layout/fill_region.hpp"
 #include "layout/shard_store.hpp"
 #include "obs/metrics.hpp"
 #include "obs/quality.hpp"
@@ -143,48 +145,25 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   checkCancel(eng.cancel);
 
   // Rebuilds one row's per-window wire and blocked buckets from its
-  // spool, equal in content and order to the global bucketClipped results
-  // restricted to row j (the spool preserves wire input order, and a
-  // window's clips depend only on rects that touch it). The blocked
-  // buckets are skipped when `blockedBuckets` is null.
+  // spool with layout::bucketRow: the spool holds, in input order, every
+  // wire whose inflated extent touches row j, so the buckets equal the
+  // global bucketClipped results restricted to row j. The blocked buckets
+  // are skipped when `blockedBuckets` is null.
   using RowBuckets = std::vector<std::vector<geom::Rect>>;
+  std::vector<geom::Rect> rowRects;
   const auto buildRowBuckets = [&](std::size_t l, int j,
                                    RowBuckets& wireBuckets,
                                    RowBuckets* blockedBuckets) {
+    rowRects.clear();
+    store.forEach(rowWire[l][static_cast<std::size_t>(j)],
+                  [&](const geom::Rect& r) { rowRects.push_back(r); });
     wireBuckets.resize(static_cast<std::size_t>(cols));
-    for (auto& b : wireBuckets) b.clear();
+    std::span<std::vector<geom::Rect>> blocked;
     if (blockedBuckets != nullptr) {
       blockedBuckets->resize(static_cast<std::size_t>(cols));
-      for (auto& b : *blockedBuckets) b.clear();
+      blocked = *blockedBuckets;
     }
-    store.forEach(rowWire[l][static_cast<std::size_t>(j)],
-                  [&](const geom::Rect& r) {
-      const geom::Rect e = r.expanded(eng.rules.minSpacing);
-      if (blockedBuckets != nullptr && !e.empty()) {
-        int i0, j0, i1, j1;
-        grid.windowRange(e, i0, j0, i1, j1);
-        if (j0 <= j && j <= j1) {
-          for (int i = i0; i <= i1; ++i) {
-            const geom::Rect clip = e.intersection(grid.windowRect(i, j));
-            if (!clip.empty()) {
-              (*blockedBuckets)[static_cast<std::size_t>(i)].push_back(clip);
-            }
-          }
-        }
-      }
-      if (!r.empty()) {
-        int i0, j0, i1, j1;
-        grid.windowRange(r, i0, j0, i1, j1);
-        if (j0 <= j && j <= j1) {
-          for (int i = i0; i <= i1; ++i) {
-            const geom::Rect clip = r.intersection(grid.windowRect(i, j));
-            if (!clip.empty()) {
-              wireBuckets[static_cast<std::size_t>(i)].push_back(clip);
-            }
-          }
-        }
-      }
-    });
+    layout::bucketRow(grid, eng.rules, j, rowRects, wireBuckets, blocked);
   };
 
   // --- Bounds pass: reduce each row to per-window scalars ---
@@ -215,10 +194,8 @@ bool ShardedEngine::runFile(const std::string& inputPath,
                   ? static_cast<double>(geom::unionArea(wireBuckets[i])) /
                         windowArea
                   : 0.0;
-          const std::vector<geom::Rect> windowRects{windowRect};
           const geom::Region region =
-              geom::Region::fromDisjoint(geom::booleanOp(
-                  windowRects, blockedBuckets[i], geom::BoolOp::kSubtract));
+              layout::windowFillRegion(windowRect, blockedBuckets[i]);
           const density::WindowBound bound = density::computeWindowBound(
               wires, windowArea, region, eng.rules);
           wireDen[l][w] = wires;
@@ -326,10 +303,8 @@ bool ShardedEngine::runFile(const std::string& inputPath,
           buildRowBuckets(l, j, rowWires[l], &rowBlocked[l]);
           pool.parallelFor(static_cast<std::size_t>(cols), [&](std::size_t i) {
             prof::ScopedTimer timer(prof::Stage::kRegionPrep);
-            const std::vector<geom::Rect> windowRects{
-                grid.windowRect(static_cast<int>(i), j)};
-            rowRegions[l][i] = geom::Region::fromDisjoint(geom::booleanOp(
-                windowRects, rowBlocked[l][i], geom::BoolOp::kSubtract));
+            rowRegions[l][i] = layout::windowFillRegion(
+                grid.windowRect(static_cast<int>(i), j), rowBlocked[l][i]);
           });
         }
         pool.parallelFor(static_cast<std::size_t>(cols), [&](std::size_t i) {

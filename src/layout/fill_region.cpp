@@ -3,40 +3,75 @@
 #include "geometry/boolean.hpp"
 
 namespace ofl::layout {
-namespace {
-
-// Wires inflated by spacing, bucketed per window. A wire near a window
-// border blocks space in the adjacent window too, which bucketing the
-// *inflated* shape captures.
-std::vector<std::vector<geom::Rect>> inflatedWiresPerWindow(
-    const Layout& layout, int layer, const WindowGrid& grid,
-    const DesignRules& rules) {
-  std::vector<geom::Rect> inflated;
-  inflated.reserve(layout.layer(layer).wires.size());
-  for (const geom::Rect& w : layout.layer(layer).wires) {
-    inflated.push_back(w.expanded(rules.minSpacing));
-  }
-  return grid.bucketClipped(inflated);
-}
-
-}  // namespace
 
 std::vector<geom::Region> computeFillRegions(
     const Layout& layout, int layer, const WindowGrid& grid,
     const DesignRules& rules,
     std::vector<std::vector<geom::Rect>>* blockedOut) {
-  auto blocked = inflatedWiresPerWindow(layout, layer, grid, rules);
-  std::vector<geom::Region> regions(static_cast<std::size_t>(grid.windowCount()));
+  const auto rowRects = routeRows(grid, rules, layout.layer(layer).wires);
+  const auto cols = static_cast<std::size_t>(grid.cols());
+  std::vector<std::vector<geom::Rect>> blocked(
+      static_cast<std::size_t>(grid.windowCount()));
+  std::vector<geom::Region> regions(blocked.size());
   for (int j = 0; j < grid.rows(); ++j) {
+    const std::size_t first = static_cast<std::size_t>(j) * cols;
+    bucketRow(grid, rules, j, rowRects[static_cast<std::size_t>(j)], {},
+              std::span(blocked).subspan(first, cols));
     for (int i = 0; i < grid.cols(); ++i) {
-      const auto w = static_cast<std::size_t>(grid.flatIndex(i, j));
-      const std::vector<geom::Rect> windowRects{grid.windowRect(i, j)};
-      regions[w] = geom::Region::fromDisjoint(
-          geom::booleanOp(windowRects, blocked[w], geom::BoolOp::kSubtract));
+      const std::size_t w = first + static_cast<std::size_t>(i);
+      regions[w] = windowFillRegion(grid.windowRect(i, j), blocked[w]);
     }
   }
   if (blockedOut != nullptr) *blockedOut = std::move(blocked);
   return regions;
+}
+
+std::vector<std::vector<geom::Rect>> routeRows(
+    const WindowGrid& grid, const DesignRules& rules,
+    const std::vector<geom::Rect>& rects) {
+  std::vector<std::vector<geom::Rect>> rows(
+      static_cast<std::size_t>(grid.rows()));
+  for (const geom::Rect& r : rects) {
+    // A wire near a row border blocks space in the adjacent row too, so
+    // route by the inflated extent; the plain one lies inside it.
+    const geom::Rect e = r.expanded(rules.minSpacing);
+    if (e.empty()) continue;
+    int i0, j0, i1, j1;
+    grid.windowRange(e, i0, j0, i1, j1);
+    for (int j = j0; j <= j1; ++j) {
+      rows[static_cast<std::size_t>(j)].push_back(r);
+    }
+  }
+  return rows;
+}
+
+void bucketRow(const WindowGrid& grid, const DesignRules& rules, int j,
+               std::span<const geom::Rect> rowRects,
+               std::span<std::vector<geom::Rect>> wires,
+               std::span<std::vector<geom::Rect>> blocked) {
+  for (auto& b : wires) b.clear();
+  for (auto& b : blocked) b.clear();
+  const auto clipInto = [&](const geom::Rect& r,
+                            std::span<std::vector<geom::Rect>> buckets) {
+    if (buckets.empty() || r.empty()) return;
+    int i0, j0, i1, j1;
+    grid.windowRange(r, i0, j0, i1, j1);
+    if (j < j0 || j > j1) return;
+    for (int i = i0; i <= i1; ++i) {
+      const geom::Rect clip = r.intersection(grid.windowRect(i, j));
+      if (!clip.empty()) buckets[static_cast<std::size_t>(i)].push_back(clip);
+    }
+  };
+  for (const geom::Rect& r : rowRects) {
+    clipInto(r.expanded(rules.minSpacing), blocked);
+    clipInto(r, wires);
+  }
+}
+
+geom::Region windowFillRegion(const geom::Rect& window,
+                              std::span<const geom::Rect> blocked) {
+  return geom::Region::fromDisjoint(geom::booleanOp(
+      std::span(&window, 1), blocked, geom::BoolOp::kSubtract));
 }
 
 geom::Region computeLayerFillRegion(const Layout& layout, int layer,

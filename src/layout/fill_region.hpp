@@ -5,6 +5,7 @@
 // own free space for planning and candidate generation.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "geometry/region.hpp"
@@ -28,6 +29,29 @@ std::vector<geom::Region> computeFillRegions(
     const Layout& layout, int layer, const WindowGrid& grid,
     const DesignRules& rules,
     std::vector<std::vector<geom::Rect>>* blockedOut = nullptr);
+
+/// Routes each rect, in input order, to every window row its
+/// minSpacing-inflated extent touches: result[j] is the `rowRects`
+/// bucketRow expects for row j.
+std::vector<std::vector<geom::Rect>> routeRows(
+    const WindowGrid& grid, const DesignRules& rules,
+    const std::vector<geom::Rect>& rects);
+
+/// Clips the rects routed to window row `j` into that row's per-window
+/// buckets, indexed by column: `wires` gets the plain clips and `blocked`
+/// the minSpacing-inflated ones. `rowRects` must hold, in input order,
+/// every rect whose inflated extent touches row j; the buckets then equal
+/// WindowGrid::bucketClipped of the plain / inflated rects restricted to
+/// row j, in content and order. Non-empty outputs must have grid.cols()
+/// buckets and are cleared first; an empty span skips that kind.
+void bucketRow(const WindowGrid& grid, const DesignRules& rules, int j,
+               std::span<const geom::Rect> rowRects,
+               std::span<std::vector<geom::Rect>> wires,
+               std::span<std::vector<geom::Rect>> blocked);
+
+/// The window minus the union of its blocked clips.
+geom::Region windowFillRegion(const geom::Rect& window,
+                              std::span<const geom::Rect> blocked);
 
 /// Whole-layer fill region (union over windows); used by baselines that do
 /// not operate window-by-window.

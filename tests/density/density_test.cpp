@@ -7,6 +7,7 @@
 #include "density/bounds.hpp"
 #include "density/density_map.hpp"
 #include "density/metrics.hpp"
+#include "fill/fill_engine.hpp"
 #include "layout/fill_region.hpp"
 
 namespace ofl::density {
@@ -131,27 +132,31 @@ TEST(BoundsTest, UpperNeverBelowLower) {
   }
 }
 
-TEST(BoundsTest, PooledOverloadMatchesLayoutOverloadOnTinySuite) {
+TEST(BoundsTest, EngineStage0BoundsMatchLayoutOverloadOnTinySuite) {
   const contest::BenchmarkSpec spec = contest::BenchmarkGenerator::spec("tiny");
   const layout::Layout chip = contest::BenchmarkGenerator::generate(spec);
   const layout::WindowGrid grid(chip.die(), spec.windowSize);
   const geom::Coord erode = spec.rules.minWidth / 2;
+  fill::FillEngineOptions options;
+  options.windowSize = spec.windowSize;
+  options.rules = spec.rules;
+  std::vector<DensityBounds> reference;
   for (int l = 0; l < chip.numLayers(); ++l) {
     const auto regions = layout::computeFillRegions(chip, l, grid, spec.rules);
     for (std::size_t w = 0; w < regions.size(); ++w) {
       EXPECT_EQ(regions[w].erodedEmpty(erode), regions[w].shrunk(erode).empty())
           << "layer " << l << " window " << w;
     }
-    const DensityBounds reference =
-        computeBounds(chip, l, grid, regions, spec.rules);
-    const DensityMap wires =
-        DensityMap::computeFromShapes(chip.layer(l).wires, grid);
-    for (const int threads : {1, 4}) {
-      ThreadPool pool(threads);
-      const DensityBounds pooled =
-          computeBounds(wires, grid, regions, spec.rules, pool);
-      EXPECT_EQ(pooled.lower, reference.lower) << "layer " << l;
-      EXPECT_EQ(pooled.upper, reference.upper) << "layer " << l;
+    reference.push_back(computeBounds(chip, l, grid, regions, spec.rules));
+  }
+  for (const int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    const fill::detail::WindowPrep prep =
+        fill::detail::prepareWindows(chip, grid, options, pool);
+    ASSERT_EQ(prep.bounds.size(), reference.size());
+    for (std::size_t l = 0; l < reference.size(); ++l) {
+      EXPECT_EQ(prep.bounds[l].lower, reference[l].lower) << "layer " << l;
+      EXPECT_EQ(prep.bounds[l].upper, reference[l].upper) << "layer " << l;
     }
   }
 }
