@@ -96,7 +96,6 @@ int main(int argc, char** argv) {
   Series& genS = h.series("generate_s", "s");
   genS.record(genSeconds);
   Series& wallS = h.series("wall_s", "s");
-  Series& scanS = h.series("scan_s", "s");
   Series& ingestS = h.series("ingest_s", "s");
   Series& fftS = h.series("fft_s", "s");
   Series& outputS = h.series("output_s", "s");
@@ -115,7 +114,6 @@ int main(int argc, char** argv) {
       return;
     }
     wallS.record(fillTimer.elapsedSeconds());
-    scanS.record(report.scanSeconds);
     ingestS.record(report.ingestSeconds);
     fftS.record(report.fftSeconds);
     outputS.record(report.outputSeconds);
@@ -127,12 +125,12 @@ int main(int argc, char** argv) {
   if (ranOk) {
     std::printf(
         "filled: %zu fills from %zu candidates\n"
-        "  shards %d over %d rows (%d cols), scan %.2fs, ingest %.2fs, "
+        "  shards %d over %d rows (%d cols), ingest %.2fs, "
         "fft %.3fs, output %.2fs\n"
         "  spilled %.1f MiB in %llu events, output %lld bytes\n"
         "  peak RSS %.0f MiB vs budget %zu MiB -> %s\n",
         report.fill.fillCount, report.fill.candidateCount, report.shardCount,
-        report.rows, report.cols, report.scanSeconds, report.ingestSeconds,
+        report.rows, report.cols, report.ingestSeconds,
         report.fftSeconds, report.outputSeconds,
         static_cast<double>(report.spilledBytes) / (1 << 20),
         static_cast<unsigned long long>(report.spillEvents),

@@ -322,7 +322,6 @@ void printFillJson(const fill::FillReport& report, double seconds,
          << ", \"spilled_bytes\": " << sharded->spilledBytes
          << ", \"spill_events\": " << sharded->spillEvents
          << ", \"wires\": " << sharded->wireCount
-         << ", \"scan_seconds\": " << sharded->scanSeconds
          << ", \"ingest_seconds\": " << sharded->ingestSeconds
          << ", \"output_seconds\": " << sharded->outputSeconds;
   } else {

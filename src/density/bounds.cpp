@@ -5,14 +5,14 @@
 namespace ofl::density {
 
 WindowBound computeWindowBound(double wireDensity, geom::Area windowArea,
-                               const geom::Region& fillRegion,
+                               std::span<const geom::Rect> fillRegion,
                                const layout::DesignRules& rules) {
   // A legal fill fits iff some covered point admits a minWidth x minWidth
   // square, i.e. survives erosion by floor(minWidth/2) (one DBU stricter
   // than needed for even widths); then the whole free area counts.
   geom::Area usable = 0;
-  if (windowArea > 0 && !fillRegion.erodedEmpty(rules.minWidth / 2)) {
-    usable = fillRegion.area();
+  if (windowArea > 0 && !geom::erodedEmpty(fillRegion, rules.minWidth / 2)) {
+    for (const geom::Rect& r : fillRegion) usable += r.area();
   }
   WindowBound bound;
   bound.lower = wireDensity;

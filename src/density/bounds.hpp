@@ -8,11 +8,12 @@
 // floor(minWidth/2). The rule is all-or-nothing: once one square fits,
 // slivers elsewhere in the window count too.
 //
-// The test is geom::Region::erodedEmpty, which decides almost every window
+// The test is geom::erodedEmpty, which decides almost every window
 // from its canonical rects (one with both sides > minWidth) or its bbox
 // (a side <= minWidth - 1) and erodes only the rare regions neither settles.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "density/density_map.hpp"
@@ -36,11 +37,20 @@ struct WindowBound {
 
 /// Bound arithmetic for a single window: `wireDensity` is the window's
 /// wire-only density, `windowArea` its true (edge-clipped) area,
-/// `fillRegion` its free space. computeBounds and the engines' row tasks
-/// all call this, so every path agrees by construction.
+/// `fillRegion` its free space as pairwise-disjoint rects in any order
+/// (neither the area nor the erosion test depends on the order).
+/// computeBounds and the engines' row tasks all call this, so every path
+/// agrees by construction.
 WindowBound computeWindowBound(double wireDensity, geom::Area windowArea,
-                               const geom::Region& fillRegion,
+                               std::span<const geom::Rect> fillRegion,
                                const layout::DesignRules& rules);
+inline WindowBound computeWindowBound(double wireDensity,
+                                      geom::Area windowArea,
+                                      const geom::Region& fillRegion,
+                                      const layout::DesignRules& rules) {
+  return computeWindowBound(wireDensity, windowArea, fillRegion.rects(),
+                            rules);
+}
 
 /// Bounds for one layer from its wire densities and per-window fill
 /// regions (from layout::computeFillRegions), on the calling thread.

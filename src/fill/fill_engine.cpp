@@ -44,13 +44,7 @@ void recordQualityTelemetry(const layout::WindowGrid& grid,
     const auto li = static_cast<std::size_t>(l);
     for (std::size_t w = 0; w < numWindows; ++w) {
       const WindowProblem& p = problems[w];
-      geom::Area fillArea = 0;
-      for (const geom::Rect& f : p.fills[li]) fillArea += f.area();
-      const auto windowArea = static_cast<double>(p.window.area());
-      const double d =
-          windowArea > 0
-              ? p.wireDensity[li] + static_cast<double>(fillArea) / windowArea
-              : 0.0;
+      const double d = detail::windowDensity(p, li);
       values[w] = d;
       obs::recordWindowQuality(l + 1, d, std::abs(d - p.targetDensity[li]));
     }
@@ -168,15 +162,132 @@ std::uint64_t windowFinalKey(std::uint64_t prefix,
 
 namespace detail {
 
+namespace {
+
+// Row slots [first, first + cols) of layer l of a [layer][window] table;
+// empty when the caller did not ask for the table.
+template <class T>
+std::span<T> rowSlots(std::vector<std::vector<T>>& table, std::size_t l,
+                      std::size_t first, std::size_t cols) {
+  if (table.empty()) return {};
+  return std::span(table[l]).subspan(first, cols);
+}
+
+}  // namespace
+
+void prepareBand(const layout::WindowGrid& grid,
+                 const FillEngineOptions& options, int firstRow,
+                 const BandRects& rowRects, std::size_t firstWindow,
+                 WindowPrep& prep, ThreadPool& pool) {
+  const std::size_t nl = rowRects.size();
+  const std::size_t bandRows = nl > 0 ? rowRects[0].size() : 0;
+  const auto cols = static_cast<std::size_t>(grid.cols());
+  pool.parallelFor(nl * bandRows, [&](std::size_t task) {
+    checkCancel(options.cancel);
+    const std::size_t l = task / bandRows;
+    const std::size_t r = task % bandRows;
+    const int j = firstRow + static_cast<int>(r);
+    const std::size_t first = firstWindow + r * cols;
+    auto wires = rowSlots(prep.wires, l, first, cols);
+    auto blocked = rowSlots(prep.blocked, l, first, cols);
+    const auto regions = rowSlots(prep.fillRegions, l, first, cols);
+    const auto density = rowSlots(prep.wireDensity, l, first, cols);
+    const bool bounds = !prep.bounds.empty();
+    // Kinds needed only as inputs to another kind go to worker-local
+    // buffers; the free space for bounds without regions stays in sweep
+    // order, since neither the area nor the erosion test reads the order.
+    static thread_local std::vector<std::vector<geom::Rect>> wireBuf,
+        blockedBuf, freeBuf;
+    if (wires.empty() && !density.empty()) {
+      wireBuf.resize(cols);
+      wires = wireBuf;
+    }
+    if (blocked.empty() && (!regions.empty() || bounds)) {
+      blockedBuf.resize(cols);
+      blocked = blockedBuf;
+    }
+    if (regions.empty() && bounds) freeBuf.resize(cols);
+    {
+      prof::ScopedTimer timer(prof::Stage::kRegionPrep);
+      layout::bucketRow(grid, options.rules, j, rowRects[l][r], wires,
+                        blocked);
+      for (std::size_t i = 0; i < cols; ++i) {
+        const geom::Rect window = grid.windowRect(static_cast<int>(i), j);
+        if (!regions.empty()) {
+          regions[i] = layout::windowFillRegion(window, blocked[i]);
+        } else if (bounds) {
+          geom::booleanOpInto(std::span(&window, 1), blocked[i],
+                              geom::BoolOp::kSubtract, freeBuf[i]);
+        }
+      }
+    }
+    if (!density.empty()) {
+      prof::ScopedTimer timer(prof::Stage::kDensityCompute);
+      for (std::size_t i = 0; i < cols; ++i) {
+        const geom::Area area = grid.windowRect(static_cast<int>(i), j).area();
+        density[i] =
+            area > 0 ? static_cast<double>(geom::unionArea(wires[i])) / area
+                     : 0.0;
+      }
+    }
+    if (!bounds) return;
+    prof::ScopedTimer timer(prof::Stage::kPlanning);
+    for (std::size_t i = 0; i < cols; ++i) {
+      const density::WindowBound b = density::computeWindowBound(
+          density[i], grid.windowRect(static_cast<int>(i), j).area(),
+          regions.empty() ? std::span<const geom::Rect>(freeBuf[i])
+                          : std::span<const geom::Rect>(regions[i].rects()),
+          options.rules);
+      prep.bounds[l].lower[first + i] = b.lower;
+      prep.bounds[l].upper[first + i] = b.upper;
+    }
+  });
+}
+
+WindowProblem windowProblem(const layout::WindowGrid& grid, std::size_t w,
+                            WindowPrep& geo, std::size_t slot,
+                            const std::vector<std::vector<double>>& wireDensity,
+                            const TargetPlan& plan) {
+  const auto cols = static_cast<std::size_t>(grid.cols());
+  const std::size_t nl = geo.wires.size();
+  WindowProblem p;
+  p.window = grid.windowRect(static_cast<int>(w % cols),
+                             static_cast<int>(w / cols));
+  p.fillRegions.reserve(nl);
+  p.wires.reserve(nl);
+  p.blocked.reserve(nl);
+  for (std::size_t l = 0; l < nl; ++l) {
+    p.fillRegions.push_back(std::move(geo.fillRegions[l][slot]));
+    p.wires.push_back(std::move(geo.wires[l][slot]));
+    p.blocked.push_back(std::move(geo.blocked[l][slot]));
+    p.wireDensity.push_back(wireDensity[l][w]);
+    p.targetDensity.push_back(plan.windowTarget[l][w]);
+  }
+  return p;
+}
+
+double windowDensity(const WindowProblem& p, std::size_t l) {
+  const geom::Area windowArea = p.window.area();
+  if (windowArea <= 0) return 0.0;
+  geom::Area fillArea = 0;
+  for (const geom::Rect& f : p.fills[l]) fillArea += f.area();
+  return p.wireDensity[l] +
+         static_cast<double>(fillArea) / static_cast<double>(windowArea);
+}
+
+double tightenedUpper(const density::DensityBounds& bounds, std::size_t w,
+                      const WindowProblem& p, std::size_t l) {
+  return std::max(std::min(bounds.upper[w], windowDensity(p, l)),
+                  bounds.lower[w]);
+}
+
 WindowPrep prepareWindows(const layout::Layout& layout,
                           const layout::WindowGrid& grid,
                           const FillEngineOptions& options, ThreadPool& pool) {
   obs::ScopedSpan span("engine.region_prep", "engine",
                        {{"job", static_cast<double>(options.jobId)}});
   const auto nl = static_cast<std::size_t>(layout.numLayers());
-  const auto cols = static_cast<std::size_t>(grid.cols());
-  const auto rows = static_cast<std::size_t>(grid.rows());
-  const std::size_t numWindows = cols * rows;
+  const auto numWindows = static_cast<std::size_t>(grid.windowCount());
   WindowPrep prep;
   prep.fillRegions.assign(nl, std::vector<geom::Region>(numWindows));
   prep.wires.assign(nl, std::vector<std::vector<geom::Rect>>(numWindows));
@@ -185,50 +296,13 @@ WindowPrep prepareWindows(const layout::Layout& layout,
   prep.bounds.assign(nl, {std::vector<double>(numWindows),
                           std::vector<double>(numWindows)});
 
-  std::vector<std::vector<std::vector<geom::Rect>>> rowRects(nl);
+  BandRects rowRects(nl);
   pool.parallelFor(nl, [&](std::size_t l) {
     prof::ScopedTimer timer(prof::Stage::kRegionPrep);
     rowRects[l] = layout::routeRows(grid, options.rules,
                                     layout.layer(static_cast<int>(l)).wires);
   });
-
-  pool.parallelFor(nl * rows, [&](std::size_t task) {
-    checkCancel(options.cancel);
-    const std::size_t l = task / rows;
-    const int j = static_cast<int>(task % rows);
-    const std::size_t first = static_cast<std::size_t>(j) * cols;
-    const auto wires = std::span(prep.wires[l]).subspan(first, cols);
-    const auto blocked = std::span(prep.blocked[l]).subspan(first, cols);
-    {
-      prof::ScopedTimer timer(prof::Stage::kRegionPrep);
-      layout::bucketRow(grid, options.rules, j,
-                        rowRects[l][static_cast<std::size_t>(j)], wires,
-                        blocked);
-      for (std::size_t i = 0; i < cols; ++i) {
-        prep.fillRegions[l][first + i] = layout::windowFillRegion(
-            grid.windowRect(static_cast<int>(i), j), blocked[i]);
-      }
-    }
-    {
-      prof::ScopedTimer timer(prof::Stage::kDensityCompute);
-      for (std::size_t i = 0; i < cols; ++i) {
-        const geom::Area area = grid.windowRect(static_cast<int>(i), j).area();
-        prep.wireDensity[l][first + i] =
-            area > 0 ? static_cast<double>(geom::unionArea(wires[i])) / area
-                     : 0.0;
-      }
-    }
-    prof::ScopedTimer timer(prof::Stage::kPlanning);
-    for (std::size_t i = 0; i < cols; ++i) {
-      const std::size_t w = first + i;
-      const density::WindowBound b = density::computeWindowBound(
-          prep.wireDensity[l][w],
-          grid.windowRect(static_cast<int>(i), j).area(),
-          prep.fillRegions[l][w], options.rules);
-      prep.bounds[l].lower[w] = b.lower;
-      prep.bounds[l].upper[w] = b.upper;
-    }
-  });
+  prepareBand(grid, options, 0, rowRects, 0, prep, pool);
   return prep;
 }
 
@@ -287,21 +361,8 @@ FillReport FillEngine::run(layout::Layout& layout) const {
     obs::ScopedSpan span("engine.candidates", "engine", {{"job", jid}});
     pool.parallelFor(numWindows, [&](std::size_t w) {
       checkCancel(options_.cancel);
-      const int i = static_cast<int>(w) % grid.cols();
-      const int j = static_cast<int>(w) / grid.cols();
       WindowProblem& p = problems[w];
-      p.window = grid.windowRect(i, j);
-      p.fillRegions.reserve(static_cast<std::size_t>(numLayers));
-      p.wires.reserve(static_cast<std::size_t>(numLayers));
-      p.blocked.reserve(static_cast<std::size_t>(numLayers));
-      // Each window reads only its own stage-0 slots, so move them.
-      for (std::size_t l = 0; l < prep.wires.size(); ++l) {
-        p.fillRegions.push_back(std::move(prep.fillRegions[l][w]));
-        p.wires.push_back(std::move(prep.wires[l][w]));
-        p.blocked.push_back(std::move(prep.blocked[l][w]));
-        p.wireDensity.push_back(prep.wireDensity[l][w]);
-        p.targetDensity.push_back(plan.windowTarget[l][w]);
-      }
+      p = detail::windowProblem(grid, w, prep, w, prep.wireDensity, plan);
       if (cache != nullptr) prefixKeys[w] = windowPrefixKey(optionsDigest, p);
       // Worker-local scratch: buffers survive across the windows this
       // thread processes, then across runs in the same process.
@@ -328,22 +389,9 @@ FillReport FillEngine::run(layout::Layout& layout) const {
   // bounds to the achieved candidate density and re-plan so the sizing
   // targets are consistent.
   stage.reset();
-  for (int l = 0; l < numLayers; ++l) {
-    auto& upper = bounds[static_cast<std::size_t>(l)].upper;
+  for (std::size_t l = 0; l < bounds.size(); ++l) {
     for (std::size_t w = 0; w < numWindows; ++w) {
-      const WindowProblem& p = problems[w];
-      geom::Area candidateArea = 0;
-      for (const geom::Rect& f : p.fills[static_cast<std::size_t>(l)]) {
-        candidateArea += f.area();
-      }
-      const auto windowArea = static_cast<double>(p.window.area());
-      const double reachable =
-          windowArea > 0
-              ? p.wireDensity[static_cast<std::size_t>(l)] +
-                    static_cast<double>(candidateArea) / windowArea
-              : 0.0;
-      upper[w] = std::min(upper[w], reachable);
-      upper[w] = std::max(upper[w], bounds[static_cast<std::size_t>(l)].lower[w]);
+      bounds[l].upper[w] = detail::tightenedUpper(bounds[l], w, problems[w], l);
     }
   }
   {
@@ -530,18 +578,8 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
   pool.parallelFor(affectedIndices.size(), [&](std::size_t a) {
     checkCancel(options_.cancel);
     const std::size_t w = affectedIndices[a];
-    const int i = static_cast<int>(w) % grid.cols();
-    const int j = static_cast<int>(w) / grid.cols();
     WindowProblem& p = problems[a];
-    p.window = grid.windowRect(i, j);
-    for (int l = 0; l < numLayers; ++l) {
-      p.fillRegions.push_back(prep.fillRegions[static_cast<std::size_t>(l)][w]);
-      p.wires.push_back(prep.wires[static_cast<std::size_t>(l)][w]);
-      p.blocked.push_back(prep.blocked[static_cast<std::size_t>(l)][w]);
-      p.wireDensity.push_back(prep.wireDensity[static_cast<std::size_t>(l)][w]);
-      p.targetDensity.push_back(
-          plan.windowTarget[static_cast<std::size_t>(l)][w]);
-    }
+    p = detail::windowProblem(grid, w, prep, w, prep.wireDensity, plan);
     static thread_local CandidateGenerator::Scratch generatorScratch;
     static thread_local FillSizer::Scratch sizerScratch;
     obs::ScopedSpan windowSpan("window.refill", "window",
@@ -575,19 +613,10 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
       // does: tighten the upper bound to the achieved candidate density,
       // then clamp the stored goal into the tightened band.
       for (const auto& layerFills : p.fills) candidates += layerFills.size();
-      for (int l = 0; l < numLayers; ++l) {
-        const auto li = static_cast<std::size_t>(l);
-        geom::Area candidateArea = 0;
-        for (const geom::Rect& f : p.fills[li]) candidateArea += f.area();
-        const auto windowArea = static_cast<double>(p.window.area());
-        const double reachable =
-            windowArea > 0 ? p.wireDensity[li] +
-                                 static_cast<double>(candidateArea) / windowArea
-                           : 0.0;
-        double upper = std::min(bounds[li].upper[w], reachable);
-        upper = std::max(upper, bounds[li].lower[w]);
-        p.targetDensity[li] = std::clamp(stored.sizing.windowTarget[li][w],
-                                         bounds[li].lower[w], upper);
+      for (std::size_t l = 0; l < bounds.size(); ++l) {
+        p.targetDensity[l] = std::clamp(
+            stored.sizing.windowTarget[l][w], bounds[l].lower[w],
+            detail::tightenedUpper(bounds[l], w, p, l));
       }
     }
     {

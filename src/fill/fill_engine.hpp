@@ -101,7 +101,8 @@ namespace detail {
 
 /// Engine stage 0 for every (layer, window): what window problems are
 /// assembled from, plus the Section 3.1 bounds the first plan sweeps.
-/// Every table is indexed [layer][WindowGrid::flatIndex].
+/// Every table is indexed [layer][window]; an empty table is a kind the
+/// caller did not ask prepareBand for.
 struct WindowPrep {
   std::vector<std::vector<geom::Region>> fillRegions;
   std::vector<std::vector<std::vector<geom::Rect>>> wires;    // plain clips
@@ -110,11 +111,47 @@ struct WindowPrep {
   std::vector<density::DensityBounds> bounds;
 };
 
+/// Rects routed to a band of window rows, [layer][row - first row of the
+/// band]: each holds, in input order, every wire of that layer whose
+/// minSpacing-inflated extent touches the row (layout::routeRows).
+using BandRects = std::vector<std::vector<std::vector<geom::Rect>>>;
+
+/// The stage-0 row task of every engine, for the window rows
+/// [firstRow, firstRow + rowRects[l].size()) of every layer: one
+/// parallelFor over (layer, row) tasks. Each task buckets its row
+/// (layout::bucketRow), then derives per window the fill region, the wire
+/// density and the density bound. It writes only the kinds whose table in
+/// `prep` is non-empty, row firstRow + r at windows
+/// firstWindow + r * cols onwards; bounds read the wire densities, so
+/// asking for bounds needs the wireDensity table too. Profiled as
+/// region-prep (buckets, regions), density-compute and planning (bounds).
+/// Reads options.rules and cancel; the result is identical for any pool
+/// size.
+void prepareBand(const layout::WindowGrid& grid,
+                 const FillEngineOptions& options, int firstRow,
+                 const BandRects& rowRects, std::size_t firstWindow,
+                 WindowPrep& prep, ThreadPool& pool);
+
+/// Window `w`'s candidate-stage problem: the stage-0 slot `slot` of
+/// `geo` (fill region and buckets, moved out), its wire density and its
+/// target in `plan`.
+WindowProblem windowProblem(const layout::WindowGrid& grid, std::size_t w,
+                            WindowPrep& geo, std::size_t slot,
+                            const std::vector<std::vector<double>>& wireDensity,
+                            const TargetPlan& plan);
+
+/// Layer l's density in p.window with p.fills[l] placed: the candidates
+/// stage 3 reads, or the final fills the quality telemetry reads.
+double windowDensity(const WindowProblem& p, std::size_t l);
+
+/// Stage 3's upper bound of window w on layer l: capped at the density
+/// its candidates reach, never below its lower bound.
+double tightenedUpper(const density::DensityBounds& bounds, std::size_t w,
+                      const WindowProblem& p, std::size_t l);
+
 /// Stage 0 of run() and runIncremental(): routes each layer's wires to
-/// window rows, then runs one task per (layer, window row) that buckets
-/// the row (layout::bucketRow) and derives each window's wire density,
-/// fill region and density bound. Reads options.rules, cancel and jobId;
-/// the result is identical for any pool size.
+/// window rows, then runs prepareBand over one band holding every row and
+/// every kind.
 WindowPrep prepareWindows(const layout::Layout& layout,
                           const layout::WindowGrid& grid,
                           const FillEngineOptions& options, ThreadPool& pool);

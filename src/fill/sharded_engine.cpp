@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -15,7 +14,6 @@
 #include "density/metrics.hpp"
 #include "gds/layout_scan.hpp"
 #include "gds/stream_writer.hpp"
-#include "geometry/boolean.hpp"
 #include "layout/fill_region.hpp"
 #include "layout/shard_store.hpp"
 #include "obs/metrics.hpp"
@@ -24,6 +22,10 @@
 
 namespace ofl::fill {
 namespace {
+
+// Window rows per band of the streamed passes: wider bands mean fewer,
+// larger parallelFors but more band geometry held at once.
+constexpr int kBandRows = 8;
 
 inline void checkCancel(const CancelToken* token) {
   if (token != nullptr) token->throwIfExpired();
@@ -63,17 +65,49 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   const double jid = static_cast<double>(eng.jobId);
   obs::ScopedSpan runSpan("engine.sharded_run", "engine", {{"job", jid}});
 
-  // --- Pre-scan: die extents and layer count (bounded memory) ---
+  const std::size_t budgetBytes = options_.memBudgetMiB << 20;
+  layout::ShardStore::Options storeOptions;
+  storeOptions.memBudgetBytes = std::max<std::size_t>(budgetBytes / 2, 1u << 20);
+  storeOptions.spillDir =
+      options_.spillDir.empty() ? directoryOf(outputPath) : options_.spillDir;
+  layout::ShardStore store(storeOptions);
+  // Fills get their own store and budget, so the sizing pass's appends
+  // never flush the candidate and row spools it is reading.
+  layout::ShardStore::Options fillStoreOptions = storeOptions;
+  fillStoreOptions.memBudgetBytes =
+      std::max<std::size_t>(budgetBytes / 8, 1u << 20);
+  layout::ShardStore fillStore(fillStoreOptions);
+
+  // --- Ingest: one parse (stream + flatten + decompose) into per-layer
+  // pass-through spools (output order), then route each into its rows ---
   Timer stage;
-  geom::Rect bbox;
-  int maxLayer = 0;
-  if (!scanExtents(inputPath, &bbox, &maxLayer, error)) return false;
-  rep.scanSeconds = stage.elapsedSeconds();
-  const geom::Rect effectiveDie = die.value_or(bbox);
+  std::vector<layout::ShardStore::SpoolId> passWire;  // grown as layers appear
+  gds::ExtentScan extents;
+  {
+    obs::ScopedSpan span("shard.ingest", "engine", {{"job", jid}});
+    gds::RectIngest ingest([&](int l, std::int16_t datatype,
+                               const geom::Rect& r) {
+      if (datatype == 1) return;  // stale fills; run() clears them anyway
+      while (passWire.size() <= static_cast<std::size_t>(l)) {
+        passWire.push_back(store.createSpool());
+      }
+      store.append(passWire[static_cast<std::size_t>(l)], r);
+      ++rep.wireCount;
+    });
+    if (!gds::scanLayoutFile(inputPath, ingest, error,
+                             options_.readerChunkBytes)) {
+      return false;
+    }
+    if (!ingest.finish(error)) return false;
+    extents = ingest.extents();
+  }
+  const geom::Rect effectiveDie = die.value_or(extents.bbox);
   if (effectiveDie.empty()) {
     return setError(error, "layout is empty and no die given");
   }
-  const int numLayers = std::max(maxLayer, 1);
+  // Every flat shape comes from some structure, so passWire never holds
+  // more layers than the extents saw.
+  const int numLayers = std::max(extents.maxLayer, 1);
   const layout::WindowGrid grid(effectiveDie, eng.windowSize);
   const int cols = grid.cols(), rows = grid.rows();
   const auto numWindows = static_cast<std::size_t>(grid.windowCount());
@@ -82,128 +116,86 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   ThreadPool pool(eng.numThreads);
   rep.fill.threadsUsed = pool.size();
 
-  const std::size_t budgetBytes = options_.memBudgetMiB << 20;
-  layout::ShardStore::Options storeOptions;
-  storeOptions.memBudgetBytes = std::max<std::size_t>(budgetBytes / 2, 1u << 20);
-  storeOptions.spillDir =
-      options_.spillDir.empty() ? directoryOf(outputPath) : options_.spillDir;
-  layout::ShardStore store(storeOptions);
-  // Fills get their own store: the sizing pass appends fills while the
-  // candidate-spool readers are open, and an append can trigger a
-  // store-wide spill that invalidates open readers — so fills must never
-  // share a budget pool with the spools being read.
-  layout::ShardStore::Options fillStoreOptions = storeOptions;
-  fillStoreOptions.memBudgetBytes =
-      std::max<std::size_t>(budgetBytes / 8, 1u << 20);
-  layout::ShardStore fillStore(fillStoreOptions);
-
   const auto nl = static_cast<std::size_t>(numLayers);
   const auto nr = static_cast<std::size_t>(rows);
-  // Spools: pass-through wires per layer (output order), routed wires per
-  // (layer, row) with minSpacing halos, then candidates/fills per layer.
-  std::vector<layout::ShardStore::SpoolId> passWire(nl), candSpool(nl),
-      fillSpool(nl);
+  const auto nc = static_cast<std::size_t>(cols);
+  // Routed wires per (layer, row) with minSpacing halos, then
+  // candidates/fills per layer.
+  while (passWire.size() < nl) passWire.push_back(store.createSpool());
+  std::vector<layout::ShardStore::SpoolId> candSpool(nl), fillSpool(nl);
   std::vector<std::vector<layout::ShardStore::SpoolId>> rowWire(
       nl, std::vector<layout::ShardStore::SpoolId>(nr));
   for (std::size_t l = 0; l < nl; ++l) {
-    passWire[l] = store.createSpool();
     candSpool[l] = store.createSpool();
     fillSpool[l] = fillStore.createSpool();
     for (std::size_t j = 0; j < nr; ++j) rowWire[l][j] = store.createSpool();
   }
-
-  // --- Ingest: stream + flatten + decompose + route into row spools ---
-  stage.reset();
   {
-    obs::ScopedSpan span("shard.ingest", "engine", {{"job", jid}});
-    prof::ScopedTimer timer(prof::Stage::kRegionPrep);
-    gds::RectIngest ingest([&](int l, std::int16_t datatype,
-                               const geom::Rect& r) {
-      if (l >= numLayers) return;
-      if (datatype == 1) return;  // stale fills; run() clears them anyway
-      store.append(passWire[static_cast<std::size_t>(l)], r);
-      ++rep.wireCount;
-      // Route by the minSpacing-inflated extent: the halo rows see the
-      // rect too, exactly as global bucketClipped(inflated) would.
-      const geom::Rect e = r.expanded(eng.rules.minSpacing);
-      if (e.empty()) return;
-      int i0, j0, i1, j1;
-      grid.windowRange(e, i0, j0, i1, j1);
-      for (int j = j0; j <= j1; ++j) {
-        store.append(
-            rowWire[static_cast<std::size_t>(l)][static_cast<std::size_t>(j)],
-            r);
+    obs::ScopedSpan span("shard.route", "engine", {{"job", jid}});
+    // Replays layer l's wires in input order, calling fn(row, rect) for
+    // each row it is routed to.
+    const auto replay = [&](std::size_t l, const auto& fn) {
+      geom::Rect r;
+      int j0, j1;
+      for (auto in = store.read(passWire[l]); in.next(r);) {
+        if (!layout::routedRows(grid, eng.rules, r, j0, j1)) continue;
+        for (int j = j0; j <= j1; ++j) fn(static_cast<std::size_t>(j), r);
       }
-    });
-    if (!gds::scanLayoutFile(inputPath, ingest, error,
-                             options_.readerChunkBytes)) {
-      return false;
+    };
+    // Count first and size each row spool exactly: growing hundreds of
+    // spools by doubling leaves their outgrown buffers in the allocator.
+    std::vector<std::size_t> counts(nr);
+    for (std::size_t l = 0; l < nl; ++l) {
+      std::fill(counts.begin(), counts.end(), 0);
+      replay(l, [&](std::size_t j, const geom::Rect&) { ++counts[j]; });
+      for (std::size_t j = 0; j < nr; ++j) {
+        store.reserve(rowWire[l][j], counts[j]);
+      }
+      replay(l, [&](std::size_t j, const geom::Rect& r) {
+        store.append(rowWire[l][j], r);
+      });
     }
-    if (!ingest.finish(error)) return false;
   }
   rep.ingestSeconds = stage.elapsedSeconds();
   checkCancel(eng.cancel);
 
-  // Rebuilds one row's per-window wire and blocked buckets from its
-  // spool with layout::bucketRow: the spool holds, in input order, every
-  // wire whose inflated extent touches row j, so the buckets equal the
-  // global bucketClipped results restricted to row j. The blocked buckets
-  // are skipped when `blockedBuckets` is null.
-  using RowBuckets = std::vector<std::vector<geom::Rect>>;
-  std::vector<geom::Rect> rowRects;
-  const auto buildRowBuckets = [&](std::size_t l, int j,
-                                   RowBuckets& wireBuckets,
-                                   RowBuckets* blockedBuckets) {
-    rowRects.clear();
-    store.forEach(rowWire[l][static_cast<std::size_t>(j)],
-                  [&](const geom::Rect& r) { rowRects.push_back(r); });
-    wireBuckets.resize(static_cast<std::size_t>(cols));
-    std::span<std::vector<geom::Rect>> blocked;
-    if (blockedBuckets != nullptr) {
-      blockedBuckets->resize(static_cast<std::size_t>(cols));
-      blocked = *blockedBuckets;
+  // Every pass walks bands of up to kBandRows window rows: forEachBand
+  // reads the row spools of rows [j0, j1) into `band` serially (the store
+  // is single-threaded), then calls fn(j0, j1), which runs one parallelFor
+  // of (layer, row) stage-0 tasks (detail::prepareBand) and one over the
+  // band's windows. A spool holds, in input order, every wire whose
+  // inflated extent touches its row, so the buckets equal the in-memory
+  // engine's.
+  detail::BandRects band(nl);
+  const auto forEachBand = [&](int startRow, int endRow, const auto& fn) {
+    for (int j0 = startRow; j0 < endRow; j0 += kBandRows) {
+      checkCancel(eng.cancel);
+      const int j1 = std::min(endRow, j0 + kBandRows);
+      for (std::size_t l = 0; l < nl; ++l) {
+        band[l].resize(static_cast<std::size_t>(j1 - j0));
+        for (int j = j0; j < j1; ++j) {
+          store.readAll(rowWire[l][static_cast<std::size_t>(j)],
+                        band[l][static_cast<std::size_t>(j - j0)]);
+        }
+      }
+      fn(j0, j1);
     }
-    layout::bucketRow(grid, eng.rules, j, rowRects, wireBuckets, blocked);
   };
 
-  // --- Bounds pass: reduce each row to per-window scalars ---
+  // --- Bounds pass: per-window wire densities and bounds only ---
   stage.reset();
-  std::vector<std::vector<double>> wireDen(nl,
-                                           std::vector<double>(numWindows));
-  std::vector<density::DensityBounds> bounds(nl);
-  for (auto& b : bounds) {
-    b.lower.resize(numWindows);
-    b.upper.resize(numWindows);
-  }
+  detail::WindowPrep scalars;
+  scalars.wireDensity.assign(nl, std::vector<double>(numWindows));
+  scalars.bounds.assign(nl, {std::vector<double>(numWindows),
+                             std::vector<double>(numWindows)});
+  const std::vector<std::vector<double>>& wireDen = scalars.wireDensity;
+  std::vector<density::DensityBounds>& bounds = scalars.bounds;
   {
     obs::ScopedSpan span("shard.bounds", "engine", {{"job", jid}});
-    RowBuckets wireBuckets;
-    RowBuckets blockedBuckets;
-    for (std::size_t l = 0; l < nl; ++l) {
-      for (int j = 0; j < rows; ++j) {
-        checkCancel(eng.cancel);
-        buildRowBuckets(l, j, wireBuckets, &blockedBuckets);
-        pool.parallelFor(static_cast<std::size_t>(cols), [&](std::size_t i) {
-          prof::ScopedTimer timer(prof::Stage::kPlanning);
-          const auto w = static_cast<std::size_t>(
-              grid.flatIndex(static_cast<int>(i), j));
-          const geom::Rect windowRect = grid.windowRect(static_cast<int>(i), j);
-          const geom::Area windowArea = windowRect.area();
-          const double wires =
-              windowArea > 0
-                  ? static_cast<double>(geom::unionArea(wireBuckets[i])) /
-                        windowArea
-                  : 0.0;
-          const geom::Region region =
-              layout::windowFillRegion(windowRect, blockedBuckets[i]);
-          const density::WindowBound bound = density::computeWindowBound(
-              wires, windowArea, region, eng.rules);
-          wireDen[l][w] = wires;
-          bounds[l].lower[w] = bound.lower;
-          bounds[l].upper[w] = bound.upper;
-        });
-      }
-    }
+    forEachBand(0, rows, [&](int j0, int) {
+      detail::prepareBand(grid, eng, j0, band,
+                          static_cast<std::size_t>(j0) * nc, scalars, pool);
+    });
   }
 
   // --- Global target planning (stage 1) ---
@@ -277,7 +269,7 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   }
   rep.shardCount = static_cast<int>(shardEnd.size());
 
-  // --- Candidate pass (stage 2), shard by shard, row by row ---
+  // --- Candidate pass (stage 2), shard by shard, band by band ---
   stage.reset();
   const CandidateGenerator generator(eng.rules, eng.candidate);
   prof::count(prof::Counter::kWindows, numWindows);
@@ -293,69 +285,47 @@ bool ShardedEngine::runFile(const std::string& inputPath,
       obs::ScopedSpan span(
           "shard.candidates", "engine",
           {{"job", jid}, {"shard", static_cast<double>(s)}});
-      for (int j = startRow; j < endRow; ++j) {
-        std::vector<WindowProblem> problems(static_cast<std::size_t>(cols));
-        std::vector<std::vector<geom::Region>> rowRegions(
-            nl, std::vector<geom::Region>(static_cast<std::size_t>(cols)));
-        std::vector<RowBuckets> rowWires(nl);
-        std::vector<RowBuckets> rowBlocked(nl);
-        for (std::size_t l = 0; l < nl; ++l) {
-          buildRowBuckets(l, j, rowWires[l], &rowBlocked[l]);
-          pool.parallelFor(static_cast<std::size_t>(cols), [&](std::size_t i) {
-            prof::ScopedTimer timer(prof::Stage::kRegionPrep);
-            rowRegions[l][i] = layout::windowFillRegion(
-                grid.windowRect(static_cast<int>(i), j), rowBlocked[l][i]);
-          });
-        }
-        pool.parallelFor(static_cast<std::size_t>(cols), [&](std::size_t i) {
+      forEachBand(startRow, endRow, [&](int j0, int j1) {
+        // Band windows are contiguous in flat order from `first`.
+        const std::size_t first = static_cast<std::size_t>(j0) * nc;
+        const std::size_t count = static_cast<std::size_t>(j1 - j0) * nc;
+        detail::WindowPrep geo;
+        geo.fillRegions.assign(nl, std::vector<geom::Region>(count));
+        geo.wires.assign(nl, std::vector<std::vector<geom::Rect>>(count));
+        geo.blocked.assign(nl, std::vector<std::vector<geom::Rect>>(count));
+        detail::prepareBand(grid, eng, j0, band, 0, geo, pool);
+        std::vector<WindowProblem> problems(count);
+        pool.parallelFor(count, [&](std::size_t b) {
           checkCancel(eng.cancel);
-          const auto w = static_cast<std::size_t>(
-              grid.flatIndex(static_cast<int>(i), j));
-          WindowProblem& p = problems[i];
-          p.window = grid.windowRect(static_cast<int>(i), j);
-          p.fillRegions.reserve(nl);
-          p.wires.reserve(nl);
-          p.blocked.reserve(nl);
-          for (std::size_t l = 0; l < nl; ++l) {
-            p.fillRegions.push_back(std::move(rowRegions[l][i]));
-            p.wires.push_back(std::move(rowWires[l][i]));
-            p.blocked.push_back(std::move(rowBlocked[l][i]));
-            p.wireDensity.push_back(wireDen[l][w]);
-            p.targetDensity.push_back(plan.windowTarget[l][w]);
-          }
+          const std::size_t w = first + b;
+          WindowProblem& p = problems[b];
+          p = detail::windowProblem(grid, w, geo, b, wireDen, plan);
           static thread_local CandidateGenerator::Scratch scratch;
           prof::ScopedTimer timer(prof::Stage::kCandidates);
           obs::ScopedSpan windowSpan(
               "window.candidates", "window",
               {{"job", jid}, {"w", static_cast<double>(w)}});
           generator.generate(p, scratch);
+          // The merge reads only the candidates: free the geometry here.
+          p.fillRegions = {};
+          p.wires = {};
+          p.blocked = {};
         });
-        // Serial merge in window order: counts, stage-3 bound tightening,
-        // and candidate spooling (flat window order across rows).
-        for (int i = 0; i < cols; ++i) {
-          const auto w = static_cast<std::size_t>(grid.flatIndex(i, j));
-          const WindowProblem& p = problems[static_cast<std::size_t>(i)];
-          const auto windowArea = static_cast<double>(p.window.area());
+        // Serial merge in flat window order: counts, stage-3 bound
+        // tightening, and candidate spooling.
+        for (std::size_t b = 0; b < count; ++b) {
+          const std::size_t w = first + b;
+          const WindowProblem& p = problems[b];
           for (std::size_t l = 0; l < nl; ++l) {
-            const auto& fs = p.fills[l];
-            rep.fill.candidateCount += fs.size();
-            candCounts[l][w] = static_cast<std::uint32_t>(fs.size());
-            geom::Area candidateArea = 0;
-            for (const geom::Rect& f : fs) {
-              candidateArea += f.area();
+            rep.fill.candidateCount += p.fills[l].size();
+            candCounts[l][w] = static_cast<std::uint32_t>(p.fills[l].size());
+            for (const geom::Rect& f : p.fills[l]) {
               store.append(candSpool[l], f);
             }
-            const double reachable =
-                windowArea > 0
-                    ? p.wireDensity[l] +
-                          static_cast<double>(candidateArea) / windowArea
-                    : 0.0;
-            auto& upper = bounds[l].upper;
-            upper[w] = std::min(upper[w], reachable);
-            upper[w] = std::max(upper[w], bounds[l].lower[w]);
+            bounds[l].upper[w] = detail::tightenedUpper(bounds[l], w, p, l);
           }
         }
-      }
+      });
       startRow = endRow;
     }
   }
@@ -372,7 +342,7 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   rep.fill.layerTargets = plan.layerTarget;
   rep.fill.planningSeconds += stage.elapsedSeconds();
 
-  // --- Sizing pass (stage 4), shard by shard ---
+  // --- Sizing pass (stage 4), shard by shard, band by band ---
   stage.reset();
   const FillSizer sizer(eng.rules, eng.sizer);
   const bool telemetry = obs::metricsEnabled() || obs::Tracer::enabled();
@@ -389,72 +359,62 @@ bool ShardedEngine::runFile(const std::string& inputPath,
       const int endRow = shardEnd[s];
       obs::ScopedSpan span("shard.sizing", "engine",
                            {{"job", jid}, {"shard", static_cast<double>(s)}});
-      for (int j = startRow; j < endRow; ++j) {
-        checkCancel(eng.cancel);
-        std::vector<WindowProblem> problems(static_cast<std::size_t>(cols));
-        std::vector<FillSizer::Stats> windowStats(
-            static_cast<std::size_t>(cols));
-        std::vector<RowBuckets> rowWires(nl);
-        for (std::size_t l = 0; l < nl; ++l) {
-          buildRowBuckets(l, j, rowWires[l], nullptr);
-        }
+      bool underrun = false;
+      forEachBand(startRow, endRow, [&](int j0, int j1) {
+        const std::size_t first = static_cast<std::size_t>(j0) * nc;
+        const std::size_t count = static_cast<std::size_t>(j1 - j0) * nc;
+        detail::WindowPrep geo;
+        geo.wires.assign(nl, std::vector<std::vector<geom::Rect>>(count));
+        detail::prepareBand(grid, eng, j0, band, 0, geo, pool);
+        std::vector<WindowProblem> problems(count);
+        std::vector<FillSizer::Stats> windowStats(count);
         // Serial assembly: candidates stream out of the per-layer spools
         // in the same flat window order they were deposited.
-        for (int i = 0; i < cols; ++i) {
-          const auto w = static_cast<std::size_t>(grid.flatIndex(i, j));
-          WindowProblem& p = problems[static_cast<std::size_t>(i)];
-          p.window = grid.windowRect(i, j);
+        for (std::size_t b = 0; b < count && !underrun; ++b) {
+          const std::size_t w = first + b;
+          WindowProblem& p = problems[b];
+          p.window = grid.windowRect(static_cast<int>(w % nc),
+                                     static_cast<int>(w / nc));
           p.fills.resize(nl);
           for (std::size_t l = 0; l < nl; ++l) {
-            p.wires.push_back(
-                std::move(rowWires[l][static_cast<std::size_t>(i)]));
+            p.wires.push_back(std::move(geo.wires[l][b]));
             p.wireDensity.push_back(wireDen[l][w]);
             p.targetDensity.push_back(plan.windowTarget[l][w]);
             auto& fills = p.fills[l];
             fills.resize(candCounts[l][w]);
-            for (std::uint32_t c = 0; c < candCounts[l][w]; ++c) {
-              if (!candReaders[l].next(fills[c])) {
-                return setError(error, "candidate spool underrun");
-              }
-            }
+            for (geom::Rect& f : fills) underrun |= !candReaders[l].next(f);
           }
         }
-        pool.parallelFor(static_cast<std::size_t>(cols), [&](std::size_t i) {
+        if (underrun) return;
+        pool.parallelFor(count, [&](std::size_t b) {
           checkCancel(eng.cancel);
-          const auto w = static_cast<std::size_t>(
-              grid.flatIndex(static_cast<int>(i), j));
           static thread_local FillSizer::Scratch scratch;
           prof::ScopedTimer timer(prof::Stage::kSizing);
           obs::ScopedSpan windowSpan(
               "window.sizing", "window",
-              {{"job", jid}, {"w", static_cast<double>(w)}});
-          sizer.size(problems[i], scratch, &windowStats[i]);
+              {{"job", jid}, {"w", static_cast<double>(first + b)}});
+          sizer.size(problems[b], scratch, &windowStats[b]);
+          problems[b].wires = {};
         });
-        for (int i = 0; i < cols; ++i) {
-          const auto w = static_cast<std::size_t>(grid.flatIndex(i, j));
-          const WindowProblem& p = problems[static_cast<std::size_t>(i)];
-          rep.fill.sizerStats.add(windowStats[static_cast<std::size_t>(i)]);
-          const auto windowArea = static_cast<double>(p.window.area());
+        for (std::size_t b = 0; b < count; ++b) {
+          const std::size_t w = first + b;
+          const WindowProblem& p = problems[b];
+          rep.fill.sizerStats.add(windowStats[b]);
           for (std::size_t l = 0; l < nl; ++l) {
-            geom::Area fillArea = 0;
             for (const geom::Rect& f : p.fills[l]) {
-              fillArea += f.area();
               fillStore.append(fillSpool[l], f);
             }
             rep.fill.fillCount += p.fills[l].size();
-            if (telemetry) {
-              finalDensity[l][w] =
-                  windowArea > 0
-                      ? p.wireDensity[l] +
-                            static_cast<double>(fillArea) / windowArea
-                      : 0.0;
-            }
+            if (telemetry) finalDensity[l][w] = detail::windowDensity(p, l);
           }
         }
         for (std::size_t l = 0; l < nl; ++l) {
-          store.release(rowWire[l][static_cast<std::size_t>(j)]);
+          for (int j = j0; j < j1; ++j) {
+            store.release(rowWire[l][static_cast<std::size_t>(j)]);
+          }
         }
-      }
+      });
+      if (underrun) return setError(error, "candidate spool underrun");
       startRow = endRow;
     }
   }
@@ -526,7 +486,6 @@ bool ShardedEngine::runFile(const std::string& inputPath,
     reg.gauge("scale.rows").set(static_cast<double>(rep.rows));
     reg.gauge("scale.mem_budget_mib")
         .set(static_cast<double>(options_.memBudgetMiB));
-    reg.histogram("scale.scan_seconds").observe(rep.scanSeconds);
     reg.histogram("scale.ingest_seconds").observe(rep.ingestSeconds);
     reg.histogram("scale.fft_seconds").observe(rep.fftSeconds);
     reg.histogram("scale.output_seconds").observe(rep.outputSeconds);

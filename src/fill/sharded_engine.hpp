@@ -5,22 +5,25 @@
 // PAPER.md) cannot. ShardedEngine runs the same five-stage flow without
 // ever materializing the layout:
 //
-//   ingest    stream GDS/OASIS -> flatten -> decompose (gds::RectIngest,
-//             the in-memory loader's front end) -> route each rect
-//             into per-(layer, window-row) spools (ShardStore, spill to
-//             disk over budget). A rect inflated by minSpacing that
-//             crosses a row border is routed into both rows — that is the
-//             halo that keeps cross-window blocking exact.
-//   bounds    row at a time: rebuild the row's wire/blocked buckets and
-//             fill regions, reduce to per-window scalars (wire density,
-//             lower/upper bound), drop the geometry.
+//   ingest    one parse: stream GDS/OASIS -> flatten -> decompose
+//             (gds::RectIngest, the in-memory loader's front end) into
+//             per-layer pass-through spools, measuring the extents on the
+//             way; then route each layer's spool into per-(layer,
+//             window-row) spools (ShardStore, spill to disk over budget).
+//             A rect inflated by minSpacing that crosses a row border is
+//             routed into both rows — that is the halo that keeps
+//             cross-window blocking exact.
+//   bounds    band of rows at a time: the shared stage-0 row task
+//             (fill::detail::prepareBand) reduces each window to scalars
+//             (wire density, lower/upper bound) and drops the geometry.
 //   plan      TargetDensityPlanner over the full scalar arrays (identical
 //             inputs to the in-memory path). An FFT-smoothed global
 //             density map (density::FftDensity) balances shard sizes.
-//   shards    per shard (a contiguous row band), row at a time: rebuild
-//             geometry, generate candidates (same thread pool + scratch
-//             reuse as FillEngine), spool candidates; replan; then size
-//             each row's windows and spool the final fills.
+//   shards    per shard (a contiguous row band), band of rows at a time:
+//             rebuild buckets and fill regions with the same row task,
+//             generate candidates (same thread pool + scratch reuse as
+//             FillEngine), spool candidates; replan; then size each
+//             band's windows and spool the final fills.
 //   output    streaming GDS writer: per layer, pass-through wires then
 //             fills in window order — byte-identical to
 //             Writer::writeFile(layout.toGds()).
@@ -63,17 +66,23 @@ struct ShardedOptions {
 };
 
 struct ShardedReport {
+  /// The same counts, stats and stage seconds FillEngine::run reports:
+  /// planningSeconds spans the bounds pass and both plans,
+  /// candidateSeconds and sizingSeconds their passes, and `profile` times
+  /// the shared stage-0 row task as region-prep, density-compute and
+  /// planning exactly as in memory.
   FillReport fill;
-  int cols = 0;
-  int rows = 0;
-  int shardCount = 0;
-  std::uint64_t spilledBytes = 0;
-  std::uint64_t spillEvents = 0;
-  std::size_t wireCount = 0;
-  long long outputBytes = 0;
-  double scanSeconds = 0.0;    // extent pre-scan (scanExtents)
+  int cols = 0;        // window grid columns
+  int rows = 0;        // window grid rows
+  int shardCount = 0;  // contiguous row bands of the candidate/sizing passes
+  std::uint64_t spilledBytes = 0;  // spool bytes written to spill files
+  std::uint64_t spillEvents = 0;   // budget-triggered spool flushes
+  std::size_t wireCount = 0;       // wires read (datatype-1 fills dropped)
+  long long outputBytes = 0;       // bytes of the written GDSII
+  /// Stream + flatten + decompose + route into the row spools: the one
+  /// parse of the input, which also measures its extents.
   double ingestSeconds = 0.0;
-  double fftSeconds = 0.0;
+  double fftSeconds = 0.0;     // FFT smoothing of the shard load model
   double outputSeconds = 0.0;  // streamed GDSII output encoder
 };
 
@@ -81,14 +90,15 @@ class ShardedEngine {
  public:
   explicit ShardedEngine(const ShardedOptions& options) : options_(options) {}
 
-  /// Bounded-memory extents pre-scan (gds::ExtentScan, the rule
-  /// service::loadFlatLayout applies too): bbox over every structure's
-  /// boundaries and the maximum GDS layer number, either file format.
+  /// Bounded-memory extents scan (gds::ExtentScan, the rule runFile and
+  /// service::loadFlatLayout apply during their parse): bbox over every
+  /// structure's boundaries and the maximum GDS layer number, either file
+  /// format.
   static bool scanExtents(const std::string& path, geom::Rect* bbox,
                           int* maxLayer, std::string* error);
 
   /// Streams `inputPath` through the sharded flow and writes the filled
-  /// GDSII to `outputPath`. `die` overrides the pre-scanned bbox.
+  /// GDSII to `outputPath`. `die` overrides the input's extents.
   bool runFile(const std::string& inputPath, const std::string& outputPath,
                const std::optional<geom::Rect>& die, ShardedReport* report,
                std::string* error) const;

@@ -30,16 +30,23 @@ Rect Region::bbox() const {
   return box;
 }
 
+Region Region::fromSweep(std::span<const Rect> a, std::span<const Rect> b,
+                         BoolOp op) {
+  std::vector<Rect> out;
+  booleanOpInto(a, b, op, out);
+  return fromDisjoint(std::move(out));
+}
+
 Region Region::unite(const Region& other) const {
-  return fromDisjoint(booleanOp(rects_, other.rects_, BoolOp::kUnion));
+  return fromSweep(rects_, other.rects_, BoolOp::kUnion);
 }
 
 Region Region::intersect(const Region& other) const {
-  return fromDisjoint(booleanOp(rects_, other.rects_, BoolOp::kIntersect));
+  return fromSweep(rects_, other.rects_, BoolOp::kIntersect);
 }
 
 Region Region::subtract(const Region& other) const {
-  return fromDisjoint(booleanOp(rects_, other.rects_, BoolOp::kSubtract));
+  return fromSweep(rects_, other.rects_, BoolOp::kSubtract);
 }
 
 Region Region::clipped(const Rect& window) const {
@@ -51,28 +58,43 @@ Region Region::clipped(const Rect& window) const {
   return fromDisjoint(std::move(out));
 }
 
-Region Region::shrunk(Coord d) const {
-  if (d <= 0) return *this;
-  // Erosion of a rectilinear region = complement of the dilation of the
-  // complement. Implemented within an inflated bbox: grow the complement
-  // rects by d and subtract from the original region.
-  if (rects_.empty()) return {};
-  const Rect box = bbox().expanded(d + 1);
-  std::vector<Rect> boxRects{box};
-  std::vector<Rect> complement = booleanOp(boxRects, rects_, BoolOp::kSubtract);
+namespace {
+
+// Erosion of a non-empty rectilinear region = complement of the dilation
+// of the complement. Implemented within an inflated bbox: grow the
+// complement rects by d and subtract them from the region. Output in sweep
+// order.
+std::vector<Rect> erode(std::span<const Rect> rects, Coord d) {
+  Rect box;
+  for (const Rect& r : rects) box = box.bboxUnion(r);
+  const Rect frame = box.expanded(d + 1);
+  std::vector<Rect> complement;
+  booleanOpInto(std::span(&frame, 1), rects, BoolOp::kSubtract, complement);
   for (Rect& r : complement) r = r.expanded(d);
-  return fromDisjoint(booleanOp(rects_, complement, BoolOp::kSubtract));
+  std::vector<Rect> out;
+  booleanOpInto(rects, complement, BoolOp::kSubtract, out);
+  return out;
 }
 
-bool Region::erodedEmpty(Coord d) const {
+}  // namespace
+
+Region Region::shrunk(Coord d) const {
+  if (d <= 0) return *this;
+  if (rects_.empty()) return {};
+  return fromDisjoint(erode(rects_, d));
+}
+
+bool Region::erodedEmpty(Coord d) const { return geom::erodedEmpty(rects_, d); }
+
+bool erodedEmpty(std::span<const Rect> disjoint, Coord d) {
   const Coord side = 2 * d;
   Rect box;
-  for (const Rect& r : rects_) {
+  for (const Rect& r : disjoint) {
     if (r.width() > side && r.height() > side) return false;
     box = box.bboxUnion(r);
   }
   if (box.width() <= side || box.height() <= side) return true;
-  return shrunk(d).empty();
+  return erode(disjoint, d).empty();
 }
 
 }  // namespace ofl::geom

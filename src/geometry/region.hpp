@@ -57,7 +57,7 @@ class Region {
   /// output is a pure function of the covered point set — but skips the
   /// normalization pass over `other`.
   Region subtract(std::span<const Rect> other) const {
-    return fromDisjoint(booleanOp(rects_, other, BoolOp::kSubtract));
+    return fromSweep(rects_, other, BoolOp::kSubtract);
   }
 
   /// Region shrunk by `d` DBU on all four sides of every covered point
@@ -65,17 +65,26 @@ class Region {
   /// boundaries. d must be >= 0.
   Region shrunk(Coord d) const;
 
-  /// Exactly shrunk(d).empty(), usually without the two boolean sweeps:
-  /// the erosion is non-empty iff some (2d+1)-wide square of unit cells is
-  /// covered. A canonical rect with both sides > 2d settles "non-empty", a
-  /// bbox side <= 2d settles "empty", and only regions neither test decides
-  /// fall back to shrunk(d).
+  /// Exactly shrunk(d).empty(); see geom::erodedEmpty.
   bool erodedEmpty(Coord d) const;
 
   friend bool operator==(const Region&, const Region&) = default;
 
  private:
+  /// The region op(a, b): one sweep, one canonical sort.
+  static Region fromSweep(std::span<const Rect> a, std::span<const Rect> b,
+                          BoolOp op);
+
   std::vector<Rect> rects_;  // disjoint, RectYXLess-sorted
 };
+
+/// Whether eroding the region covered by the pairwise-disjoint rects
+/// `disjoint` (in any order) by `d` leaves nothing, i.e.
+/// Region::fromDisjoint(disjoint).shrunk(d).empty(), usually without the
+/// two boolean sweeps: the erosion is non-empty iff some (2d+1)-wide square
+/// of unit cells is covered. A rect with both sides > 2d settles
+/// "non-empty", a bbox side <= 2d settles "empty", and only regions neither
+/// test decides fall back to the erosion.
+bool erodedEmpty(std::span<const Rect> disjoint, Coord d);
 
 }  // namespace ofl::geom

@@ -26,18 +26,23 @@ std::vector<geom::Region> computeFillRegions(
   return regions;
 }
 
+bool routedRows(const WindowGrid& grid, const DesignRules& rules,
+                const geom::Rect& r, int& j0, int& j1) {
+  const geom::Rect e = r.expanded(rules.minSpacing);
+  if (e.empty()) return false;
+  int i0, i1;
+  grid.windowRange(e, i0, j0, i1, j1);
+  return true;
+}
+
 std::vector<std::vector<geom::Rect>> routeRows(
     const WindowGrid& grid, const DesignRules& rules,
     const std::vector<geom::Rect>& rects) {
   std::vector<std::vector<geom::Rect>> rows(
       static_cast<std::size_t>(grid.rows()));
+  int j0, j1;
   for (const geom::Rect& r : rects) {
-    // A wire near a row border blocks space in the adjacent row too, so
-    // route by the inflated extent; the plain one lies inside it.
-    const geom::Rect e = r.expanded(rules.minSpacing);
-    if (e.empty()) continue;
-    int i0, j0, i1, j1;
-    grid.windowRange(e, i0, j0, i1, j1);
+    if (!routedRows(grid, rules, r, j0, j1)) continue;
     for (int j = j0; j <= j1; ++j) {
       rows[static_cast<std::size_t>(j)].push_back(r);
     }
@@ -70,8 +75,7 @@ void bucketRow(const WindowGrid& grid, const DesignRules& rules, int j,
 
 geom::Region windowFillRegion(const geom::Rect& window,
                               std::span<const geom::Rect> blocked) {
-  return geom::Region::fromDisjoint(geom::booleanOp(
-      std::span(&window, 1), blocked, geom::BoolOp::kSubtract));
+  return geom::Region(window).subtract(blocked);
 }
 
 geom::Region computeLayerFillRegion(const Layout& layout, int layer,
@@ -81,9 +85,7 @@ geom::Region computeLayerFillRegion(const Layout& layout, int layer,
   for (const geom::Rect& w : layout.layer(layer).wires) {
     inflated.push_back(w.expanded(rules.minSpacing));
   }
-  const std::vector<geom::Rect> dieRects{layout.die()};
-  return geom::Region::fromDisjoint(
-      geom::booleanOp(dieRects, inflated, geom::BoolOp::kSubtract));
+  return geom::Region(layout.die()).subtract(inflated);
 }
 
 }  // namespace ofl::layout

@@ -30,9 +30,15 @@ std::vector<geom::Region> computeFillRegions(
     const DesignRules& rules,
     std::vector<std::vector<geom::Rect>>* blockedOut = nullptr);
 
-/// Routes each rect, in input order, to every window row its
-/// minSpacing-inflated extent touches: result[j] is the `rowRects`
-/// bucketRow expects for row j.
+/// The window rows [j0, j1] that `r`'s minSpacing-inflated extent
+/// touches: a wire near a row border blocks space in the adjacent row too,
+/// and its plain extent lies inside the inflated one. False when the
+/// inflated rect is empty (it touches no row).
+bool routedRows(const WindowGrid& grid, const DesignRules& rules,
+                const geom::Rect& r, int& j0, int& j1);
+
+/// Routes each rect, in input order, to its routedRows: result[j] is the
+/// `rowRects` bucketRow expects for row j.
 std::vector<std::vector<geom::Rect>> routeRows(
     const WindowGrid& grid, const DesignRules& rules,
     const std::vector<geom::Rect>& rects);

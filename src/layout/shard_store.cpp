@@ -64,30 +64,15 @@ void ShardStore::spill(Spool& s) {
   s.mem.shrink_to_fit();
 }
 
-ShardStore::Reader::Reader(ShardStore* store, SpoolId id)
-    : store_(store), id_(id) {
-  const Spool& s = store_->spools_[id];
-  remainingOnDisk_ = s.onDisk;
-  if (remainingOnDisk_ > 0) {
-    file_ = std::fopen(s.path.c_str(), "rb");
-    if (file_ == nullptr) {
-      store_->ioError_ = true;
-      done_ = true;
-    }
-  }
-}
-
 ShardStore::Reader::Reader(Reader&& other) noexcept
     : store_(other.store_),
       id_(other.id_),
       file_(other.file_),
-      remainingOnDisk_(other.remainingOnDisk_),
-      memPos_(other.memPos_),
+      pos_(other.pos_),
+      fileOffset_(other.fileOffset_),
       chunk_(std::move(other.chunk_)),
-      chunkPos_(other.chunkPos_),
-      done_(other.done_) {
+      chunkPos_(other.chunkPos_) {
   other.file_ = nullptr;
-  other.done_ = true;
 }
 
 ShardStore::Reader::~Reader() {
@@ -95,45 +80,68 @@ ShardStore::Reader::~Reader() {
 }
 
 bool ShardStore::Reader::next(geom::Rect& out) {
-  if (done_) return false;
   if (chunkPos_ < chunk_.size()) {
     out = chunk_[chunkPos_++];
+    ++pos_;
     return true;
   }
-  if (remainingOnDisk_ > 0) {
+  const Spool& s = store_->spools_[id_];
+  if (s.released) return false;
+  if (pos_ < s.onDisk) {
+    // A spill since the last chunk may have moved unread rects from memory
+    // to the file (and the file may not have existed yet), so the file
+    // position is re-derived from pos_ rather than trusted.
+    if (file_ == nullptr) {
+      file_ = std::fopen(s.path.c_str(), "rb");
+      if (file_ == nullptr) {
+        store_->ioError_ = true;
+        return false;
+      }
+      fileOffset_ = 0;
+    }
+    if (fileOffset_ != pos_ &&
+        std::fseek(file_, static_cast<long>(pos_ * sizeof(geom::Rect)),
+                   SEEK_SET) != 0) {
+      store_->ioError_ = true;
+      return false;
+    }
+    std::clearerr(file_);  // the file may have grown since a short read
     const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(remainingOnDisk_, kReadChunkRects));
+        std::min<std::uint64_t>(s.onDisk - pos_, kReadChunkRects));
     chunk_.resize(want);
     const std::size_t got =
         std::fread(chunk_.data(), sizeof(geom::Rect), want, file_);
     chunk_.resize(got);
     chunkPos_ = 0;
-    remainingOnDisk_ -= got;
-    if (got < want) {
-      store_->ioError_ = true;
-      remainingOnDisk_ = 0;
-    }
-    if (got > 0) {
-      out = chunk_[chunkPos_++];
-      return true;
-    }
-  }
-  const Spool& s = store_->spools_[id_];
-  if (memPos_ < s.mem.size()) {
-    out = s.mem[memPos_++];
+    fileOffset_ = pos_ + got;
+    if (got < want) store_->ioError_ = true;
+    if (got == 0) return false;
+    out = chunk_[chunkPos_++];
+    ++pos_;
     return true;
   }
-  done_ = true;
-  return false;
+  const std::uint64_t memPos = pos_ - s.onDisk;
+  if (memPos >= s.mem.size()) return false;
+  out = s.mem[static_cast<std::size_t>(memPos)];
+  ++pos_;
+  return true;
 }
 
 ShardStore::Reader ShardStore::read(SpoolId id) { return Reader(this, id); }
 
-void ShardStore::forEach(SpoolId id,
-                         const std::function<void(const geom::Rect&)>& fn) {
-  Reader r = read(id);
-  geom::Rect rect;
-  while (r.next(rect)) fn(rect);
+void ShardStore::readAll(SpoolId id, std::vector<geom::Rect>& out) {
+  const Spool& s = spools_[id];
+  out.resize(static_cast<std::size_t>(s.onDisk));
+  if (s.onDisk > 0) {
+    std::FILE* f = std::fopen(s.path.c_str(), "rb");
+    if (f == nullptr ||
+        std::fread(out.data(), sizeof(geom::Rect), out.size(), f) !=
+            out.size()) {
+      ioError_ = true;
+    }
+    if (f != nullptr) std::fclose(f);
+  }
+  out.insert(out.end(), s.mem.begin(), s.mem.end());
 }
 
 std::uint64_t ShardStore::count(SpoolId id) const { return spools_[id].total; }

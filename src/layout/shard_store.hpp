@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,9 +43,17 @@ class ShardStore {
 
   void append(SpoolId id, const geom::Rect& r);
 
+  /// Sizes the spool's in-memory buffer for `n` more appends. Capacity
+  /// only: the budget counts appended rects, and a spill drops it.
+  void reserve(SpoolId id, std::size_t n) {
+    spools_[id].mem.reserve(spools_[id].mem.size() + n);
+  }
+
   /// Streams one spool's rects in append order (spilled prefix first,
-  /// then the in-memory tail). Valid until the spool is appended to,
-  /// released, or spilled.
+  /// then the in-memory tail) up to its current end. The reader tracks its
+  /// absolute position, so it stays valid across appends and spills of any
+  /// spool (it also sees rects appended to its own spool after it opened);
+  /// it ends early only when the spool is released.
   class Reader {
    public:
     /// False at end of spool (or on read error; see ShardStore::ioError).
@@ -54,15 +61,14 @@ class ShardStore {
 
    private:
     friend class ShardStore;
-    Reader(ShardStore* store, SpoolId id);
+    Reader(ShardStore* store, SpoolId id) : store_(store), id_(id) {}
     ShardStore* store_;
     SpoolId id_;
     std::FILE* file_ = nullptr;
-    std::uint64_t remainingOnDisk_ = 0;
-    std::size_t memPos_ = 0;
+    std::uint64_t pos_ = 0;         // rects returned so far
+    std::uint64_t fileOffset_ = 0;  // rect offset file_ reads from next
     std::vector<geom::Rect> chunk_;
     std::size_t chunkPos_ = 0;
-    bool done_ = false;
 
    public:
     Reader(Reader&& other) noexcept;
@@ -72,8 +78,8 @@ class ShardStore {
 
   Reader read(SpoolId id);
 
-  /// Replays a whole spool through `fn` (convenience over read()).
-  void forEach(SpoolId id, const std::function<void(const geom::Rect&)>& fn);
+  /// Replaces `out` with the whole spool, in append order.
+  void readAll(SpoolId id, std::vector<geom::Rect>& out);
 
   std::uint64_t count(SpoolId id) const;
 

@@ -364,8 +364,8 @@ void registerCoreSeries() {
   }
   for (const char* name : {"engine.run_seconds", "job.queue_seconds",
                            "job.run_seconds", "sched.queue_wait_seconds",
-                           "scale.scan_seconds", "scale.ingest_seconds",
-                           "scale.fft_seconds", "scale.output_seconds"}) {
+                           "scale.ingest_seconds", "scale.fft_seconds",
+                           "scale.output_seconds"}) {
     reg.histogram(name);
   }
   reg.histogram("quality.density_gap", Histogram::unitBounds());

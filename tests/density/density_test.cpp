@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "contest/benchmark_generator.hpp"
 #include "density/bounds.hpp"
@@ -159,6 +161,51 @@ TEST(BoundsTest, EngineStage0BoundsMatchLayoutOverloadOnTinySuite) {
       EXPECT_EQ(prep.bounds[l].upper, reference[l].upper) << "layer " << l;
     }
   }
+}
+
+TEST(BoundsTest, SpanBoundMatchesRegionBoundInAnyRectOrder) {
+  // Tiny-suite fill regions, plus free spaces whose erosion only the
+  // fallback decides (a thin L and a notched block at minWidth 5).
+  const contest::BenchmarkSpec spec = contest::BenchmarkGenerator::spec("tiny");
+  const layout::Layout chip = contest::BenchmarkGenerator::generate(spec);
+  const layout::WindowGrid grid(chip.die(), spec.windowSize);
+  std::vector<std::pair<geom::Region, layout::DesignRules>> cases;
+  for (int l = 0; l < chip.numLayers(); ++l) {
+    for (geom::Region& region :
+         layout::computeFillRegions(chip, l, grid, spec.rules)) {
+      cases.emplace_back(std::move(region), spec.rules);
+    }
+  }
+  layout::DesignRules narrow = spec.rules;
+  narrow.minWidth = 5;
+  const std::vector<geom::Rect> thinL{{0, 0, 20, 3}, {0, 3, 3, 20}};
+  const std::vector<geom::Rect> notched{{0, 0, 3, 10}, {3, 0, 6, 11}};
+  cases.emplace_back(geom::Region(thinL), narrow);
+  cases.emplace_back(geom::Region(notched), narrow);
+
+  Rng rng(2015);
+  const geom::Area windowArea = 400;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto& [region, rules] = cases[c];
+    const WindowBound expected =
+        computeWindowBound(0.25, windowArea, region, rules);
+    // The bound reads erosion exactly as shrunk() decides it.
+    const bool fits = !region.shrunk(rules.minWidth / 2).empty();
+    EXPECT_EQ(expected.upper > expected.lower, fits && region.area() > 0)
+        << "case " << c;
+    std::vector<geom::Rect> shuffled = region.rects();
+    for (int round = 0; round < 3; ++round) {
+      std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
+      const WindowBound b =
+          computeWindowBound(0.25, windowArea, shuffled, rules);
+      EXPECT_EQ(b.lower, expected.lower) << "case " << c;
+      EXPECT_EQ(b.upper, expected.upper) << "case " << c;
+    }
+  }
+  // The notched block holds a 5x5 square, the thin L does not.
+  EXPECT_EQ(computeWindowBound(0.25, windowArea, notched, narrow).upper,
+            0.25 + 63.0 / 400);
+  EXPECT_EQ(computeWindowBound(0.25, windowArea, thinL, narrow).upper, 0.25);
 }
 
 }  // namespace

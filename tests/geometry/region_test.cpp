@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "../test_util.hpp"
 
 namespace ofl::geom {
@@ -138,6 +140,48 @@ TEST(RegionTest, ErodedEmptyMatchesShrunkOnHandBuiltShapes) {
           << c.name << " d " << d;
     }
   }
+}
+
+TEST(RegionTest, SpanErodedEmptyIgnoresRectOrder) {
+  // Random regions plus the hand-built shapes only the erosion fallback
+  // decides (no rect with both sides > 2d, no bbox side <= 2d at d = 2).
+  std::vector<std::vector<Rect>> shapes = {
+      {{0, 0, 2, 10}, {2, 0, 4, 12}, {4, 0, 6, 14}, {6, 0, 8, 16}},
+      {{0, 0, 3, 10}, {3, 0, 6, 11}},
+      {{0, 0, 20, 3}, {0, 3, 3, 20}},
+      {{0, 0, 20, 3}, {0, 17, 20, 20}, {0, 3, 3, 17}, {17, 3, 20, 17}},
+  };
+  Rng rng(1931);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<Rect> rects;
+    const auto n = rng.uniformInt(1, 8);
+    for (int k = 0; k < n; ++k) {
+      rects.push_back(testutil::randomRect(rng, 40, 14));
+    }
+    shapes.push_back(std::move(rects));
+  }
+  int fallbacks = 0;
+  for (std::size_t c = 0; c < shapes.size(); ++c) {
+    const Region region(shapes[c]);
+    std::vector<Rect> shuffled = region.rects();
+    for (const Coord d : {0, 1, 2, 5}) {
+      const bool expected = region.shrunk(d).empty();
+      ASSERT_EQ(region.erodedEmpty(d), expected) << "shape " << c;
+      const Rect box = region.bbox();
+      fallbacks += std::none_of(shuffled.begin(), shuffled.end(),
+                                [&](const Rect& r) {
+                                  return r.width() > 2 * d &&
+                                         r.height() > 2 * d;
+                                }) &&
+                   box.width() > 2 * d && box.height() > 2 * d;
+      for (int round = 0; round < 3; ++round) {
+        std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
+        EXPECT_EQ(erodedEmpty(shuffled, d), expected)
+            << "shape " << c << " d " << d << " round " << round;
+      }
+    }
+  }
+  EXPECT_GE(fallbacks, 4);
 }
 
 }  // namespace

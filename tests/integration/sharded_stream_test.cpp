@@ -16,6 +16,7 @@
 #include "fill/sharded_engine.hpp"
 #include "gds/gds_writer.hpp"
 #include "obs/metrics.hpp"
+#include "service/layout_io.hpp"
 
 namespace ofl {
 namespace {
@@ -25,27 +26,58 @@ std::vector<char> readAll(const std::string& path) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
+std::vector<geom::Point> loop(const geom::Rect& r) {
+  return {{r.xl, r.yl}, {r.xh, r.yl}, {r.xh, r.yh}, {r.xl, r.yh}};
+}
+
 class ShardedStreamTest : public ::testing::Test {
  protected:
   void SetUp() override { setLogLevel(LogLevel::kWarn); }
 
+  // Streams `inputPath` through the sharded engine and expects the output
+  // file to equal `refPath` byte for byte.
+  void expectStreamMatches(const std::string& inputPath,
+                           const std::string& refPath,
+                           const std::optional<geom::Rect>& die,
+                           const fill::ShardedOptions& options,
+                           const std::string& what,
+                           fill::ShardedReport* reportOut = nullptr) {
+    const std::string outPath = inputPath + ".out.gds";
+    fill::ShardedReport report;
+    std::string error;
+    ASSERT_TRUE(fill::ShardedEngine(options).runFile(inputPath, outPath, die,
+                                                     &report, &error))
+        << what << ": " << error;
+    const std::vector<char> expected = readAll(refPath);
+    const std::vector<char> streamed = readAll(outPath);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(static_cast<long long>(streamed.size()), report.outputBytes);
+    EXPECT_TRUE(streamed == expected)
+        << what << ": streamed output diverged (" << streamed.size()
+        << " vs " << expected.size() << " bytes)";
+    if (reportOut != nullptr) *reportOut = report;
+    std::remove(outPath.c_str());
+  }
+
   // Writes the suite's wires-only GDS, fills in memory for the reference
   // bytes, then runs the sharded engine and compares output files.
+  // `windowSize` 0 keeps the suite's.
   void expectByteIdentical(const std::string& suite, int threads,
                            std::size_t memBudgetMiB, int rowsPerShard,
-                           fill::ShardedReport* reportOut = nullptr) {
+                           fill::ShardedReport* reportOut = nullptr,
+                           geom::Coord windowSize = 0) {
     const contest::BenchmarkSpec spec = contest::BenchmarkGenerator::spec(suite);
     layout::Layout chip = contest::BenchmarkGenerator::generate(spec);
 
     const std::string tag = suite + "_" + std::to_string(threads) + "_" +
-                            std::to_string(memBudgetMiB);
+                            std::to_string(memBudgetMiB) + "_" +
+                            std::to_string(rowsPerShard);
     const std::string inputPath = "/tmp/ofl_shard_" + tag + "_in.gds";
     const std::string refPath = "/tmp/ofl_shard_" + tag + "_ref.gds";
-    const std::string outPath = "/tmp/ofl_shard_" + tag + "_out.gds";
     ASSERT_GT(gds::Writer::writeFile(chip.toGds(), inputPath), 0);
 
     fill::FillEngineOptions engine;
-    engine.windowSize = spec.windowSize;
+    engine.windowSize = windowSize > 0 ? windowSize : spec.windowSize;
     engine.rules = spec.rules;
     engine.numThreads = threads;
     const fill::FillReport inMemory = fill::FillEngine(engine).run(chip);
@@ -57,30 +89,21 @@ class ShardedStreamTest : public ::testing::Test {
     options.memBudgetMiB = memBudgetMiB;
     options.rowsPerShard = rowsPerShard;
     fill::ShardedReport report;
-    std::string error;
-    ASSERT_TRUE(fill::ShardedEngine(options).runFile(
-        inputPath, outPath, std::optional<geom::Rect>(spec.die), &report,
-        &error))
-        << error;
+    expectStreamMatches(inputPath, refPath, spec.die, options,
+                        suite + " with " + std::to_string(threads) +
+                            " threads, budget " +
+                            std::to_string(memBudgetMiB) + " MiB, " +
+                            std::to_string(rowsPerShard) + " rows per shard",
+                        &report);
     EXPECT_EQ(report.fill.fillCount, inMemory.fillCount);
     EXPECT_EQ(report.fill.candidateCount, inMemory.candidateCount);
     EXPECT_EQ(report.fill.sizerStats.solves, inMemory.sizerStats.solves);
     EXPECT_EQ(report.fill.sizerStats.closedFormSolves,
               inMemory.sizerStats.closedFormSolves);
 
-    const std::vector<char> expected = readAll(refPath);
-    const std::vector<char> streamed = readAll(outPath);
-    ASSERT_FALSE(expected.empty());
-    EXPECT_EQ(static_cast<long long>(streamed.size()), report.outputBytes);
-    EXPECT_TRUE(streamed == expected)
-        << suite << " with " << threads << " threads, budget " << memBudgetMiB
-        << " MiB: streamed output diverged (" << streamed.size() << " vs "
-        << expected.size() << " bytes)";
-
     if (reportOut != nullptr) *reportOut = report;
     std::remove(inputPath.c_str());
     std::remove(refPath.c_str());
-    std::remove(outPath.c_str());
   }
 };
 
@@ -91,6 +114,69 @@ TEST_F(ShardedStreamTest, ByteIdenticalAtOneAndFourThreads) {
     expectByteIdentical("tiny", threads, /*memBudgetMiB=*/64,
                         /*rowsPerShard=*/1);
   }
+}
+
+TEST_F(ShardedStreamTest, BandEdgesAndShardCutsKeepBytes) {
+  // 450-DBU windows give the tiny die 22 x 22 windows: a row count that
+  // is no multiple of any power-of-two band height, so the last band is
+  // short, and 3 or 7 rows per shard cut bands short at every seam.
+  for (const int threads : {1, 4}) {
+    for (const int rowsPerShard : {0, 3, 7}) {
+      fill::ShardedReport report;
+      expectByteIdentical("tiny", threads, /*memBudgetMiB=*/64, rowsPerShard,
+                          &report, /*windowSize=*/450);
+      EXPECT_EQ(report.rows, 22);
+      if (rowsPerShard > 0) {
+        EXPECT_EQ(report.shardCount, (22 + rowsPerShard - 1) / rowsPerShard);
+      }
+    }
+  }
+}
+
+TEST_F(ShardedStreamTest, NoDieMatchesLoadedLayoutRun) {
+  // Without --die both engines take the die from the input's extents,
+  // which count every boundary: here stale fills (datatype 1) on a wired
+  // layer and on a layer above every wire, and a layer-0 boundary that
+  // pushes the die past the wires, so the grid sits off the wires' origin.
+  // Ingest drops all three shapes, but the top one still adds a layer.
+  const contest::BenchmarkSpec spec = contest::BenchmarkGenerator::spec("tiny");
+  const layout::Layout chip = contest::BenchmarkGenerator::generate(spec);
+  gds::Library lib = chip.toGds();
+  auto& boundaries = lib.cells.front().boundaries;
+  const auto aboveWires = static_cast<std::int16_t>(chip.numLayers() + 1);
+  boundaries.push_back({1, 1, loop({100, 100, 400, 400})});
+  boundaries.push_back({aboveWires, 1, loop({2000, 2000, 2300, 2600})});
+  boundaries.push_back({0, 0, loop({-731, -389, 50, 9000})});
+  const std::string inputPath = "/tmp/ofl_shard_nodie_in.gds";
+  const std::string refPath = "/tmp/ofl_shard_nodie_ref.gds";
+  ASSERT_GT(gds::Writer::writeFile(lib, inputPath), 0);
+
+  fill::FillEngineOptions engine;
+  engine.windowSize = spec.windowSize;
+  engine.rules = spec.rules;
+  layout::Layout loaded;
+  std::string error;
+  ASSERT_TRUE(
+      service::loadFlatLayout(inputPath, std::nullopt, &loaded, &error))
+      << error;
+  ASSERT_EQ(loaded.die().xl, -731);
+  ASSERT_EQ(loaded.die().yl, -389);
+  ASSERT_EQ(loaded.numLayers(), chip.numLayers() + 1);
+  ASSERT_GT(fill::FillEngine(engine).run(loaded).fillCount, 0u);
+  ASSERT_GT(gds::Writer::writeFile(loaded.toGds(), refPath), 0);
+
+  for (const int threads : {1, 4}) {
+    fill::ShardedOptions options;
+    options.engine = engine;
+    options.engine.numThreads = threads;
+    fill::ShardedReport report;
+    expectStreamMatches(inputPath, refPath, std::nullopt, options,
+                        "no die, " + std::to_string(threads) + " threads",
+                        &report);
+    EXPECT_EQ(report.wireCount, loaded.wireCount());
+  }
+  std::remove(inputPath.c_str());
+  std::remove(refPath.c_str());
 }
 
 TEST_F(ShardedStreamTest, TightBudgetForcesShardsAndSpillIdentically) {
