@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
       // This quantifies the regularity/precision trade-off.
       auto measure = [&](const char* label, const std::string& tag,
                          layout::Layout& chip) {
-        const long long flat = gds::Writer::streamSize(chip.toGds());
+        const long long flat = chip.gdsStreamSize();
         const long long compact =
             gds::Writer::streamSize(layout::toCompactGds(chip));
         const long long oasis = gds::OasisWriter::streamSize(chip.toGds());

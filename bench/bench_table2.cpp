@@ -16,7 +16,6 @@
 #include "common/timer.hpp"
 #include "contest/benchmark_generator.hpp"
 #include "contest/report.hpp"
-#include "gds/gds_writer.hpp"
 
 using namespace ofl;
 
@@ -46,8 +45,7 @@ int main(int argc, char** argv) {
       row.design = suite;
       row.polygons = chip.wireCount();
       row.layers = chip.numLayers();
-      row.wireFileMB =
-          static_cast<double>(gds::Writer::streamSize(chip.toGds())) / 1e6;
+      row.wireFileMB = static_cast<double>(chip.gdsStreamSize()) / 1e6;
       row.table = contest::scoreTableFor(suite);
       stats.push_back(row);
     }

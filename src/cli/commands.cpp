@@ -263,7 +263,7 @@ int generateImpl(const Args& args) {
     return 0;
   }
   const layout::Layout chip = contest::BenchmarkGenerator::generate(spec);
-  const long long bytes = gds::Writer::writeFile(chip.toGds(), out);
+  const long long bytes = chip.writeGds(out);
   if (bytes < 0) {
     std::fprintf(stderr, "generate: cannot write %s\n", out.c_str());
     return 1;

@@ -2,7 +2,6 @@
 
 #include "density/density_map.hpp"
 #include "density/metrics.hpp"
-#include "gds/gds_writer.hpp"
 #include "geometry/boolean.hpp"
 #include "layout/drc_checker.hpp"
 #include "layout/window_grid.hpp"
@@ -63,7 +62,7 @@ RawMetrics Evaluator::measure(const layout::Layout& layout) const {
   }
 
   raw.fileSizeMB =
-      static_cast<double>(gds::Writer::streamSize(layout.toGds())) / 1e6;
+      static_cast<double>(layout.gdsStreamSize()) / 1e6;
   raw.fillCount = layout.fillCount();
   raw.drcViolations =
       layout::DrcChecker(rules_).check(layout, /*maxViolations=*/50).size();

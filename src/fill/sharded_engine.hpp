@@ -26,7 +26,7 @@
 //             band's windows and spool the final fills.
 //   output    streaming GDS writer: per layer, pass-through wires then
 //             fills in window order — byte-identical to
-//             Writer::writeFile(layout.toGds()).
+//             Layout::writeGds (and so to Writer::writeFile(toGds())).
 //
 // Identity argument: every per-window input (bucket contents and order,
 // fill regions, densities, targets) is reconstructed equal to what

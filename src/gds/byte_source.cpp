@@ -17,8 +17,7 @@ ByteSource::~ByteSource() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-std::size_t ByteSource::ensure(std::size_t n) {
-  if (available() >= n) return available();
+std::size_t ByteSource::refill(std::size_t n) {
   if (file_ == nullptr || fileDone_) return available();
 
   // Slide the unconsumed tail to the front so the buffer never grows past
@@ -40,12 +39,6 @@ std::size_t ByteSource::ensure(std::size_t n) {
     }
   }
   return available();
-}
-
-void ByteSource::consume(std::size_t n) {
-  const std::size_t take = std::min(n, available());
-  pos_ += take;
-  consumed_ += take;
 }
 
 }  // namespace ofl::gds

@@ -38,15 +38,22 @@ class ByteSource {
   /// Tops up the buffer until at least `n` bytes are available or the file
   /// is exhausted; returns the bytes actually available (< n only at EOF
   /// or on IO error). The returned view is invalidated by the next
-  /// ensure() call.
-  std::size_t ensure(std::size_t n);
+  /// ensure() call. Inline fast path: a request the buffer already holds
+  /// costs one comparison.
+  std::size_t ensure(std::size_t n) {
+    return available() >= n ? available() : refill(n);
+  }
 
   /// Start of the unconsumed bytes (valid for available() bytes).
   const std::uint8_t* data() const { return buffer_.data() + pos_; }
   std::size_t available() const { return buffer_.size() - pos_; }
 
-  /// Advances past `n` buffered bytes (n <= available()).
-  void consume(std::size_t n);
+  /// Advances past `n` buffered bytes (clamped to available()).
+  void consume(std::size_t n) {
+    const std::size_t take = n < available() ? n : available();
+    pos_ += take;
+    consumed_ += take;
+  }
 
   /// Total bytes consumed so far (= current stream offset).
   std::uint64_t consumed() const { return consumed_; }
@@ -55,6 +62,9 @@ class ByteSource {
   bool atEnd() { return ensure(1) == 0; }
 
  private:
+  /// ensure()'s slow path: slides the tail down and reads chunks.
+  std::size_t refill(std::size_t n);
+
   std::FILE* file_ = nullptr;
   std::vector<std::uint8_t> buffer_;
   std::size_t pos_ = 0;  // consumed prefix of buffer_

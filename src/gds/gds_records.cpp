@@ -17,18 +17,6 @@ void putI32(std::vector<std::uint8_t>& out, std::int32_t v) {
   out.push_back(static_cast<std::uint8_t>(u & 0xFF));
 }
 
-std::uint16_t getU16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-}
-
-std::int32_t getI32(const std::uint8_t* p) {
-  const std::uint32_t u = (static_cast<std::uint32_t>(p[0]) << 24) |
-                          (static_cast<std::uint32_t>(p[1]) << 16) |
-                          (static_cast<std::uint32_t>(p[2]) << 8) |
-                          static_cast<std::uint32_t>(p[3]);
-  return static_cast<std::int32_t>(u);
-}
-
 std::uint64_t encodeReal8(double value) {
   if (value == 0.0) return 0;
   std::uint64_t sign = 0;

@@ -32,9 +32,19 @@ enum class RecordTag : std::uint16_t {
 void putU16(std::vector<std::uint8_t>& out, std::uint16_t v);
 void putI32(std::vector<std::uint8_t>& out, std::int32_t v);
 
-/// Reads big-endian values; caller guarantees bounds.
-std::uint16_t getU16(const std::uint8_t* p);
-std::int32_t getI32(const std::uint8_t* p);
+/// Reads big-endian values; caller guarantees bounds. Inline: the record
+/// reader calls them for every field of every record.
+inline std::uint16_t getU16(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+}
+
+inline std::int32_t getI32(const std::uint8_t* p) {
+  const std::uint32_t u = (static_cast<std::uint32_t>(p[0]) << 24) |
+                          (static_cast<std::uint32_t>(p[1]) << 16) |
+                          (static_cast<std::uint32_t>(p[2]) << 8) |
+                          static_cast<std::uint32_t>(p[3]);
+  return static_cast<std::int32_t>(u);
+}
 
 /// IBM hex floating point (GDSII REAL8): sign bit, 7-bit excess-64 base-16
 /// exponent, 56-bit mantissa.

@@ -1,6 +1,8 @@
 #include "layout/layout.hpp"
 
 #include "gds/flatten.hpp"
+#include "gds/record_builder.hpp"
+#include "gds/stream_writer.hpp"
 #include "geometry/decompose.hpp"
 
 namespace ofl::layout {
@@ -43,6 +45,30 @@ gds::Library Layout::toGds(const std::string& topName) const {
     }
   }
   return lib;
+}
+
+long long Layout::writeGds(const std::string& path) const {
+  gds::StreamWriter writer(path);
+  if (!writer.ok()) return -1;
+  writer.beginCell("TOP");
+  for (int l = 0; l < numLayers(); ++l) {
+    const auto gdsLayer = static_cast<std::int16_t>(l + 1);
+    for (const geom::Rect& r : layer(l).wires) {
+      writer.addRect(gdsLayer, r, /*datatype=*/0);
+    }
+    for (const geom::Rect& r : layer(l).fills) {
+      writer.addRect(gdsLayer, r, /*datatype=*/1);
+    }
+  }
+  writer.endCell();
+  return writer.finish();
+}
+
+long long Layout::gdsStreamSize() const {
+  // Everything but the shapes is what an empty layout writes.
+  static const long long frame = gds::Writer::streamSize(Layout().toGds());
+  return frame + static_cast<long long>(gds::record::kRectRecordBytes *
+                                        (wireCount() + fillCount()));
 }
 
 Layout Layout::fromGds(const gds::Library& lib, const geom::Rect& die,

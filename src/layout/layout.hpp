@@ -44,6 +44,19 @@ class Layout {
   /// layer l+1 (GDS layer numbers are conventionally 1-based).
   gds::Library toGds(const std::string& topName = "TOP") const;
 
+  /// Writes the flat GDSII stream of toGds() to `path` without building a
+  /// Library: each layer's wires, then its fills, go straight through
+  /// gds::StreamWriter::addRect. Its bytes equal
+  /// gds::Writer::writeFile(toGds(), path). Returns the byte count, or -1
+  /// on an I/O error.
+  long long writeGds(const std::string& path) const;
+
+  /// Size in bytes of the stream writeGds() writes, in closed form from
+  /// the shape count: the fixed prologue, TOP cell frame and epilogue,
+  /// plus one 64-byte BOUNDARY per rect. Equals
+  /// gds::Writer::streamSize(toGds()).
+  long long gdsStreamSize() const;
+
   /// Builds a layout from a GDS library produced by toGds(). `numLayers`
   /// caps the layer count; boundaries are decomposed into rectangles.
   static Layout fromGds(const gds::Library& lib, const geom::Rect& die,

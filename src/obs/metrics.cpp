@@ -363,7 +363,8 @@ void registerCoreSeries() {
     reg.gauge(name);
   }
   for (const char* name : {"engine.run_seconds", "job.queue_seconds",
-                           "job.run_seconds", "sched.queue_wait_seconds",
+                           "job.run_seconds", "job.load_seconds",
+                           "job.write_seconds", "sched.queue_wait_seconds",
                            "scale.ingest_seconds", "scale.fft_seconds",
                            "scale.output_seconds"}) {
     reg.histogram(name);

@@ -211,6 +211,10 @@ std::string toJson(const JobResponse& r) {
   json::appendNumber(out, r.queueSeconds);
   out += ",\"runSeconds\":";
   json::appendNumber(out, r.runSeconds);
+  out += ",\"loadSeconds\":";
+  json::appendNumber(out, r.loadSeconds);
+  out += ",\"writeSeconds\":";
+  json::appendNumber(out, r.writeSeconds);
   out += ",\"outputBytes\":";
   json::appendNumber(out, static_cast<std::int64_t>(r.outputBytes));
   out += ",\"ecoWindowsSkipped\":";

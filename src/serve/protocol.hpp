@@ -19,8 +19,9 @@
 //
 // Responses always carry "ok" (bool) and, when false, "error" (string).
 // Job responses add jobId/status/fills/cacheHit/queueSeconds/runSeconds/
-// outputBytes. Parsing is strict: an unknown type or malformed field is a
-// per-request error response, never a dropped connection.
+// loadSeconds/writeSeconds/outputBytes. Parsing is strict: an unknown type
+// or malformed field is a per-request error response, never a dropped
+// connection.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +90,8 @@ struct JobResponse {
   std::uint64_t cacheKey = 0;
   double queueSeconds = 0.0;
   double runSeconds = 0.0;
+  double loadSeconds = 0.0;   // the load and write stages of runSeconds
+  double writeSeconds = 0.0;
   long long outputBytes = -1;
   std::size_t ecoWindowsSkipped = 0;
 };

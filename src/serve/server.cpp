@@ -315,12 +315,14 @@ std::string Server::runJobRequest(const Request& req, int fd) {
   obs::MetricsRegistry::instance()
       .histogram("serve.queue_seconds")
       .observe(r.queueSeconds);
-  const service::ServiceStats stats = service_->stats();
-  const std::uint64_t pProbes =
-      stats.cache.persistentHits + stats.cache.persistentMisses;
+  // The result is copied out, so the service can free the job now: a
+  // daemon holds only the jobs in flight.
+  service_->release(id);
+  const service::ResultCache::Counters cache = service_->cacheCounters();
+  const std::uint64_t pProbes = cache.persistentHits + cache.persistentMisses;
   obs::MetricsRegistry::instance()
       .gauge("serve.cache.persistent_hit_ratio")
-      .set(pProbes > 0 ? static_cast<double>(stats.cache.persistentHits) /
+      .set(pProbes > 0 ? static_cast<double>(cache.persistentHits) /
                              static_cast<double>(pProbes)
                        : 0.0);
   if (clientGone) return "";  // nobody to answer; caller closes
@@ -334,6 +336,8 @@ std::string Server::runJobRequest(const Request& req, int fd) {
   resp.cacheKey = r.cacheKey;
   resp.queueSeconds = r.queueSeconds;
   resp.runSeconds = r.runSeconds;
+  resp.loadSeconds = r.loadSeconds;
+  resp.writeSeconds = r.writeSeconds;
   resp.outputBytes = r.outputBytes;
   resp.ecoWindowsSkipped = r.report.ecoWindowsSkipped;
   return toJson(resp);

@@ -49,18 +49,15 @@ std::uint64_t FillService::submit(JobSpec spec) {
   job->submitTime = Clock::now();
   job->token.armDeadline(timeout);
 
-  Job* raw = nullptr;
+  Job* raw = job.get();
   std::uint64_t id = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!anySubmitted_) {
-      anySubmitted_ = true;
-      firstSubmit_ = job->submitTime;
-    }
-    id = jobs_.size();
+    if (nextId_ == 0) firstSubmit_ = job->submitTime;
+    id = nextId_++;
     job->id = id;
-    jobs_.push_back(std::move(job));
-    raw = jobs_.back().get();
+    jobs_.emplace(id, std::move(job));
+    ++totals_.submitted;
   }
   if (obs::metricsEnabled()) {
     obs::MetricsRegistry::instance().counter("service.jobs_submitted").add();
@@ -71,30 +68,41 @@ std::uint64_t FillService::submit(JobSpec spec) {
   return id;
 }
 
+FillService::Job* FillService::findLocked(std::uint64_t id) const {
+  const auto it = jobs_.find(id);
+  return it == jobs_.end() ? nullptr : it->second.get();
+}
+
 JobResult FillService::wait(std::uint64_t id) {
   std::unique_lock<std::mutex> lock(mutex_);
-  done_.wait(lock, [&] { return id < jobs_.size() && jobs_[id]->done; });
-  return jobs_[id]->result;
+  done_.wait(lock, [&] {
+    const Job* job = findLocked(id);
+    return job != nullptr && job->done;
+  });
+  return findLocked(id)->result;
 }
 
 bool FillService::waitFor(std::uint64_t id, double seconds) {
   std::unique_lock<std::mutex> lock(mutex_);
   return done_.wait_for(
-      lock, std::chrono::duration<double>(seconds > 0 ? seconds : 0.0),
-      [&] { return id < jobs_.size() && jobs_[id]->done; });
+      lock, std::chrono::duration<double>(seconds > 0 ? seconds : 0.0), [&] {
+        const Job* job = findLocked(id);
+        return job != nullptr && job->done;
+      });
 }
 
 bool FillService::cancel(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (id >= jobs_.size() || jobs_[id]->done) return false;
-  jobs_[id]->token.cancel();
+  Job* job = findLocked(id);
+  if (job == nullptr || job->done) return false;
+  job->token.cancel();
   return true;
 }
 
 std::size_t FillService::cancelAll() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t n = 0;
-  for (const auto& job : jobs_) {
+  for (const auto& [id, job] : jobs_) {
     if (!job->done) {
       job->token.cancel();
       ++n;
@@ -104,17 +112,25 @@ std::size_t FillService::cancelAll() {
 }
 
 std::vector<JobResult> FillService::waitAll() {
-  std::size_t count = 0;
+  std::vector<std::uint64_t> ids;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    count = jobs_.size();
+    ids.reserve(jobs_.size());
+    for (const auto& [id, job] : jobs_) ids.push_back(id);
   }
   std::vector<JobResult> results;
-  results.reserve(count);
-  for (std::size_t id = 0; id < count; ++id) {
-    results.push_back(wait(id));
-  }
+  results.reserve(ids.size());
+  for (const std::uint64_t id : ids) results.push_back(wait(id));
   return results;
+}
+
+bool FillService::release(std::uint64_t id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = jobs_.find(id);
+  // A running job's worker still writes into it; only finished jobs go.
+  if (it == jobs_.end() || !it->second->done) return false;
+  jobs_.erase(it);
+  return true;
 }
 
 void FillService::execute(Job& job) {
@@ -164,6 +180,12 @@ void FillService::execute(Job& job) {
     }
     reg.histogram("job.queue_seconds").observe(r.queueSeconds);
     reg.histogram("job.run_seconds").observe(r.runSeconds);
+    if (r.status == JobStatus::kSucceeded) {
+      reg.histogram("job.load_seconds").observe(r.loadSeconds);
+      if (r.outputBytes >= 0) {
+        reg.histogram("job.write_seconds").observe(r.writeSeconds);
+      }
+    }
     reg.gauge("process.peak_rss_mib").set(r.peakRssMiB);
   }
   logFields(LogLevel::kDebug, "job.done",
@@ -172,6 +194,7 @@ void FillService::execute(Job& job) {
              {"cache_hit", r.cacheHit ? "1" : "0"}});
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    accumulateLocked(r);
     job.result = std::move(r);
     job.done = true;
     lastFinish_ = Clock::now();
@@ -218,10 +241,13 @@ JobResult FillService::runJob(Job& job) const {
     r.report = shardedReport.fill;
     r.fillCount = shardedReport.fill.fillCount;
     r.outputBytes = shardedReport.outputBytes;
+    r.loadSeconds = shardedReport.ingestSeconds;
+    r.writeSeconds = shardedReport.outputSeconds;
     r.status = JobStatus::kSucceeded;
     return r;
   }
 
+  Timer stage;
   layout::Layout chip({}, 0);
   if (spec.layout != nullptr) {
     chip = *spec.layout;
@@ -233,6 +259,7 @@ JobResult FillService::runJob(Job& job) const {
       return r;
     }
   }
+  r.loadSeconds = stage.elapsedSeconds();
 
   fill::FillEngineOptions engine = spec.engine;
   engine.numThreads = threadsPerJob_;
@@ -266,8 +293,10 @@ JobResult FillService::runJob(Job& job) const {
   r.fillCount = chip.fillCount();
 
   if (!spec.outputPath.empty()) {
+    stage.reset();
     r.outputBytes =
         writeLayout(chip, spec.outputPath, spec.format, spec.compact);
+    r.writeSeconds = stage.elapsedSeconds();
     if (r.outputBytes < 0) {
       r.status = JobStatus::kFailed;
       r.error = "cannot write " + spec.outputPath;
@@ -281,49 +310,49 @@ JobResult FillService::runJob(Job& job) const {
   return r;
 }
 
+void FillService::accumulateLocked(const JobResult& r) {
+  ServiceStats& t = totals_;
+  ++t.completed;
+  switch (r.status) {
+    case JobStatus::kSucceeded: ++t.succeeded; break;
+    case JobStatus::kFailed: ++t.failed; break;
+    case JobStatus::kTimedOut: ++t.timedOut; break;
+    case JobStatus::kCancelled: ++t.cancelled; break;
+  }
+  t.queueSecondsTotal += r.queueSeconds;
+  t.queueSecondsMax = std::max(t.queueSecondsMax, r.queueSeconds);
+  t.peakRssMiB = std::max(t.peakRssMiB, r.peakRssMiB);
+  if (r.status != JobStatus::kSucceeded) return;
+  if (r.cacheHit) {
+    ++t.jobCacheHits;
+  } else {
+    t.planningSeconds += r.report.planningSeconds;
+    t.candidateSeconds += r.report.candidateSeconds;
+    t.sizingSeconds += r.report.sizingSeconds;
+    t.engineSeconds += r.report.totalSeconds;
+  }
+}
+
 ServiceStats FillService::stats() const {
   ServiceStats s;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    s = totals_;
+    if (s.completed > 0) {
+      s.wallSeconds = secondsBetween(firstSubmit_, lastFinish_);
+    }
+  }
   s.profile = prof::Registry::instance().snapshot();
   s.cache = cache_.counters();
   const std::uint64_t probes = s.cache.hits + s.cache.misses;
   s.cacheHitRate =
       probes > 0 ? static_cast<double>(s.cache.hits) / static_cast<double>(probes)
                  : 0.0;
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  s.submitted = jobs_.size();
-  for (const auto& job : jobs_) {
-    if (!job->done) continue;
-    const JobResult& r = job->result;
-    ++s.completed;
-    switch (r.status) {
-      case JobStatus::kSucceeded: ++s.succeeded; break;
-      case JobStatus::kFailed: ++s.failed; break;
-      case JobStatus::kTimedOut: ++s.timedOut; break;
-      case JobStatus::kCancelled: ++s.cancelled; break;
-    }
-    s.queueSecondsTotal += r.queueSeconds;
-    s.queueSecondsMax = std::max(s.queueSecondsMax, r.queueSeconds);
-    s.peakRssMiB = std::max(s.peakRssMiB, r.peakRssMiB);
-    if (r.status == JobStatus::kSucceeded) {
-      if (r.cacheHit) {
-        ++s.jobCacheHits;
-      } else {
-        s.planningSeconds += r.report.planningSeconds;
-        s.candidateSeconds += r.report.candidateSeconds;
-        s.sizingSeconds += r.report.sizingSeconds;
-        s.engineSeconds += r.report.totalSeconds;
-      }
-    }
-  }
   if (s.completed > 0) {
     s.queueSecondsMean =
         s.queueSecondsTotal / static_cast<double>(s.completed);
-    if (anySubmitted_) {
-      s.wallSeconds = secondsBetween(firstSubmit_, lastFinish_);
-      if (s.wallSeconds > 0) {
-        s.jobsPerSecond = static_cast<double>(s.completed) / s.wallSeconds;
-      }
+    if (s.wallSeconds > 0) {
+      s.jobsPerSecond = static_cast<double>(s.completed) / s.wallSeconds;
     }
   }
   return s;

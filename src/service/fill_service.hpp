@@ -5,8 +5,10 @@
 // on a miss (capped at threads-per-job workers, cancellable on deadline),
 // writes its output file, and publishes a JobResult. wait()/waitAll()
 // surface results in deterministic submission order regardless of
-// completion order; stats() aggregates throughput, queue latency,
-// per-stage engine seconds and cache behavior.
+// completion order; release() frees a finished job once its caller is
+// done with it, so a long-lived daemon holds only the jobs in flight.
+// stats() reports running totals of throughput, queue latency, per-stage
+// engine seconds and cache behavior, which release() does not reset.
 //
 // Output determinism: a job's bytes depend only on its own spec — never on
 // the concurrency settings. Engine runs are thread-count-invariant (PR-1
@@ -17,7 +19,7 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -124,11 +126,19 @@ class FillService {
   /// their next checkpoint). Returns the number of jobs cancelled.
   std::size_t cancelAll();
 
-  /// Waits for every submitted job; results indexed by job id, i.e. in
-  /// submission order.
+  /// Waits for every job not yet released; results in job id order, i.e.
+  /// in submission order (indexed by job id when none was released).
   std::vector<JobResult> waitAll();
 
+  /// Frees finished job `id` (spec, result, token): later wait/waitFor/
+  /// cancel calls must not name it. Returns false, and keeps the job, when
+  /// it is unknown or not finished. Its stats() totals stay counted.
+  bool release(std::uint64_t id);
+
   ServiceStats stats() const;
+  /// The result cache's counters alone: unlike stats(), no profile
+  /// snapshot and no service mutex.
+  ResultCache::Counters cacheCounters() const { return cache_.counters(); }
 
   const ServiceOptions& options() const { return options_; }
   /// Resolved engine threads each job runs with.
@@ -146,6 +156,11 @@ class FillService {
 
   void execute(Job& job);
   JobResult runJob(Job& job) const;
+  /// Adds finished result `r` to totals_; mutex_ must be held.
+  void accumulateLocked(const JobResult& r);
+  /// The held job with this id, or null (unknown or released); mutex_
+  /// must be held.
+  Job* findLocked(std::uint64_t id) const;
 
   ServiceOptions options_;
   int threadsPerJob_ = 1;
@@ -153,8 +168,11 @@ class FillService {
 
   mutable std::mutex mutex_;
   std::condition_variable done_;
-  std::deque<std::unique_ptr<Job>> jobs_;  // index = job id
-  bool anySubmitted_ = false;
+  std::map<std::uint64_t, std::unique_ptr<Job>> jobs_;  // not yet released
+  std::uint64_t nextId_ = 0;
+  /// Running totals, updated as each job finishes: every ServiceStats field
+  /// but the derived means and rates, the cache counters and the profile.
+  ServiceStats totals_;
   std::chrono::steady_clock::time_point firstSubmit_;
   std::chrono::steady_clock::time_point lastFinish_;
 

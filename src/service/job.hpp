@@ -90,6 +90,11 @@ struct JobResult {
   long long outputBytes = -1;  // bytes written, -1 when no output requested
   double queueSeconds = 0.0;   // submission -> job picked by a worker
   double runSeconds = 0.0;     // load + cache lookup + engine + write
+  /// The load and write stages inside runSeconds: input parse (or the
+  /// copy of an in-memory layout; the streamed ingest for --stream jobs)
+  /// and output encode + write (0 when no output was requested).
+  double loadSeconds = 0.0;
+  double writeSeconds = 0.0;
   /// Process peak RSS (MiB) sampled when the job finished. Jobs share one
   /// address space, so this is a high-water mark "as of job completion",
   /// not a per-job allocation figure.

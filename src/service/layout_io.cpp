@@ -48,6 +48,7 @@ bool loadFlatLayout(const std::string& path,
 long long writeLayout(const layout::Layout& chip, const std::string& path,
                       OutputFormat format, bool compact) {
   obs::ScopedSpan span("gds.write", "io");
+  if (format == OutputFormat::kGds && !compact) return chip.writeGds(path);
   const gds::Library lib = compact ? layout::toCompactGds(chip) : chip.toGds();
   return format == OutputFormat::kOasis ? gds::OasisWriter::writeFile(lib, path)
                                         : gds::Writer::writeFile(lib, path);

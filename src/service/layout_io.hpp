@@ -25,9 +25,10 @@ bool loadFlatLayout(const std::string& path,
                     const std::optional<geom::Rect>& die, layout::Layout* out,
                     std::string* error);
 
-/// Writes `chip` as GDSII or OFL-OASIS, flat (Layout::toGds) or
-/// compacted (layout::toCompactGds). Returns the byte count, or -1 on IO
-/// failure.
+/// Writes `chip` as GDSII or OFL-OASIS, flat or compacted
+/// (layout::toCompactGds). Flat GDSII streams straight from the layout
+/// (Layout::writeGds); only the compact and OASIS forms build a Library.
+/// Returns the byte count, or -1 on IO failure.
 long long writeLayout(const layout::Layout& chip, const std::string& path,
                       OutputFormat format, bool compact);
 

@@ -60,7 +60,11 @@ TEST(StreamReaderTest, ChunkBoundarySplitsAreInvisible) {
   const std::string path = writeTemp(bytes, "ofl_stream_chunks.gds");
   // Chunk sizes deliberately smaller than single records (a BOUNDARY with
   // XY data is tens of bytes), so every record straddles chunk refills.
-  for (const std::size_t chunk : {16ul, 17ul, 64ul, 1024ul, bytes.size()}) {
+  // At 1 byte the buffer never holds more than the last request, so
+  // ensure()'s inline fast path sees only exact fits and every other
+  // request goes through refill.
+  for (const std::size_t chunk :
+       {1ul, 16ul, 17ul, 64ul, 1024ul, bytes.size()}) {
     StreamReader::Options o;
     o.chunkBytes = chunk;
     LibraryCollector collector;

@@ -163,6 +163,52 @@ TEST_F(ServerTest, FillJobByteIdenticalToDirectRunAndCacheHitsRepeat) {
   server.drain();
 }
 
+TEST_F(ServerTest, ServedJobsAreReleasedAndStillCounted) {
+  Server server(baseConfig());
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  Client client("127.0.0.1", server.port());
+  ASSERT_TRUE(client.connected()) << client.error();
+  const auto histogramCount = [](const char* name) {
+    return obs::MetricsRegistry::instance().snapshot().histograms.at(name)
+        .data.count;
+  };
+  const std::uint64_t loadsBefore = histogramCount("job.load_seconds");
+  const std::uint64_t writesBefore = histogramCount("job.write_seconds");
+
+  constexpr int kRequests = 6;  // one miss, then hits
+  for (int k = 0; k < kRequests; ++k) {
+    const auto resp = client.call(
+        fillRequest(fastSpec("released" + std::to_string(k) + ".gds")));
+    ASSERT_TRUE(resp.has_value()) << client.error();
+    ASSERT_TRUE(resp->ok) << resp->error;
+    EXPECT_EQ(k > 0, field(*resp, "cacheHit")->boolean);
+    // The load and write stages are inside the job's run time.
+    const double load = field(*resp, "loadSeconds")->number;
+    const double write = field(*resp, "writeSeconds")->number;
+    EXPECT_GT(load, 0.0);
+    EXPECT_GT(write, 0.0);
+    EXPECT_LE(load + write, field(*resp, "runSeconds")->number);
+  }
+
+  // Each job was freed once answered: releasing it again finds nothing.
+  service::FillService& svc = server.service();
+  for (std::uint64_t id = 0; id < kRequests; ++id) {
+    EXPECT_FALSE(svc.release(id)) << "job " << id << " still held";
+  }
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(stats.succeeded, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(stats.jobCacheHits, static_cast<std::uint64_t>(kRequests - 1));
+  EXPECT_GT(stats.engineSeconds, 0.0);
+  EXPECT_EQ(histogramCount("job.load_seconds") - loadsBefore,
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(histogramCount("job.write_seconds") - writesBefore,
+            static_cast<std::uint64_t>(kRequests));
+  server.drain();
+}
+
 TEST_F(ServerTest, EcoJobRunsAndTraceReturnsItsSpans) {
   Server server(baseConfig());
   std::string error;

@@ -152,6 +152,53 @@ TEST(LayoutIoPropertyTest, MatchesLibraryRouteOnRandomHierarchies) {
   std::remove(path.c_str());
 }
 
+// writeLayout in every mode reads back through loadFlatLayout as the same
+// shapes: flat GDSII (Layout::writeGds), compact GDSII and both OASIS forms
+// (through a Library). Compaction may reorder fills, so they are compared
+// as sorted lists.
+TEST(LayoutIoTest, WriteLayoutRoundTripsInEveryMode) {
+  layout::Layout chip({0, 0, 4000, 4000}, 3);
+  chip.layer(0).wires.push_back({0, 0, 4000, 100});
+  chip.layer(2).wires.push_back({100, 300, 400, 3900});
+  for (int i = 0; i < 12; ++i) {
+    for (int j = 0; j < 8; ++j) {  // a regular grid compaction arrays
+      const geom::Coord x = 1000 + 200 * i;
+      const geom::Coord y = 500 + 300 * j;
+      chip.layer(0).fills.push_back({x, y, x + 120, y + 150});
+    }
+  }
+  chip.layer(2).fills.push_back({600, 700, 650, 900});
+  const auto sorted = [](std::vector<geom::Rect> rects) {
+    std::sort(rects.begin(), rects.end(), geom::RectYXLess{});
+    return rects;
+  };
+  const std::string path = ::testing::TempDir() + "ofl_layout_io_modes";
+  for (const OutputFormat format : {OutputFormat::kGds, OutputFormat::kOasis}) {
+    for (const bool compact : {false, true}) {
+      const std::string mode = std::string(format == OutputFormat::kGds
+                                               ? "gds"
+                                               : "oasis") +
+                               (compact ? " compact" : " flat");
+      ASSERT_GT(writeLayout(chip, path, format, compact), 0) << mode;
+      layout::Layout back;
+      std::string error;
+      ASSERT_TRUE(loadFlatLayout(path, chip.die(), &back, &error))
+          << mode << ": " << error;
+      ASSERT_EQ(back.numLayers(), chip.numLayers()) << mode;
+      for (int l = 0; l < chip.numLayers(); ++l) {
+        EXPECT_EQ(back.layer(l).wires, chip.layer(l).wires)
+            << mode << " layer " << l;
+        EXPECT_EQ(sorted(back.layer(l).fills), sorted(chip.layer(l).fills))
+            << mode << " layer " << l;
+      }
+    }
+  }
+  EXPECT_EQ(writeLayout(chip, "/nonexistent/dir/out.gds", OutputFormat::kGds,
+                        false),
+            -1);
+  std::remove(path.c_str());
+}
+
 TEST(LayoutIoTest, UnreadableFileKeepsItsMessage) {
   layout::Layout chip;
   std::string error;
