@@ -52,4 +52,11 @@ struct CancelToken {
   }
 };
 
+/// Checkpoint of work that takes an optional token: no-op without one. A
+/// pool worker that throws aborts its parallelFor (the remaining indices
+/// are abandoned) and the pool rethrows on the caller.
+inline void checkCancel(const CancelToken* token) {
+  if (token != nullptr) token->throwIfExpired();
+}
+
 }  // namespace ofl

@@ -1,5 +1,5 @@
-// Wall-clock stopwatch used for the contest runtime score and for the
-// per-stage timing breakdown the FillEngine reports.
+// Wall-clock stopwatch used for the contest runtime score and for whole-run
+// and I/O timings. Stage timings go through obs::Stage (obs/trace.hpp).
 #pragma once
 
 #include <chrono>
@@ -21,25 +21,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates elapsed time across start/stop pairs; used to attribute
-/// runtime to flow stages (planning / generation / sizing / IO).
-class StageTimer {
- public:
-  void start() { running_ = true; timer_.reset(); }
-  void stop() {
-    if (running_) total_ += timer_.elapsedSeconds();
-    running_ = false;
-  }
-  double totalSeconds() const {
-    return total_ + (running_ ? timer_.elapsedSeconds() : 0.0);
-  }
-
- private:
-  Timer timer_;
-  double total_ = 0.0;
-  bool running_ = false;
 };
 
 }  // namespace ofl

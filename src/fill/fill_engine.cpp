@@ -21,57 +21,6 @@ namespace ofl::fill {
 
 namespace {
 
-// Cancellation checkpoint: no-op without a token. Called at stage
-// boundaries and at the top of each per-window work item; a worker that
-// throws CancelledError aborts the parallelFor (remaining indices are
-// abandoned) and the pool rethrows it on the caller.
-inline void checkCancel(const CancelToken* token) {
-  if (token != nullptr) token->throwIfExpired();
-}
-
-// Quality-telemetry channel: final per-window density and planned-target
-// gap per layer, computed from the solved window problems (wire density +
-// fill area / window area — the same arithmetic the second planning round
-// uses, so no extra geometry passes). Gated: runs only when metrics or
-// tracing collection is on; pure observation, never part of the result.
-void recordQualityTelemetry(const layout::WindowGrid& grid,
-                            const std::vector<WindowProblem>& problems,
-                            int numLayers, std::int64_t jobId) {
-  if (!obs::metricsEnabled() && !obs::Tracer::enabled()) return;
-  const auto numWindows = problems.size();
-  std::vector<double> values(numWindows);
-  for (int l = 0; l < numLayers; ++l) {
-    const auto li = static_cast<std::size_t>(l);
-    for (std::size_t w = 0; w < numWindows; ++w) {
-      const WindowProblem& p = problems[w];
-      const double d = detail::windowDensity(p, li);
-      values[w] = d;
-      obs::recordWindowQuality(l + 1, d, std::abs(d - p.targetDensity[li]));
-    }
-    const density::DensityMap map(grid.cols(), grid.rows(), values);
-    const density::DensityMetrics m = density::computeMetrics(map);
-    obs::recordLayerQuality(l + 1, m.mean, m.sigma, m.lineHotspot,
-                            m.outlierHotspot, jobId);
-  }
-}
-
-// Engine-level throughput metrics shared by run() and runIncremental().
-void recordRunMetrics(const FillReport& report) {
-  if (!obs::metricsEnabled()) return;
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
-  reg.counter("engine.runs").add();
-  reg.counter("engine.candidates").add(report.candidateCount);
-  reg.counter("engine.fills").add(report.fillCount);
-  reg.counter("engine.mcf_warm_starts")
-      .add(static_cast<std::uint64_t>(report.sizerStats.warmStarts));
-  reg.counter("engine.mcf_early_exits")
-      .add(static_cast<std::uint64_t>(report.sizerStats.earlyExits));
-  reg.counter("engine.sizer_closed_form_solves")
-      .add(static_cast<std::uint64_t>(report.sizerStats.closedFormSolves));
-  reg.counter("engine.eco_windows_skipped").add(report.ecoWindowsSkipped);
-  reg.histogram("engine.run_seconds").observe(report.totalSeconds);
-}
-
 // ---- Window-cache fingerprints -----------------------------------------
 //
 // A window's fill result is a pure function of (a) the option fields that
@@ -244,28 +193,6 @@ void prepareBand(const layout::WindowGrid& grid,
   });
 }
 
-WindowProblem windowProblem(const layout::WindowGrid& grid, std::size_t w,
-                            WindowPrep& geo, std::size_t slot,
-                            const std::vector<std::vector<double>>& wireDensity,
-                            const TargetPlan& plan) {
-  const auto cols = static_cast<std::size_t>(grid.cols());
-  const std::size_t nl = geo.wires.size();
-  WindowProblem p;
-  p.window = grid.windowRect(static_cast<int>(w % cols),
-                             static_cast<int>(w / cols));
-  p.fillRegions.reserve(nl);
-  p.wires.reserve(nl);
-  p.blocked.reserve(nl);
-  for (std::size_t l = 0; l < nl; ++l) {
-    p.fillRegions.push_back(std::move(geo.fillRegions[l][slot]));
-    p.wires.push_back(std::move(geo.wires[l][slot]));
-    p.blocked.push_back(std::move(geo.blocked[l][slot]));
-    p.wireDensity.push_back(wireDensity[l][w]);
-    p.targetDensity.push_back(plan.windowTarget[l][w]);
-  }
-  return p;
-}
-
 double windowDensity(const WindowProblem& p, std::size_t l) {
   const geom::Area windowArea = p.window.area();
   if (windowArea <= 0) return 0.0;
@@ -284,8 +211,6 @@ double tightenedUpper(const density::DensityBounds& bounds, std::size_t w,
 WindowPrep prepareWindows(const layout::Layout& layout,
                           const layout::WindowGrid& grid,
                           const FillEngineOptions& options, ThreadPool& pool) {
-  obs::ScopedSpan span("engine.region_prep", "engine",
-                       {{"job", static_cast<double>(options.jobId)}});
   const auto nl = static_cast<std::size_t>(layout.numLayers());
   const auto numWindows = static_cast<std::size_t>(grid.windowCount());
   WindowPrep prep;
@@ -306,6 +231,206 @@ WindowPrep prepareWindows(const layout::Layout& layout,
   return prep;
 }
 
+Flow::Flow(const FillEngineOptions& options, const layout::WindowGrid& grid,
+           WindowPrep& scalars, ThreadPool& pool, FillReport& report)
+    : options_(options),
+      grid_(grid),
+      scalars_(scalars),
+      pool_(pool),
+      report_(report),
+      jobId_(static_cast<double>(options.jobId)),
+      telemetry_(obs::metricsEnabled() || obs::Tracer::enabled()),
+      planner_(options.plannerWeights),
+      generator_(options.rules, options.candidate),
+      sizer_(options.rules, options.sizer) {
+  report.threadsUsed = pool.size();
+}
+
+void Flow::plan(const TargetPlan* pinnedTo) {
+  obs::Stage probe("engine.planning", "engine", {{"job", jobId_}},
+                   prof::Stage::kPlanning, &report_.planningSeconds);
+  plan_ = pinnedTo != nullptr
+              ? planner_.planPinned(*pinnedTo, scalars_.bounds)
+              : planner_.plan(scalars_.bounds, grid_.cols(), grid_.rows());
+}
+
+WindowProblem Flow::problem(std::size_t w, WindowPrep& geo,
+                            std::size_t slot) const {
+  const auto cols = static_cast<std::size_t>(grid_.cols());
+  const std::size_t nl = geo.wires.size();
+  // Moves slot `slot` of each layer of `table` into `out`; a kind stage 0
+  // did not produce stays empty.
+  const auto take = [&](auto& table, auto& out) {
+    out.reserve(table.size());
+    for (auto& layer : table) out.push_back(std::move(layer[slot]));
+  };
+  WindowProblem p;
+  p.window = grid_.windowRect(static_cast<int>(w % cols),
+                              static_cast<int>(w / cols));
+  take(geo.fillRegions, p.fillRegions);
+  take(geo.wires, p.wires);
+  take(geo.blocked, p.blocked);
+  p.wireDensity.reserve(nl);
+  p.targetDensity.reserve(nl);
+  for (std::size_t l = 0; l < nl; ++l) {
+    p.wireDensity.push_back(scalars_.wireDensity[l][w]);
+    p.targetDensity.push_back(plan_.windowTarget[l][w]);
+  }
+  return p;
+}
+
+void Flow::generateWindow(WindowProblem& p, std::size_t w) {
+  checkCancel(options_.cancel);
+  // Worker-local scratch: buffers survive across the windows this thread
+  // processes, then across runs in the same process.
+  static thread_local CandidateGenerator::Scratch scratch;
+  {
+    obs::Stage probe("window.candidates", "window",
+                     {{"job", jobId_}, {"w", static_cast<double>(w)}},
+                     prof::Stage::kCandidates);
+    generator_.generate(p, scratch);
+  }
+  // Candidates cap what the window can reach: stage 3 replans on upper
+  // bounds tightened to the candidate density. Each window writes only
+  // its own bound slots.
+  std::vector<density::DensityBounds>& bounds = scalars_.bounds;
+  for (std::size_t l = 0; l < bounds.size(); ++l) {
+    bounds[l].upper[w] = tightenedUpper(bounds[l], w, p, l);
+  }
+}
+
+void Flow::sizeWindow(WindowProblem& p, std::size_t w,
+                      FillSizer::Stats& stats) const {
+  checkCancel(options_.cancel);
+  static thread_local FillSizer::Scratch scratch;
+  obs::Stage probe("window.sizing", "window",
+                   {{"job", jobId_}, {"w", static_cast<double>(w)}},
+                   prof::Stage::kSizing);
+  sizer_.size(p, scratch, &stats);
+}
+
+std::vector<WindowProblem> Flow::candidateBand(std::size_t first,
+                                               std::size_t count,
+                                               WindowPrep& geo,
+                                               bool keepWires) {
+  prof::count(prof::Counter::kWindows, count);
+  if (obs::metricsEnabled()) {
+    obs::MetricsRegistry::instance().counter("engine.windows").add(count);
+  }
+  WindowCache* const cache = options_.windowCache;
+  const std::uint64_t optionsDigest =
+      cache != nullptr ? windowOptionsDigest(options_) : 0;
+  if (cache != nullptr && prefixKeys_.empty()) {
+    candidatePlan_ = plan_;  // the ECO path pins its candidate targets to it
+    prefixKeys_.resize(static_cast<std::size_t>(grid_.windowCount()));
+    candidates_.resize(prefixKeys_.size());
+  }
+  std::vector<WindowProblem> problems(count);
+  pool_.parallelFor(count, [&](std::size_t b) {
+    const std::size_t w = first + b;
+    WindowProblem& p = problems[b];
+    p = problem(w, geo, b);
+    generateWindow(p, w);
+    if (cache != nullptr) {
+      // Generation only wrote p.fills, so the window still holds the
+      // candidate-stage inputs.
+      prefixKeys_[w] = windowPrefixKey(optionsDigest, p);
+      for (const auto& layerFills : p.fills) {
+        candidates_[w] += layerFills.size();
+      }
+    }
+    p.fillRegions = {};
+    p.blocked = {};
+    if (!keepWires) p.wires = {};
+  });
+  for (const WindowProblem& p : problems) {
+    for (const auto& layerFills : p.fills) {
+      report_.candidateCount += layerFills.size();
+    }
+  }
+  return problems;
+}
+
+void Flow::replan() {
+  checkCancel(options_.cancel);
+  {
+    obs::Stage probe("engine.replanning", "engine", {{"job", jobId_}},
+                     prof::Stage::kPlanning, &report_.planningSeconds);
+    plan_ = planner_.plan(scalars_.bounds, grid_.cols(), grid_.rows());
+  }
+  report_.layerTargets = plan_.layerTarget;
+  if (options_.windowCache != nullptr) {
+    options_.windowCache->storePlan(
+        {grid_.cols(), grid_.rows(),
+         static_cast<int>(scalars_.wireDensity.size()), candidatePlan_, plan_});
+  }
+}
+
+void Flow::sizingBand(std::size_t first, std::span<WindowProblem> problems) {
+  const std::size_t nl = scalars_.wireDensity.size();
+  std::vector<FillSizer::Stats> stats(problems.size());
+  pool_.parallelFor(problems.size(), [&](std::size_t b) {
+    const std::size_t w = first + b;
+    WindowProblem& p = problems[b];
+    for (std::size_t l = 0; l < nl; ++l) {
+      p.targetDensity[l] = plan_.windowTarget[l][w];
+    }
+    sizeWindow(p, w, stats[b]);
+    p.wires = {};
+    // The final key adds the sizing-stage targets to the prefix.
+    if (options_.windowCache != nullptr) {
+      options_.windowCache->insert(
+          windowFinalKey(prefixKeys_[w], p.targetDensity),
+          WindowCache::Entry{p.fills, candidates_[w]});
+    }
+  });
+  if (telemetry_ && finalDensity_.empty()) {
+    finalDensity_.assign(
+        nl, std::vector<double>(static_cast<std::size_t>(grid_.windowCount())));
+  }
+  for (std::size_t b = 0; b < problems.size(); ++b) {
+    const WindowProblem& p = problems[b];
+    report_.sizerStats.add(stats[b]);
+    for (std::size_t l = 0; l < nl; ++l) {
+      report_.fillCount += p.fills[l].size();
+      if (telemetry_) finalDensity_[l][first + b] = windowDensity(p, l);
+    }
+  }
+}
+
+void Flow::finish(double totalSeconds) {
+  // Quality telemetry: final per-window density and its gap to the sizing
+  // target, then the layer's density metrics; pure observation, never
+  // part of the result.
+  for (std::size_t l = 0; l < finalDensity_.size(); ++l) {
+    const auto layer = static_cast<int>(l) + 1;
+    for (std::size_t w = 0; w < finalDensity_[l].size(); ++w) {
+      const double d = finalDensity_[l][w];
+      obs::recordWindowQuality(layer, d,
+                               std::abs(d - plan_.windowTarget[l][w]));
+    }
+    const density::DensityMetrics m = density::computeMetrics(
+        density::DensityMap(grid_.cols(), grid_.rows(), finalDensity_[l]));
+    obs::recordLayerQuality(layer, m.mean, m.sigma, m.lineHotspot,
+                            m.outlierHotspot, options_.jobId);
+  }
+  report_.totalSeconds = totalSeconds;
+  report_.profile = prof::Registry::instance().snapshot();
+  if (!obs::metricsEnabled()) return;
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  reg.counter("engine.runs").add();
+  reg.counter("engine.candidates").add(report_.candidateCount);
+  reg.counter("engine.fills").add(report_.fillCount);
+  reg.counter("engine.mcf_warm_starts")
+      .add(static_cast<std::uint64_t>(report_.sizerStats.warmStarts));
+  reg.counter("engine.mcf_early_exits")
+      .add(static_cast<std::uint64_t>(report_.sizerStats.earlyExits));
+  reg.counter("engine.sizer_closed_form_solves")
+      .add(static_cast<std::uint64_t>(report_.sizerStats.closedFormSolves));
+  reg.counter("engine.eco_windows_skipped").add(report_.ecoWindowsSkipped);
+  reg.histogram("engine.run_seconds").observe(report_.totalSeconds);
+}
+
 }  // namespace detail
 
 FillReport FillEngine::run(layout::Layout& layout) const {
@@ -320,130 +445,34 @@ FillReport FillEngine::run(layout::Layout& layout) const {
   const layout::WindowGrid grid(layout.die(), options_.windowSize);
   const auto numWindows = static_cast<std::size_t>(grid.windowCount());
   ThreadPool pool(options_.numThreads);
-  report.threadsUsed = pool.size();
 
-  // --- Stage 0: wire buckets, fill regions, wire densities, bounds ---
-  Timer stage;
-  detail::WindowPrep prep =
-      detail::prepareWindows(layout, grid, options_, pool);
-  std::vector<density::DensityBounds>& bounds = prep.bounds;
-
-  // --- Stage 1: density planning on the geometric bounds (Section 3.1) ---
-  const TargetDensityPlanner planner(options_.plannerWeights);
-  TargetPlan plan;
+  // Stage 0 over every window; stages 1-4 as the one-band case of the
+  // shared flow, whose band is the whole window table.
+  detail::WindowPrep prep;
   {
-    obs::ScopedSpan span("engine.planning", "engine", {{"job", jid}});
-    prof::ScopedTimer timer(prof::Stage::kPlanning);
-    plan = planner.plan(bounds, grid.cols(), grid.rows());
+    obs::Stage probe("engine.region_prep", "engine", {{"job", jid}},
+                     &report.planningSeconds);
+    prep = detail::prepareWindows(layout, grid, options_, pool);
   }
-  report.planningSeconds += stage.elapsedSeconds();
+  detail::Flow flow(options_, grid, prep, pool, report);
+  flow.plan();
 
-  // With a window cache attached, remember the stage-1 plan (the ECO path
-  // pins its candidate targets to it) and fingerprint each window as it is
-  // assembled so the sizing results can be deposited afterwards.
-  WindowCache* const cache = options_.windowCache;
-  TargetPlan candidatePlan;
-  if (cache != nullptr) candidatePlan = plan;
-  const std::uint64_t optionsDigest =
-      cache != nullptr ? windowOptionsDigest(options_) : 0;
-  std::vector<std::uint64_t> prefixKeys(cache != nullptr ? numWindows : 0);
-  std::vector<std::size_t> windowCandidates(cache != nullptr ? numWindows : 0);
-
-  // --- Stage 2: per-window candidate generation (Section 3.2) ---
-  stage.reset();
-  std::vector<WindowProblem> problems(numWindows);
-  const CandidateGenerator generator(options_.rules, options_.candidate);
-  prof::count(prof::Counter::kWindows, numWindows);
-  if (obs::metricsEnabled()) {
-    obs::MetricsRegistry::instance().counter("engine.windows").add(numWindows);
-  }
+  std::vector<WindowProblem> problems;
   {
-    obs::ScopedSpan span("engine.candidates", "engine", {{"job", jid}});
-    pool.parallelFor(numWindows, [&](std::size_t w) {
-      checkCancel(options_.cancel);
-      WindowProblem& p = problems[w];
-      p = detail::windowProblem(grid, w, prep, w, prep.wireDensity, plan);
-      if (cache != nullptr) prefixKeys[w] = windowPrefixKey(optionsDigest, p);
-      // Worker-local scratch: buffers survive across the windows this
-      // thread processes, then across runs in the same process.
-      static thread_local CandidateGenerator::Scratch scratch;
-      prof::ScopedTimer timer(prof::Stage::kCandidates);
-      obs::ScopedSpan windowSpan(
-          "window.candidates", "window",
-          {{"job", jid}, {"w", static_cast<double>(w)}});
-      generator.generate(p, scratch);
-    });
+    obs::Stage probe("engine.candidates", "engine", {{"job", jid}},
+                     &report.candidateSeconds);
+    problems = flow.candidateBand(0, numWindows, prep, /*keepWires=*/true);
   }
-  for (std::size_t w = 0; w < numWindows; ++w) {
-    std::size_t count = 0;
-    for (const auto& layerFills : problems[w].fills) count += layerFills.size();
-    report.candidateCount += count;
-    if (cache != nullptr) windowCandidates[w] = count;
-  }
-  report.candidateSeconds += stage.elapsedSeconds();
-
-  checkCancel(options_.cancel);
-
-  // --- Stage 3: second density planning (Fig. 3) ---
-  // Candidates cap what each window can actually reach; tighten the upper
-  // bounds to the achieved candidate density and re-plan so the sizing
-  // targets are consistent.
-  stage.reset();
-  for (std::size_t l = 0; l < bounds.size(); ++l) {
-    for (std::size_t w = 0; w < numWindows; ++w) {
-      bounds[l].upper[w] = detail::tightenedUpper(bounds[l], w, problems[w], l);
-    }
-  }
+  flow.replan();
   {
-    prof::ScopedTimer timer(prof::Stage::kPlanning);
-    obs::ScopedSpan span("engine.replanning", "engine", {{"job", jid}});
-    plan = planner.plan(bounds, grid.cols(), grid.rows());
+    obs::Stage probe("engine.sizing", "engine", {{"job", jid}},
+                     &report.sizingSeconds);
+    flow.sizingBand(0, problems);
   }
-  for (std::size_t w = 0; w < numWindows; ++w) {
-    for (int l = 0; l < numLayers; ++l) {
-      problems[w].targetDensity[static_cast<std::size_t>(l)] =
-          plan.windowTarget[static_cast<std::size_t>(l)][w];
-    }
-  }
-  report.layerTargets = plan.layerTarget;
-  report.planningSeconds += stage.elapsedSeconds();
 
-  // --- Stage 4: fill sizing (Section 3.3) ---
-  stage.reset();
-  const FillSizer sizer(options_.rules, options_.sizer);
-  std::vector<FillSizer::Stats> windowStats(numWindows);
   {
-    obs::ScopedSpan span("engine.sizing", "engine", {{"job", jid}});
-    pool.parallelFor(numWindows, [&](std::size_t w) {
-      checkCancel(options_.cancel);
-      static thread_local FillSizer::Scratch scratch;
-      prof::ScopedTimer timer(prof::Stage::kSizing);
-      obs::ScopedSpan windowSpan(
-          "window.sizing", "window",
-          {{"job", jid}, {"w", static_cast<double>(w)}});
-      sizer.size(problems[w], scratch, &windowStats[w]);
-    });
-  }
-  for (const FillSizer::Stats& s : windowStats) report.sizerStats.add(s);
-  report.sizingSeconds += stage.elapsedSeconds();
-
-  // Deposit every window's solved fills and both target plans; the final
-  // key adds the sizing-stage targets (p.targetDensity holds the stage-3
-  // replan values by now) on top of the candidate-stage prefix.
-  if (cache != nullptr) {
-    for (std::size_t w = 0; w < numWindows; ++w) {
-      const WindowProblem& p = problems[w];
-      cache->insert(windowFinalKey(prefixKeys[w], p.targetDensity),
-                    WindowCache::Entry{p.fills, windowCandidates[w]});
-    }
-    cache->storePlan(
-        {grid.cols(), grid.rows(), numLayers, candidatePlan, plan});
-  }
-
-  // --- Output ---
-  {
-    prof::ScopedTimer timer(prof::Stage::kOutput);
-    obs::ScopedSpan span("engine.output", "engine", {{"job", jid}});
+    obs::Stage probe("engine.output", "engine", {{"job", jid}},
+                     prof::Stage::kOutput);
     for (const WindowProblem& p : problems) {
       for (int l = 0; l < numLayers; ++l) {
         auto& out = layout.layer(l).fills;
@@ -452,11 +481,7 @@ FillReport FillEngine::run(layout::Layout& layout) const {
       }
     }
   }
-  recordQualityTelemetry(grid, problems, numLayers, options_.jobId);
-  report.fillCount = layout.fillCount();
-  report.totalSeconds = total.elapsedSeconds();
-  report.profile = prof::Registry::instance().snapshot();
-  recordRunMetrics(report);
+  flow.finish(total.elapsedSeconds());
   logInfo("FillEngine: %zu fills from %zu candidates in %.2fs "
           "(plan %.2fs, cand %.2fs, size %.2fs, %d threads)",
           report.fillCount, report.candidateCount, report.totalSeconds,
@@ -476,7 +501,6 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
   const layout::WindowGrid grid(layout.die(), options_.windowSize);
   const auto numWindows = static_cast<std::size_t>(grid.windowCount());
   ThreadPool pool(options_.numThreads);
-  report.threadsUsed = pool.size();
 
   // Affected windows: everything the changed area (inflated by the
   // spacing rule, since a moved wire blocks space across a window border)
@@ -521,132 +545,122 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
 
   // Stage 0 runs over every window (the bounds need them all), but only
   // affected windows' buckets and regions are read after planning.
-  Timer stage;
-  detail::WindowPrep prep =
-      detail::prepareWindows(layout, grid, options_, pool);
-  std::vector<density::DensityBounds>& bounds = prep.bounds;
-  // Legacy mode plans with unaffected windows frozen at their current
-  // density: their lower and upper bounds collapse to the as-filled value,
-  // so the target sweep can only adapt the affected windows. Pinned mode
-  // keeps fresh wire-only bounds everywhere: the pinned plan clamps the
-  // stored targets into them exactly as the depositing run did, so
-  // unchanged-wire windows reproduce its targets bit-for-bit. No as-filled
-  // freeze is needed — targets are not re-swept here, so they cannot drift.
-  if (!pinned) {
-    std::vector<density::DensityMap> current(bounds.size());
-    pool.parallelFor(current.size(), [&](std::size_t l) {
-      prof::ScopedTimer timer(prof::Stage::kDensityCompute);
-      current[l] =
-          density::DensityMap::compute(layout, static_cast<int>(l), grid);
-    });
-    for (std::size_t l = 0; l < bounds.size(); ++l) {
-      for (std::size_t w = 0; w < numWindows; ++w) {
-        if (affected[w] != 0) continue;
-        const double d = current[l].values()[w];
-        bounds[l].lower[w] = d;
-        bounds[l].upper[w] = d;
+  detail::WindowPrep prep;
+  {
+    obs::Stage probe("engine.region_prep", "engine", {{"job", jid}},
+                     &report.planningSeconds);
+    prep = detail::prepareWindows(layout, grid, options_, pool);
+    // Legacy mode plans with unaffected windows frozen at their current
+    // density: their lower and upper bounds collapse to the as-filled
+    // value, so the target sweep can only adapt the affected windows.
+    // Pinned mode keeps fresh wire-only bounds everywhere: the pinned plan
+    // clamps the stored targets into them exactly as the depositing run
+    // did, so unchanged-wire windows reproduce its targets bit-for-bit. No
+    // as-filled freeze is needed — targets are not re-swept here, so they
+    // cannot drift.
+    std::vector<density::DensityBounds>& bounds = prep.bounds;
+    if (!pinned) {
+      std::vector<density::DensityMap> current(bounds.size());
+      pool.parallelFor(current.size(), [&](std::size_t l) {
+        prof::ScopedTimer timer(prof::Stage::kDensityCompute);
+        current[l] =
+            density::DensityMap::compute(layout, static_cast<int>(l), grid);
+      });
+      for (std::size_t l = 0; l < bounds.size(); ++l) {
+        for (std::size_t w = 0; w < numWindows; ++w) {
+          if (affected[w] != 0) continue;
+          const double d = current[l].values()[w];
+          bounds[l].lower[w] = d;
+          bounds[l].upper[w] = d;
+        }
       }
     }
   }
-  const TargetDensityPlanner planner(options_.plannerWeights);
   // Pinned mode plans CANDIDATE targets from the stored stage-1 plan; the
   // sizing targets are re-derived per affected window below, mirroring
   // run()'s stage-3 per-window arithmetic. Legacy mode keeps the single
   // frozen-bounds sweep for both roles.
-  const TargetPlan plan = [&] {
-    prof::ScopedTimer timer(prof::Stage::kPlanning);
-    return pinned ? planner.planPinned(stored.candidate, bounds)
-                  : planner.plan(bounds, grid.cols(), grid.rows());
-  }();
-  report.layerTargets = pinned ? stored.sizing.layerTarget : plan.layerTarget;
-  report.planningSeconds += stage.elapsedSeconds();
+  detail::Flow flow(options_, grid, prep, pool, report);
+  flow.plan(pinned ? &stored.candidate : nullptr);
+  report.layerTargets =
+      pinned ? stored.sizing.layerTarget : flow.targets().layerTarget;
 
   // Candidate generation + sizing for affected windows only: solve each
   // affected window into its own slot, then merge in window order.
-  stage.reset();
-  std::vector<std::size_t> affectedIndices;
-  for (std::size_t w = 0; w < numWindows; ++w) {
-    if (affected[w] != 0) affectedIndices.push_back(w);
-  }
-  const CandidateGenerator generator(options_.rules, options_.candidate);
-  const FillSizer sizer(options_.rules, options_.sizer);
-  const std::uint64_t optionsDigest =
-      pinned ? windowOptionsDigest(options_) : 0;
-  std::vector<WindowProblem> problems(affectedIndices.size());
-  std::vector<FillSizer::Stats> windowStats(affectedIndices.size());
-  std::vector<char> served(affectedIndices.size(), 0);
-  pool.parallelFor(affectedIndices.size(), [&](std::size_t a) {
-    checkCancel(options_.cancel);
-    const std::size_t w = affectedIndices[a];
-    WindowProblem& p = problems[a];
-    p = detail::windowProblem(grid, w, prep, w, prep.wireDensity, plan);
-    static thread_local CandidateGenerator::Scratch generatorScratch;
-    static thread_local FillSizer::Scratch sizerScratch;
-    obs::ScopedSpan windowSpan("window.refill", "window",
-                               {{"job", jid}, {"w", static_cast<double>(w)}});
-    std::uint64_t key = 0;
-    if (pinned) {
-      // Content-addressed lookup: prefix over the candidate-stage inputs
-      // just assembled, final key adding the stored sizing-target goals
-      // (raw, pre-clamp — the same values the depositing run keyed with).
-      const std::uint64_t prefix = windowPrefixKey(optionsDigest, p);
-      std::vector<double> goals(static_cast<std::size_t>(numLayers));
+  {
+    obs::Stage probe("engine.refill", "engine", {{"job", jid}},
+                     &report.sizingSeconds);
+    std::vector<std::size_t> affectedIndices;
+    for (std::size_t w = 0; w < numWindows; ++w) {
+      if (affected[w] != 0) affectedIndices.push_back(w);
+    }
+    const std::uint64_t optionsDigest =
+        pinned ? windowOptionsDigest(options_) : 0;
+    std::vector<WindowProblem> problems(affectedIndices.size());
+    std::vector<FillSizer::Stats> windowStats(affectedIndices.size());
+    std::vector<char> served(affectedIndices.size(), 0);
+    pool.parallelFor(affectedIndices.size(), [&](std::size_t a) {
+      checkCancel(options_.cancel);
+      const std::size_t w = affectedIndices[a];
+      WindowProblem& p = problems[a];
+      p = flow.problem(w, prep, w);
+      obs::ScopedSpan windowSpan("window.refill", "window",
+                                 {{"job", jid}, {"w", static_cast<double>(w)}});
+      std::uint64_t key = 0;
+      if (pinned) {
+        // Content-addressed lookup: prefix over the candidate-stage inputs
+        // just assembled, final key adding the stored sizing-target goals
+        // (raw, pre-clamp — the same values the depositing run keyed with).
+        const std::uint64_t prefix = windowPrefixKey(optionsDigest, p);
+        std::vector<double> goals(static_cast<std::size_t>(numLayers));
+        for (int l = 0; l < numLayers; ++l) {
+          goals[static_cast<std::size_t>(l)] =
+              stored.sizing.windowTarget[static_cast<std::size_t>(l)][w];
+        }
+        key = windowFinalKey(prefix, goals);
+        WindowCache::Entry entry;
+        if (cache->lookup(key, entry)) {
+          p.fills = std::move(entry.fills);
+          served[a] = 1;
+          return;
+        }
+      }
+      flow.generateWindow(p, w);
+      std::size_t candidates = 0;
+      if (pinned) {
+        // Re-derive this window's sizing targets exactly as run()'s stage 3
+        // does: clamp the stored goal into the band generateWindow just
+        // tightened to the achieved candidate density.
+        for (const auto& layerFills : p.fills) candidates += layerFills.size();
+        for (std::size_t l = 0; l < prep.bounds.size(); ++l) {
+          p.targetDensity[l] =
+              std::clamp(stored.sizing.windowTarget[l][w],
+                         prep.bounds[l].lower[w], prep.bounds[l].upper[w]);
+        }
+      }
+      flow.sizeWindow(p, w, windowStats[a]);
+      if (pinned) cache->insert(key, WindowCache::Entry{p.fills, candidates});
+    });
+    for (std::size_t a = 0; a < problems.size(); ++a) {
+      const WindowProblem& p = problems[a];
+      if (served[a] != 0) {
+        ++report.ecoWindowsSkipped;
+      } else {
+        for (const auto& layerFills : p.fills) {
+          report.candidateCount += layerFills.size();
+        }
+        report.sizerStats.add(windowStats[a]);
+      }
       for (int l = 0; l < numLayers; ++l) {
-        goals[static_cast<std::size_t>(l)] =
-            stored.sizing.windowTarget[static_cast<std::size_t>(l)][w];
+        auto& out = layout.layer(l).fills;
+        const auto& fs = p.fills[static_cast<std::size_t>(l)];
+        out.insert(out.end(), fs.begin(), fs.end());
       }
-      key = windowFinalKey(prefix, goals);
-      WindowCache::Entry entry;
-      if (cache->lookup(key, entry)) {
-        p.fills = std::move(entry.fills);
-        served[a] = 1;
-        return;
-      }
-    }
-    {
-      prof::ScopedTimer timer(prof::Stage::kCandidates);
-      generator.generate(p, generatorScratch);
-    }
-    std::size_t candidates = 0;
-    if (pinned) {
-      // Re-derive this window's sizing targets exactly as run()'s stage 3
-      // does: tighten the upper bound to the achieved candidate density,
-      // then clamp the stored goal into the tightened band.
-      for (const auto& layerFills : p.fills) candidates += layerFills.size();
-      for (std::size_t l = 0; l < bounds.size(); ++l) {
-        p.targetDensity[l] = std::clamp(
-            stored.sizing.windowTarget[l][w], bounds[l].lower[w],
-            detail::tightenedUpper(bounds[l], w, p, l));
-      }
-    }
-    {
-      prof::ScopedTimer timer(prof::Stage::kSizing);
-      sizer.size(p, sizerScratch, &windowStats[a]);
-    }
-    if (pinned) cache->insert(key, WindowCache::Entry{p.fills, candidates});
-  });
-  for (std::size_t a = 0; a < problems.size(); ++a) {
-    const WindowProblem& p = problems[a];
-    if (served[a] != 0) {
-      ++report.ecoWindowsSkipped;
-    } else {
-      for (const auto& layerFills : p.fills) {
-        report.candidateCount += layerFills.size();
-      }
-      report.sizerStats.add(windowStats[a]);
-    }
-    for (int l = 0; l < numLayers; ++l) {
-      auto& out = layout.layer(l).fills;
-      const auto& fs = p.fills[static_cast<std::size_t>(l)];
-      out.insert(out.end(), fs.begin(), fs.end());
     }
   }
   prof::count(prof::Counter::kEcoWindowsSkipped, report.ecoWindowsSkipped);
-  report.sizingSeconds += stage.elapsedSeconds();
   report.fillCount = layout.fillCount();
-  report.totalSeconds = total.elapsedSeconds();
-  report.profile = prof::Registry::instance().snapshot();
-  recordRunMetrics(report);
+  flow.finish(total.elapsedSeconds());
   logInfo("FillEngine ECO: refilled affected windows in %.3fs (%zu fills)",
           report.totalSeconds, report.fillCount);
   return report;

@@ -5,8 +5,11 @@
 //
 // The engine owns the window dissection and per-window problem assembly;
 // the three stages are the separately-testable TargetDensityPlanner,
-// CandidateGenerator and FillSizer.
+// CandidateGenerator and FillSizer, sequenced for every engine by
+// detail::Flow below.
 #pragma once
+
+#include <span>
 
 #include "common/cancel.hpp"
 #include "common/prof.hpp"
@@ -55,11 +58,21 @@ struct FillEngineOptions {
   WindowCache* windowCache = nullptr;
 };
 
+/// Stage seconds are wall time, each added by its stage's obs::Stage
+/// probe (docs/architecture.md, "The fill pipeline").
 struct FillReport {
+  /// In memory: stage 0 (engine.region_prep) and both plans. Streamed:
+  /// the bounds pass, its stage 0 included, and both plans. ECO: stage 0
+  /// with the legacy freeze, and the one plan.
   double planningSeconds = 0.0;
+  /// The candidate stage; streamed, the whole candidate pass, its stage 0
+  /// and spooling included.
   double candidateSeconds = 0.0;
+  /// The sizing stage; streamed, the whole sizing pass, its stage 0 and
+  /// spooling included. ECO: candidates and sizing of every affected
+  /// window (engine.refill).
   double sizingSeconds = 0.0;
-  double totalSeconds = 0.0;
+  double totalSeconds = 0.0;  // the whole run; streamed, ingest to output
   std::size_t candidateCount = 0;
   std::size_t fillCount = 0;
   /// ECO runs only: affected windows served from the window cache without
@@ -85,9 +98,14 @@ class FillEngine {
   /// ECO (engineering change order) mode: `layout` already carries a fill
   /// solution and its wires changed only inside `changed`. Re-fills just
   /// the windows the change touches (inflated by the spacing rule);
-  /// every fill outside those windows is preserved bit-exactly, and the
-  /// unaffected windows' densities are treated as frozen targets so the
-  /// re-planned local targets stay consistent with the old solution.
+  /// every fill outside those windows is preserved bit-exactly. Targets
+  /// come one of two ways. Pinned: when options().windowCache holds the
+  /// plans of a run() on this grid shape, each window's targets are that
+  /// run's, clamped into its fresh bounds, and a window whose inputs did
+  /// not change is served from the cache without being re-solved.
+  /// Legacy (no cache, or no stored plan): the unaffected windows'
+  /// densities are frozen as their bounds, so one re-plan keeps the local
+  /// targets consistent with the old solution.
   FillReport runIncremental(layout::Layout& layout,
                             const geom::Rect& changed) const;
 
@@ -132,14 +150,6 @@ void prepareBand(const layout::WindowGrid& grid,
                  const BandRects& rowRects, std::size_t firstWindow,
                  WindowPrep& prep, ThreadPool& pool);
 
-/// Window `w`'s candidate-stage problem: the stage-0 slot `slot` of
-/// `geo` (fill region and buckets, moved out), its wire density and its
-/// target in `plan`.
-WindowProblem windowProblem(const layout::WindowGrid& grid, std::size_t w,
-                            WindowPrep& geo, std::size_t slot,
-                            const std::vector<std::vector<double>>& wireDensity,
-                            const TargetPlan& plan);
-
 /// Layer l's density in p.window with p.fills[l] placed: the candidates
 /// stage 3 reads, or the final fills the quality telemetry reads.
 double windowDensity(const WindowProblem& p, std::size_t l);
@@ -155,6 +165,65 @@ double tightenedUpper(const density::DensityBounds& bounds, std::size_t w,
 WindowPrep prepareWindows(const layout::Layout& layout,
                           const layout::WindowGrid& grid,
                           const FillEngineOptions& options, ThreadPool& pool);
+
+/// Stages 1-4 of Fig. 3, written once for every engine. A band is the
+/// flat windows [first, first + count): run() is the one-band case,
+/// runFile() runs the band steps band by band, and runIncremental() calls
+/// the per-window steps from its own loop. Window work runs on `pool`
+/// into per-window slots and merges serially in window order. The plan
+/// steps add their seconds to `report`; the band steps leave the stage
+/// seconds to their caller's probe. With options.windowCache set, the
+/// band steps deposit every window's result and replan() both plans.
+class Flow {
+ public:
+  /// `scalars` holds stage 0's wire densities and bounds of every window.
+  Flow(const FillEngineOptions& options, const layout::WindowGrid& grid,
+       WindowPrep& scalars, ThreadPool& pool, FillReport& report);
+
+  /// Stage 1: sweeps the bounds, or clamps `pinnedTo` into them.
+  void plan(const TargetPlan* pinnedTo = nullptr);
+  /// Window w's problem from slot `slot` of `geo` (moved out) with its
+  /// current target.
+  WindowProblem problem(std::size_t w, WindowPrep& geo, std::size_t slot) const;
+  /// Stage 2 over a band from the band-local slots of `geo`; then drops
+  /// the geometry sizing does not read (and the wires unless kept).
+  std::vector<WindowProblem> candidateBand(std::size_t first,
+                                           std::size_t count, WindowPrep& geo,
+                                           bool keepWires);
+  /// Stage 3: replans on the tightened bounds.
+  void replan();
+  /// Stage 4 over a band: retargets, sizes and drops the wires.
+  void sizingBand(std::size_t first, std::span<WindowProblem> problems);
+  /// Quality telemetry of the sized bands, total seconds, prof snapshot
+  /// and engine.* metrics.
+  void finish(double totalSeconds);
+
+  /// Generates p's candidates, then tightens window w's upper bounds.
+  void generateWindow(WindowProblem& p, std::size_t w);
+  void sizeWindow(WindowProblem& p, std::size_t w,
+                  FillSizer::Stats& stats) const;
+
+  const TargetPlan& targets() const { return plan_; }
+
+ private:
+  const FillEngineOptions& options_;
+  const layout::WindowGrid& grid_;
+  WindowPrep& scalars_;
+  ThreadPool& pool_;
+  FillReport& report_;
+  const double jobId_;
+  const bool telemetry_;  // metrics or tracing on
+  const TargetDensityPlanner planner_;
+  const CandidateGenerator generator_;
+  const FillSizer sizer_;
+  TargetPlan plan_;
+  std::vector<std::vector<double>> finalDensity_;  // [layer][window]
+  // Window-cache deposits: the stage-1 plan, then per window the
+  // candidate-stage fingerprint and candidate count.
+  TargetPlan candidatePlan_;
+  std::vector<std::uint64_t> prefixKeys_;
+  std::vector<std::size_t> candidates_;
+};
 
 }  // namespace detail
 

@@ -11,13 +11,11 @@
 #include "density/bounds.hpp"
 #include "density/density_map.hpp"
 #include "density/fft_density.hpp"
-#include "density/metrics.hpp"
 #include "gds/layout_scan.hpp"
 #include "gds/stream_writer.hpp"
 #include "layout/fill_region.hpp"
 #include "layout/shard_store.hpp"
 #include "obs/metrics.hpp"
-#include "obs/quality.hpp"
 #include "obs/trace.hpp"
 
 namespace ofl::fill {
@@ -26,10 +24,6 @@ namespace {
 // Window rows per band of the streamed passes: wider bands mean fewer,
 // larger parallelFors but more band geometry held at once.
 constexpr int kBandRows = 8;
-
-inline void checkCancel(const CancelToken* token) {
-  if (token != nullptr) token->throwIfExpired();
-}
 
 bool setError(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
@@ -61,7 +55,8 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   ShardedReport& rep = report != nullptr ? *report : localReport;
   rep = ShardedReport{};
   Timer total;
-  const FillEngineOptions& eng = options_.engine;
+  FillEngineOptions eng = options_.engine;
+  eng.windowCache = nullptr;  // streamed runs deposit nothing
   const double jid = static_cast<double>(eng.jobId);
   obs::ScopedSpan runSpan("engine.sharded_run", "engine", {{"job", jid}});
 
@@ -80,11 +75,11 @@ bool ShardedEngine::runFile(const std::string& inputPath,
 
   // --- Ingest: one parse (stream + flatten + decompose) into per-layer
   // pass-through spools (output order), then route each into its rows ---
-  Timer stage;
   std::vector<layout::ShardStore::SpoolId> passWire;  // grown as layers appear
   gds::ExtentScan extents;
   {
-    obs::ScopedSpan span("shard.ingest", "engine", {{"job", jid}});
+    obs::Stage probe("shard.ingest", "engine", {{"job", jid}},
+                     &rep.ingestSeconds);
     gds::RectIngest ingest([&](int l, std::int16_t datatype,
                                const geom::Rect& r) {
       if (datatype == 1) return;  // stale fills; run() clears them anyway
@@ -114,7 +109,6 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   rep.cols = cols;
   rep.rows = rows;
   ThreadPool pool(eng.numThreads);
-  rep.fill.threadsUsed = pool.size();
 
   const auto nl = static_cast<std::size_t>(numLayers);
   const auto nr = static_cast<std::size_t>(rows);
@@ -131,7 +125,8 @@ bool ShardedEngine::runFile(const std::string& inputPath,
     for (std::size_t j = 0; j < nr; ++j) rowWire[l][j] = store.createSpool();
   }
   {
-    obs::ScopedSpan span("shard.route", "engine", {{"job", jid}});
+    obs::Stage probe("shard.route", "engine", {{"job", jid}},
+                     &rep.ingestSeconds);
     // Replays layer l's wires in input order, calling fn(row, rect) for
     // each row it is routed to.
     const auto replay = [&](std::size_t l, const auto& fn) {
@@ -156,16 +151,14 @@ bool ShardedEngine::runFile(const std::string& inputPath,
       });
     }
   }
-  rep.ingestSeconds = stage.elapsedSeconds();
   checkCancel(eng.cancel);
 
   // Every pass walks bands of up to kBandRows window rows: forEachBand
   // reads the row spools of rows [j0, j1) into `band` serially (the store
-  // is single-threaded), then calls fn(j0, j1), which runs one parallelFor
-  // of (layer, row) stage-0 tasks (detail::prepareBand) and one over the
-  // band's windows. A spool holds, in input order, every wire whose
-  // inflated extent touches its row, so the buckets equal the in-memory
-  // engine's.
+  // is single-threaded), then calls fn(j0, j1), which runs the shared
+  // stage-0 row task (detail::prepareBand) and the pass's band step. A
+  // spool holds, in input order, every wire whose inflated extent touches
+  // its row, so the buckets equal the in-memory engine's.
   detail::BandRects band(nl);
   const auto forEachBand = [&](int startRow, int endRow, const auto& fn) {
     for (int j0 = startRow; j0 < endRow; j0 += kBandRows) {
@@ -183,48 +176,42 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   };
 
   // --- Bounds pass: per-window wire densities and bounds only ---
-  stage.reset();
   detail::WindowPrep scalars;
   scalars.wireDensity.assign(nl, std::vector<double>(numWindows));
   scalars.bounds.assign(nl, {std::vector<double>(numWindows),
                              std::vector<double>(numWindows)});
-  const std::vector<std::vector<double>>& wireDen = scalars.wireDensity;
-  std::vector<density::DensityBounds>& bounds = scalars.bounds;
   {
-    obs::ScopedSpan span("shard.bounds", "engine", {{"job", jid}});
+    obs::Stage probe("shard.bounds", "engine", {{"job", jid}},
+                     &rep.fill.planningSeconds);
     forEachBand(0, rows, [&](int j0, int) {
       detail::prepareBand(grid, eng, j0, band,
                           static_cast<std::size_t>(j0) * nc, scalars, pool);
     });
   }
-
-  // --- Global target planning (stage 1) ---
-  const TargetDensityPlanner planner(eng.plannerWeights);
-  TargetPlan plan;
-  {
-    obs::ScopedSpan span("engine.planning", "engine", {{"job", jid}});
-    prof::ScopedTimer timer(prof::Stage::kPlanning);
-    plan = planner.plan(bounds, cols, rows);
-  }
-  rep.fill.planningSeconds += stage.elapsedSeconds();
+  detail::Flow flow(eng, grid, scalars, pool, rep.fill);
+  flow.plan();
 
   // --- FFT global density + shard partition ---
   // The smoothed layer-average density is a layout-wide load model: row
   // bands with dense neighborhoods cost more in candidate generation and
   // sizing, so shard boundaries follow cumulative smoothed load (capped
   // by the byte budget). Partitioning never changes per-window results.
-  stage.reset();
   std::vector<int> shardEnd;  // exclusive end row per shard
   {
-    std::vector<double> avg(numWindows, 0.0);
-    for (std::size_t l = 0; l < nl; ++l) {
-      for (std::size_t w = 0; w < numWindows; ++w) avg[w] += wireDen[l][w];
-    }
-    for (double& v : avg) v /= static_cast<double>(numLayers);
-    const density::DensityMap smoothed = density::FftDensity::smooth(
-        density::DensityMap(cols, rows, std::move(avg)),
-        options_.loadSigmaWindows);
-    rep.fftSeconds = stage.elapsedSeconds();
+    const density::DensityMap smoothed = [&] {
+      obs::Stage probe("shard.fft", "engine", {{"job", jid}},
+                       &rep.fftSeconds);
+      std::vector<double> avg(numWindows, 0.0);
+      for (std::size_t l = 0; l < nl; ++l) {
+        for (std::size_t w = 0; w < numWindows; ++w) {
+          avg[w] += scalars.wireDensity[l][w];
+        }
+      }
+      for (double& v : avg) v /= static_cast<double>(numLayers);
+      return density::FftDensity::smooth(
+          density::DensityMap(cols, rows, std::move(avg)),
+          options_.loadSigmaWindows);
+    }();
 
     std::vector<double> rowLoad(nr, 0.0);
     std::vector<std::uint64_t> rowBytes(nr, 0);
@@ -268,164 +255,102 @@ bool ShardedEngine::runFile(const std::string& inputPath,
     }
   }
   rep.shardCount = static_cast<int>(shardEnd.size());
+  // The candidate and sizing passes walk the shards (contiguous row
+  // bands) in order, one `name` span per shard, band by band.
+  const auto forEachShardBand = [&](const char* name, const auto& fn) {
+    int startRow = 0;
+    for (std::size_t s = 0; s < shardEnd.size(); ++s) {
+      obs::ScopedSpan span(name, "engine",
+                           {{"job", jid}, {"shard", static_cast<double>(s)}});
+      forEachBand(startRow, shardEnd[s], fn);
+      startRow = shardEnd[s];
+    }
+  };
 
-  // --- Candidate pass (stage 2), shard by shard, band by band ---
-  stage.reset();
-  const CandidateGenerator generator(eng.rules, eng.candidate);
-  prof::count(prof::Counter::kWindows, numWindows);
-  if (obs::metricsEnabled()) {
-    obs::MetricsRegistry::instance().counter("engine.windows").add(numWindows);
-  }
+  // --- Candidate pass (stage 2): each band's candidates go to the
+  // per-layer spools in flat window order ---
   std::vector<std::vector<std::uint32_t>> candCounts(
       nl, std::vector<std::uint32_t>(numWindows, 0));
   {
-    int startRow = 0;
-    for (std::size_t s = 0; s < shardEnd.size(); ++s) {
-      const int endRow = shardEnd[s];
-      obs::ScopedSpan span(
-          "shard.candidates", "engine",
-          {{"job", jid}, {"shard", static_cast<double>(s)}});
-      forEachBand(startRow, endRow, [&](int j0, int j1) {
-        // Band windows are contiguous in flat order from `first`.
-        const std::size_t first = static_cast<std::size_t>(j0) * nc;
-        const std::size_t count = static_cast<std::size_t>(j1 - j0) * nc;
-        detail::WindowPrep geo;
-        geo.fillRegions.assign(nl, std::vector<geom::Region>(count));
-        geo.wires.assign(nl, std::vector<std::vector<geom::Rect>>(count));
-        geo.blocked.assign(nl, std::vector<std::vector<geom::Rect>>(count));
-        detail::prepareBand(grid, eng, j0, band, 0, geo, pool);
-        std::vector<WindowProblem> problems(count);
-        pool.parallelFor(count, [&](std::size_t b) {
-          checkCancel(eng.cancel);
-          const std::size_t w = first + b;
-          WindowProblem& p = problems[b];
-          p = detail::windowProblem(grid, w, geo, b, wireDen, plan);
-          static thread_local CandidateGenerator::Scratch scratch;
-          prof::ScopedTimer timer(prof::Stage::kCandidates);
-          obs::ScopedSpan windowSpan(
-              "window.candidates", "window",
-              {{"job", jid}, {"w", static_cast<double>(w)}});
-          generator.generate(p, scratch);
-          // The merge reads only the candidates: free the geometry here.
-          p.fillRegions = {};
-          p.wires = {};
-          p.blocked = {};
-        });
-        // Serial merge in flat window order: counts, stage-3 bound
-        // tightening, and candidate spooling.
-        for (std::size_t b = 0; b < count; ++b) {
-          const std::size_t w = first + b;
-          const WindowProblem& p = problems[b];
-          for (std::size_t l = 0; l < nl; ++l) {
-            rep.fill.candidateCount += p.fills[l].size();
-            candCounts[l][w] = static_cast<std::uint32_t>(p.fills[l].size());
-            for (const geom::Rect& f : p.fills[l]) {
-              store.append(candSpool[l], f);
-            }
-            bounds[l].upper[w] = detail::tightenedUpper(bounds[l], w, p, l);
-          }
+    obs::Stage probe("engine.candidates", "engine", {{"job", jid}},
+                     &rep.fill.candidateSeconds);
+    forEachShardBand("shard.candidates", [&](int j0, int j1) {
+      // Band windows are contiguous in flat order from `first`.
+      const std::size_t first = static_cast<std::size_t>(j0) * nc;
+      const std::size_t count = static_cast<std::size_t>(j1 - j0) * nc;
+      detail::WindowPrep geo;
+      geo.fillRegions.assign(nl, std::vector<geom::Region>(count));
+      geo.wires.assign(nl, std::vector<std::vector<geom::Rect>>(count));
+      geo.blocked.assign(nl, std::vector<std::vector<geom::Rect>>(count));
+      detail::prepareBand(grid, eng, j0, band, 0, geo, pool);
+      // The sizing pass rebuilds the wires.
+      const std::vector<WindowProblem> problems =
+          flow.candidateBand(first, count, geo, /*keepWires=*/false);
+      for (std::size_t b = 0; b < count; ++b) {
+        for (std::size_t l = 0; l < nl; ++l) {
+          const std::vector<geom::Rect>& fills = problems[b].fills[l];
+          candCounts[l][first + b] = static_cast<std::uint32_t>(fills.size());
+          for (const geom::Rect& f : fills) store.append(candSpool[l], f);
         }
-      });
-      startRow = endRow;
-    }
+      }
+    });
   }
-  rep.fill.candidateSeconds += stage.elapsedSeconds();
-  checkCancel(eng.cancel);
+  flow.replan();
 
-  // --- Second planning round (stage 3) ---
-  stage.reset();
-  {
-    prof::ScopedTimer timer(prof::Stage::kPlanning);
-    obs::ScopedSpan span("engine.replanning", "engine", {{"job", jid}});
-    plan = planner.plan(bounds, cols, rows);
-  }
-  rep.fill.layerTargets = plan.layerTarget;
-  rep.fill.planningSeconds += stage.elapsedSeconds();
-
-  // --- Sizing pass (stage 4), shard by shard, band by band ---
-  stage.reset();
-  const FillSizer sizer(eng.rules, eng.sizer);
-  const bool telemetry = obs::metricsEnabled() || obs::Tracer::enabled();
-  std::vector<std::vector<double>> finalDensity(
-      telemetry ? nl : 0, std::vector<double>(numWindows, 0.0));
+  // --- Sizing pass (stage 4): each band's problems are rebuilt from
+  // stage 0 and the candidate spools, sized, and their fills spooled ---
   std::vector<layout::ShardStore::Reader> candReaders;
   candReaders.reserve(nl);
   for (std::size_t l = 0; l < nl; ++l) {
     candReaders.push_back(store.read(candSpool[l]));
   }
+  bool underrun = false;
   {
-    int startRow = 0;
-    for (std::size_t s = 0; s < shardEnd.size(); ++s) {
-      const int endRow = shardEnd[s];
-      obs::ScopedSpan span("shard.sizing", "engine",
-                           {{"job", jid}, {"shard", static_cast<double>(s)}});
-      bool underrun = false;
-      forEachBand(startRow, endRow, [&](int j0, int j1) {
-        const std::size_t first = static_cast<std::size_t>(j0) * nc;
-        const std::size_t count = static_cast<std::size_t>(j1 - j0) * nc;
-        detail::WindowPrep geo;
-        geo.wires.assign(nl, std::vector<std::vector<geom::Rect>>(count));
-        detail::prepareBand(grid, eng, j0, band, 0, geo, pool);
-        std::vector<WindowProblem> problems(count);
-        std::vector<FillSizer::Stats> windowStats(count);
-        // Serial assembly: candidates stream out of the per-layer spools
-        // in the same flat window order they were deposited.
-        for (std::size_t b = 0; b < count && !underrun; ++b) {
-          const std::size_t w = first + b;
-          WindowProblem& p = problems[b];
-          p.window = grid.windowRect(static_cast<int>(w % nc),
-                                     static_cast<int>(w / nc));
-          p.fills.resize(nl);
-          for (std::size_t l = 0; l < nl; ++l) {
-            p.wires.push_back(std::move(geo.wires[l][b]));
-            p.wireDensity.push_back(wireDen[l][w]);
-            p.targetDensity.push_back(plan.windowTarget[l][w]);
-            auto& fills = p.fills[l];
-            fills.resize(candCounts[l][w]);
-            for (geom::Rect& f : fills) underrun |= !candReaders[l].next(f);
-          }
-        }
-        if (underrun) return;
-        pool.parallelFor(count, [&](std::size_t b) {
-          checkCancel(eng.cancel);
-          static thread_local FillSizer::Scratch scratch;
-          prof::ScopedTimer timer(prof::Stage::kSizing);
-          obs::ScopedSpan windowSpan(
-              "window.sizing", "window",
-              {{"job", jid}, {"w", static_cast<double>(first + b)}});
-          sizer.size(problems[b], scratch, &windowStats[b]);
-          problems[b].wires = {};
-        });
-        for (std::size_t b = 0; b < count; ++b) {
-          const std::size_t w = first + b;
-          const WindowProblem& p = problems[b];
-          rep.fill.sizerStats.add(windowStats[b]);
-          for (std::size_t l = 0; l < nl; ++l) {
-            for (const geom::Rect& f : p.fills[l]) {
-              fillStore.append(fillSpool[l], f);
-            }
-            rep.fill.fillCount += p.fills[l].size();
-            if (telemetry) finalDensity[l][w] = detail::windowDensity(p, l);
-          }
-        }
+    obs::Stage probe("engine.sizing", "engine", {{"job", jid}},
+                     &rep.fill.sizingSeconds);
+    forEachShardBand("shard.sizing", [&](int j0, int j1) {
+      if (underrun) return;
+      const std::size_t first = static_cast<std::size_t>(j0) * nc;
+      const std::size_t count = static_cast<std::size_t>(j1 - j0) * nc;
+      detail::WindowPrep geo;
+      geo.wires.assign(nl, std::vector<std::vector<geom::Rect>>(count));
+      detail::prepareBand(grid, eng, j0, band, 0, geo, pool);
+      std::vector<WindowProblem> problems(count);
+      // Serial assembly: candidates stream out of the per-layer spools
+      // in the same flat window order they were deposited.
+      for (std::size_t b = 0; b < count && !underrun; ++b) {
+        const std::size_t w = first + b;
+        WindowProblem& p = problems[b];
+        p = flow.problem(w, geo, b);
+        p.fills.resize(nl);
         for (std::size_t l = 0; l < nl; ++l) {
-          for (int j = j0; j < j1; ++j) {
-            store.release(rowWire[l][static_cast<std::size_t>(j)]);
+          p.fills[l].resize(candCounts[l][w]);
+          for (geom::Rect& f : p.fills[l]) underrun |= !candReaders[l].next(f);
+        }
+      }
+      if (underrun) return;
+      flow.sizingBand(first, problems);
+      for (const WindowProblem& p : problems) {
+        for (std::size_t l = 0; l < nl; ++l) {
+          for (const geom::Rect& f : p.fills[l]) {
+            fillStore.append(fillSpool[l], f);
           }
         }
-      });
-      if (underrun) return setError(error, "candidate spool underrun");
-      startRow = endRow;
-    }
+      }
+      for (std::size_t l = 0; l < nl; ++l) {
+        for (int j = j0; j < j1; ++j) {
+          store.release(rowWire[l][static_cast<std::size_t>(j)]);
+        }
+      }
+    });
   }
-  rep.fill.sizingSeconds += stage.elapsedSeconds();
+  if (underrun) return setError(error, "candidate spool underrun");
 
   // --- Output: streaming writer, toGds order (wires then fills, per
   // layer, single TOP cell) ---
-  stage.reset();
   {
-    prof::ScopedTimer timer(prof::Stage::kOutput);
-    obs::ScopedSpan span("shard.output", "engine", {{"job", jid}});
+    obs::Stage probe("engine.output", "engine", {{"job", jid}},
+                     prof::Stage::kOutput, &rep.outputSeconds);
     gds::StreamWriter writer(outputPath);
     if (!writer.ok()) return setError(error, "cannot write " + outputPath);
     writer.beginCell("TOP");
@@ -443,42 +368,15 @@ bool ShardedEngine::runFile(const std::string& inputPath,
       return setError(error, "write failed: " + outputPath);
     }
   }
-  rep.outputSeconds = stage.elapsedSeconds();
   if (store.ioError() || fillStore.ioError()) {
     return setError(error, "spool IO error");
   }
   rep.spilledBytes = store.spilledBytes() + fillStore.spilledBytes();
   rep.spillEvents = store.spillEvents() + fillStore.spillEvents();
 
-  // --- Telemetry: same per-window/per-layer quality records as run() ---
-  if (telemetry) {
-    for (std::size_t l = 0; l < nl; ++l) {
-      for (std::size_t w = 0; w < numWindows; ++w) {
-        obs::recordWindowQuality(
-            static_cast<int>(l) + 1, finalDensity[l][w],
-            std::abs(finalDensity[l][w] - plan.windowTarget[l][w]));
-      }
-      const density::DensityMap map(cols, rows, finalDensity[l]);
-      const density::DensityMetrics m = density::computeMetrics(map);
-      obs::recordLayerQuality(static_cast<int>(l) + 1, m.mean, m.sigma,
-                              m.lineHotspot, m.outlierHotspot, eng.jobId);
-    }
-  }
-  rep.fill.totalSeconds = total.elapsedSeconds();
-  rep.fill.profile = prof::Registry::instance().snapshot();
+  flow.finish(total.elapsedSeconds());
   if (obs::metricsEnabled()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
-    reg.counter("engine.runs").add();
-    reg.counter("engine.candidates").add(rep.fill.candidateCount);
-    reg.counter("engine.fills").add(rep.fill.fillCount);
-    reg.counter("engine.mcf_warm_starts")
-        .add(static_cast<std::uint64_t>(rep.fill.sizerStats.warmStarts));
-    reg.counter("engine.mcf_early_exits")
-        .add(static_cast<std::uint64_t>(rep.fill.sizerStats.earlyExits));
-    reg.counter("engine.sizer_closed_form_solves")
-        .add(static_cast<std::uint64_t>(rep.fill.sizerStats.closedFormSolves));
-    reg.counter("engine.eco_windows_skipped").add(rep.fill.ecoWindowsSkipped);
-    reg.histogram("engine.run_seconds").observe(rep.fill.totalSeconds);
     reg.counter("scale.runs").add();
     reg.counter("scale.shards").add(static_cast<std::uint64_t>(rep.shardCount));
     reg.counter("scale.spill_bytes").add(rep.spilledBytes);

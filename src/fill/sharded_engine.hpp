@@ -2,8 +2,9 @@
 //
 // FillEngine::run holds the whole flattened layout plus every window's
 // problem in RAM at once; contest-scale inputs (up to 31.8M polygons,
-// PAPER.md) cannot. ShardedEngine runs the same five-stage flow without
-// ever materializing the layout:
+// PAPER.md) cannot. ShardedEngine runs the same Fig. 3 flow without ever
+// materializing the layout. Stages 1-4 are fill::detail::Flow's steps,
+// the ones FillEngine::run calls; only the passes around them differ:
 //
 //   ingest    one parse: stream GDS/OASIS -> flatten -> decompose
 //             (gds::RectIngest, the in-memory loader's front end) into
@@ -13,27 +14,31 @@
 //             A rect inflated by minSpacing that crosses a row border is
 //             routed into both rows — that is the halo that keeps
 //             cross-window blocking exact.
-//   bounds    band of rows at a time: the shared stage-0 row task
+//   bounds    bands of window rows: the shared stage-0 row task
 //             (fill::detail::prepareBand) reduces each window to scalars
-//             (wire density, lower/upper bound) and drops the geometry.
-//   plan      TargetDensityPlanner over the full scalar arrays (identical
-//             inputs to the in-memory path). An FFT-smoothed global
-//             density map (density::FftDensity) balances shard sizes.
-//   shards    per shard (a contiguous row band), band of rows at a time:
-//             rebuild buckets and fill regions with the same row task,
-//             generate candidates (same thread pool + scratch reuse as
-//             FillEngine), spool candidates; replan; then size each
-//             band's windows and spool the final fills.
+//             (wire density, lower/upper bound); then Flow::plan over the
+//             full scalar arrays, the in-memory inputs exactly. An
+//             FFT-smoothed density map (density::FftDensity) cuts the
+//             rows into shards of balanced load.
+//   passes    shard by shard, band by band: stage 0 rebuilds the band's
+//             buckets and fill regions, Flow::candidateBand generates and
+//             the candidates are spooled; Flow::replan; then stage 0
+//             rebuilds the wires, the candidates are read back,
+//             Flow::sizingBand sizes and the fills are spooled.
 //   output    streaming GDS writer: per layer, pass-through wires then
 //             fills in window order — byte-identical to
 //             Layout::writeGds (and so to Writer::writeFile(toGds())).
 //
+// A trace shows the in-memory stage spans (engine.planning,
+// engine.candidates, engine.replanning, engine.sizing, engine.output);
+// each pass's span and FillReport seconds cover its stage 0 and spooling,
+// with one shard.* span per shard inside.
+//
 // Identity argument: every per-window input (bucket contents and order,
 // fill regions, densities, targets) is reconstructed equal to what
-// FillEngine::run assembles, the per-window solvers are pure functions of
-// those inputs, and the output serialization shares the in-memory
-// writer's record encoders. The determinism suite pins this on s/b/m at 1
-// and 4 threads.
+// FillEngine::run assembles, the per-window steps are the same code, and
+// the output serialization shares the in-memory writer's record
+// encoders. The determinism suite pins this on s/b/m at 1 and 4 threads.
 //
 // Not supported with streaming: window-cache deposits and the ECO path
 // (FillService rejects --stream ECO jobs with a clear error).
@@ -68,9 +73,9 @@ struct ShardedOptions {
 struct ShardedReport {
   /// The same counts, stats and stage seconds FillEngine::run reports:
   /// planningSeconds spans the bounds pass and both plans,
-  /// candidateSeconds and sizingSeconds their passes, and `profile` times
-  /// the shared stage-0 row task as region-prep, density-compute and
-  /// planning exactly as in memory.
+  /// candidateSeconds and sizingSeconds their passes (each pass's stage 0
+  /// included), and `profile` times the shared stage-0 row task as
+  /// region-prep, density-compute and planning exactly as in memory.
   FillReport fill;
   int cols = 0;        // window grid columns
   int rows = 0;        // window grid rows

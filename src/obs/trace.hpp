@@ -22,9 +22,12 @@
 #include <initializer_list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/prof.hpp"
 
 namespace ofl::obs {
 
@@ -67,7 +70,7 @@ class Tracer {
   std::uint64_t toEpochNs(std::chrono::steady_clock::time_point t) const;
 
   /// Appends to the calling thread's buffer. Callers must check enabled()
-  /// first (ScopedSpan and the free helpers below do).
+  /// first (Stage and the free helpers below do).
   void record(const TraceEvent& event);
 
   /// Number of events across all thread buffers.
@@ -100,47 +103,76 @@ class Tracer {
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
 };
 
-/// RAII complete-span probe. A no-op (no clock reads, no buffer touch)
-/// while the tracer is disabled; the enabled state is latched at
-/// construction so a span closes consistently even if tracing toggles
-/// mid-flight.
-class ScopedSpan {
+/// One probe per stage boundary (docs/architecture.md, "Observability"):
+/// over one scope it records a complete span, times a prof::Stage and
+/// adds the wall seconds to an accumulator such as a FillReport field.
+/// Each part arms on its own, latched at construction: the span while
+/// tracing is on, the prof timer while prof collection is on and `stage`
+/// is not prof::Stage::kCount, the accumulator when `seconds` is set. All
+/// armed parts read the same two clock samples. With none armed the probe
+/// reads no clock and builds no event: at most two relaxed atomic loads.
+class Stage {
  public:
-  explicit ScopedSpan(const char* name, const char* cat = "engine")
-      : armed_(Tracer::enabled()) {
-    if (armed_) {
-      event_.name = name;
-      event_.cat = cat;
-      event_.startNs = Tracer::instance().nowNs();
-    }
-  }
-  ScopedSpan(const char* name, const char* cat,
-             std::initializer_list<SpanArg> args)
-      : ScopedSpan(name, cat) {
-    if (armed_) {
+  explicit Stage(const char* name, const char* cat = "engine",
+                 std::initializer_list<SpanArg> args = {},
+                 prof::Stage stage = prof::Stage::kCount,
+                 double* seconds = nullptr)
+      : traced_(Tracer::enabled()),
+        stage_(stage != prof::Stage::kCount && prof::Registry::enabled()
+                   ? stage
+                   : prof::Stage::kCount),
+        seconds_(seconds) {
+    if (traced_) {
+      event_.emplace();
+      event_->name = name;
+      event_->cat = cat;
       for (const SpanArg& a : args) {
-        if (event_.argCount >= TraceEvent::kMaxArgs) break;
-        event_.argKeys[event_.argCount] = a.first;
-        event_.argValues[event_.argCount] = a.second;
-        ++event_.argCount;
+        if (event_->argCount >= TraceEvent::kMaxArgs) break;
+        event_->argKeys[event_->argCount] = a.first;
+        event_->argValues[event_->argCount] = a.second;
+        ++event_->argCount;
       }
     }
+    if (armed()) start_ = std::chrono::steady_clock::now();
   }
-  ~ScopedSpan() {
-    if (armed_) {
+  Stage(const char* name, const char* cat, std::initializer_list<SpanArg> args,
+        double* seconds)
+      : Stage(name, cat, args, prof::Stage::kCount, seconds) {}
+  ~Stage() {
+    if (!armed()) return;
+    const auto ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count());
+    if (stage_ != prof::Stage::kCount) {
+      prof::Registry::instance().addTiming(stage_, ns);
+    }
+    if (seconds_ != nullptr) *seconds_ += static_cast<double>(ns) * 1e-9;
+    if (traced_) {
       Tracer& tracer = Tracer::instance();
-      event_.durNs = tracer.nowNs() - event_.startNs;
-      tracer.record(event_);
+      event_->startNs = tracer.toEpochNs(start_);
+      event_->durNs = ns;
+      tracer.record(*event_);
     }
   }
 
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
 
  private:
-  bool armed_;
-  TraceEvent event_{};
+  bool armed() const {
+    return traced_ || stage_ != prof::Stage::kCount || seconds_ != nullptr;
+  }
+
+  bool traced_;
+  prof::Stage stage_;  // kCount when not timed
+  double* seconds_;
+  std::chrono::steady_clock::time_point start_;
+  std::optional<TraceEvent> event_;  // built only while tracing
 };
+
+/// A span alone: a Stage with no prof stage and no accumulator.
+using ScopedSpan = Stage;
 
 /// Records a complete span after the fact (e.g. queue-wait measured when
 /// the item is finally picked up). No-op while disabled.

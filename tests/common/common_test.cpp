@@ -66,22 +66,6 @@ TEST(TimerTest, ElapsedIsMonotone) {
   EXPECT_LT(t.elapsedSeconds(), b);
 }
 
-TEST(StageTimerTest, AccumulatesAcrossStartStop) {
-  StageTimer t;
-  EXPECT_DOUBLE_EQ(t.totalSeconds(), 0.0);
-  t.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  t.stop();
-  const double first = t.totalSeconds();
-  EXPECT_GT(first, 0.0);
-  t.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  t.stop();
-  EXPECT_GT(t.totalSeconds(), first);
-  // stop without start is harmless
-  t.stop();
-}
-
 TEST(MemoryUsageTest, ProbesReturnPlausibleValues) {
   const double peak = peakMemoryMiB();
   const double current = currentMemoryMiB();

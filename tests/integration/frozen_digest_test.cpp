@@ -10,6 +10,11 @@
 // the spatial indexes, the flat sweep, the sizer's closed form for passes
 // without spacing pairs, warm starts, early exits and the incremental
 // pivot update never change a single output byte.
+//
+// The ECO digests pin runIncremental's bytes in both of its planning
+// modes: legacy (no window cache: unaffected windows frozen at their
+// as-filled density) and pinned (targets pinned to the plans a cached
+// run() deposited).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,6 +25,7 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "fill/fill_engine.hpp"
+#include "fill/window_cache.hpp"
 #include "gds/gds_writer.hpp"
 #include "layout/layout.hpp"
 #include "verify/layout_gen.hpp"
@@ -73,6 +79,21 @@ constexpr std::array<std::uint64_t, kSeeds> kBlockWireDigests = {
     0x9d78c24bbfdb0f30ull, 0x1221ae9de6bd2348ull, 0xcbd5effb35c08c1full,
     0x0f815090e4de81c9ull, 0x5237a7218ca03bd5ull, 0x92902a72039c5a45ull,
     0x8930008863109961ull, 0xf445091f47a72062ull,
+};
+
+// ECO layouts: general seeds 1..kEcoSeeds, filled with run(), then one
+// wire edit, then runIncremental. Recorded before run() and runFile()
+// shared their stage 1-4 steps.
+constexpr int kEcoSeeds = 8;
+constexpr std::array<std::uint64_t, kEcoSeeds> kEcoLegacyDigests = {
+    0x78c36f5db85eda3eull, 0x84db418b7f12be39ull, 0x9b7d6ed19eb59d01ull,
+    0x2309ac4f56675180ull, 0x2005899bb5e85a1aull, 0xa494e9b727390775ull,
+    0x09b7eea2df45b22aull, 0xf124ef180bae2798ull,
+};
+constexpr std::array<std::uint64_t, kEcoSeeds> kEcoPinnedDigests = {
+    0x88a5b90c1487040dull, 0x6babbce321dabac3ull, 0xf0062e76a31a6cf0ull,
+    0x675cce09f8c6a3d8ull, 0xe3eb3a69221529aeull, 0x5ade9836e93375b0ull,
+    0x211002541b0d288bull, 0xa8b07cea3d2e62bdull,
 };
 
 layout::DesignRules rules() {
@@ -135,6 +156,32 @@ std::uint64_t gdsDigest(const layout::Layout& original, geom::Coord window,
   return fnv1a64(bytes.data(), bytes.size());
 }
 
+// Fills `original` with run(), adds a 90 x 60 wire block at the die
+// center on layer 0, re-fills with runIncremental over the block grown by
+// one window (so the pass also revisits windows the edit left unchanged)
+// and digests the result.
+// With `cached`, both runs share a WindowCache, so the ECO pass pins its
+// targets to run()'s plans; without, it takes the legacy planning.
+std::uint64_t ecoDigest(const layout::Layout& original, int threads,
+                        bool cached, fill::FillReport* report) {
+  layout::Layout chip = original;
+  fill::WindowCache cache;
+  fill::FillEngineOptions o;
+  o.windowSize = 600;
+  o.rules = rules();
+  o.numThreads = threads;
+  if (cached) o.windowCache = &cache;
+  const fill::FillEngine engine(o);
+  engine.run(chip);
+  const geom::Rect die = chip.die();
+  const geom::Coord cx = (die.xl + die.xh) / 2, cy = (die.yl + die.yh) / 2;
+  const geom::Rect block{cx - 45, cy - 30, cx + 45, cy + 30};
+  chip.layer(0).wires.push_back(block);
+  *report = engine.runIncremental(chip, block.expanded(o.windowSize));
+  const std::vector<std::uint8_t> bytes = gds::Writer::serialize(chip.toGds());
+  return fnv1a64(bytes.data(), bytes.size());
+}
+
 TEST(FrozenDigestTest, DefaultEngineReproducesRecordedDigestsAt1And4Threads) {
   setLogLevel(LogLevel::kWarn);
   long long closedFormSolves = 0;
@@ -159,6 +206,28 @@ TEST(FrozenDigestTest, DefaultEngineReproducesRecordedDigestsAt1And4Threads) {
   // MCF warm starts and early exits, which only coupled passes reach, are
   // covered by FillSizerTest.ClosedFormAndCoupledPassesMatchReferenceBackends.
   EXPECT_GT(closedFormSolves, 0);
+}
+
+TEST(FrozenDigestTest, EcoReproducesRecordedDigestsAt1And4Threads) {
+  setLogLevel(LogLevel::kWarn);
+  std::size_t skipped = 0;
+  for (int s = 0; s < kEcoSeeds; ++s) {
+    const layout::Layout general =
+        generalLayout(static_cast<std::uint64_t>(s) + 1);
+    for (const int threads : {1, 4}) {
+      fill::FillReport report;
+      EXPECT_EQ(ecoDigest(general, threads, /*cached=*/false, &report),
+                kEcoLegacyDigests[static_cast<std::size_t>(s)])
+          << "legacy ECO, seed " << s + 1 << " at " << threads << " threads";
+      EXPECT_EQ(report.ecoWindowsSkipped, 0u);
+      EXPECT_EQ(ecoDigest(general, threads, /*cached=*/true, &report),
+                kEcoPinnedDigests[static_cast<std::size_t>(s)])
+          << "pinned ECO, seed " << s + 1 << " at " << threads << " threads";
+      skipped += report.ecoWindowsSkipped;
+    }
+  }
+  // The pinned digests only pin the cache-served path if it engages.
+  EXPECT_GT(skipped, 0u);
 }
 
 }  // namespace

@@ -6,6 +6,9 @@
 // off.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -14,6 +17,7 @@
 
 #include "common/json_util.hpp"
 #include "fill/fill_engine.hpp"
+#include "gds/gds_writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/fill_service.hpp"
@@ -190,6 +194,65 @@ TEST_F(ObservabilityIntegrationTest, JobIdFlowsIntoWindowSpans) {
     }
   }
   EXPECT_TRUE(sawWindowSpanWithJob);
+}
+
+TEST_F(ObservabilityIntegrationTest, StreamedJobEmitsTheSameStageSpans) {
+  // One Fig. 3 flow: a --stream job runs the same stage steps as an
+  // in-memory job, so a trace shows the same per-job stage spans for both.
+  const std::string inputPath = "/tmp/ofl_obs_stream_in.gds";
+  ASSERT_GT(gds::Writer::writeFile(makeInput(0)->toGds(), inputPath), 0);
+  const std::string outPaths[] = {"/tmp/ofl_obs_stream_mem.gds",
+                                  "/tmp/ofl_obs_stream_streamed.gds"};
+  {
+    service::ServiceOptions so;
+    so.maxConcurrentJobs = 1;
+    so.threadsPerJob = 2;
+    service::FillService svc(so);
+    for (const bool stream : {false, true}) {
+      service::JobSpec spec;
+      spec.inputPath = inputPath;
+      spec.outputPath = outPaths[stream ? 1 : 0];
+      spec.engine = fastOptions();
+      spec.stream = stream;
+      svc.submit(std::move(spec));
+    }
+    for (const service::JobResult& r : svc.waitAll()) {
+      ASSERT_EQ(r.status, service::JobStatus::kSucceeded) << r.error;
+    }
+  }
+
+  std::map<int, std::set<std::string>> spansByJob;
+  for (const auto& ce : obs::Tracer::instance().collect()) {
+    for (int a = 0; a < ce.event.argCount; ++a) {
+      if (std::string(ce.event.argKeys[a]) == "job") {
+        spansByJob[static_cast<int>(ce.event.argValues[a])].insert(
+            ce.event.name);
+      }
+    }
+  }
+  for (const int job : {0, 1}) {
+    for (const char* name : {"engine.planning", "engine.candidates",
+                             "engine.replanning", "engine.sizing",
+                             "engine.output", "window.candidates",
+                             "window.sizing"}) {
+      EXPECT_EQ(spansByJob[job].count(name), 1u)
+          << name << " missing from " << (job == 0 ? "in-memory" : "streamed")
+          << " job";
+    }
+  }
+
+  // Same flow, same bytes.
+  const auto readAll = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+  };
+  const std::vector<char> inMemory = readAll(outPaths[0]);
+  EXPECT_FALSE(inMemory.empty());
+  EXPECT_TRUE(inMemory == readAll(outPaths[1]));
+  for (const std::string& path : {inputPath, outPaths[0], outPaths[1]}) {
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -59,6 +59,28 @@ class ShardedStreamTest : public ::testing::Test {
     std::remove(outPath.c_str());
   }
 
+  // Both engines run the same stage steps on the same per-window inputs,
+  // so everything in their reports but the seconds and the prof snapshot
+  // must agree: counts, the final plan's layer targets (exactly) and every
+  // sizer counter.
+  static void expectSameReport(const fill::FillReport& streamed,
+                               const fill::FillReport& inMemory) {
+    EXPECT_EQ(streamed.fillCount, inMemory.fillCount);
+    EXPECT_EQ(streamed.candidateCount, inMemory.candidateCount);
+    EXPECT_EQ(streamed.ecoWindowsSkipped, inMemory.ecoWindowsSkipped);
+    EXPECT_EQ(streamed.threadsUsed, inMemory.threadsUsed);
+    EXPECT_EQ(streamed.layerTargets, inMemory.layerTargets);
+    const fill::FillSizer::Stats& a = streamed.sizerStats;
+    const fill::FillSizer::Stats& b = inMemory.sizerStats;
+    EXPECT_EQ(a.solves, b.solves);
+    EXPECT_EQ(a.infeasibleFallbacks, b.infeasibleFallbacks);
+    EXPECT_EQ(a.droppedFills, b.droppedFills);
+    EXPECT_EQ(a.spacingConstraints, b.spacingConstraints);
+    EXPECT_EQ(a.warmStarts, b.warmStarts);
+    EXPECT_EQ(a.earlyExits, b.earlyExits);
+    EXPECT_EQ(a.closedFormSolves, b.closedFormSolves);
+  }
+
   // Writes the suite's wires-only GDS, fills in memory for the reference
   // bytes, then runs the sharded engine and compares output files.
   // `windowSize` 0 keeps the suite's.
@@ -95,11 +117,7 @@ class ShardedStreamTest : public ::testing::Test {
                             std::to_string(memBudgetMiB) + " MiB, " +
                             std::to_string(rowsPerShard) + " rows per shard",
                         &report);
-    EXPECT_EQ(report.fill.fillCount, inMemory.fillCount);
-    EXPECT_EQ(report.fill.candidateCount, inMemory.candidateCount);
-    EXPECT_EQ(report.fill.sizerStats.solves, inMemory.sizerStats.solves);
-    EXPECT_EQ(report.fill.sizerStats.closedFormSolves,
-              inMemory.sizerStats.closedFormSolves);
+    expectSameReport(report.fill, inMemory);
 
     if (reportOut != nullptr) *reportOut = report;
     std::remove(inputPath.c_str());

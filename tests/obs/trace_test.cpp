@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <string>
 #include <thread>
@@ -54,6 +55,57 @@ TEST_F(TraceTest, ScopedSpanRecordsNameCategoryAndArgs) {
   EXPECT_EQ(e.argValues[0], 7.0);
   EXPECT_STREQ(e.argKeys[1], "w");
   EXPECT_EQ(e.argValues[1], 3.0);
+}
+
+TEST_F(TraceTest, StageFeedsSpanProfTimerAndSecondsFromOneInterval) {
+  prof::Registry& reg = prof::Registry::instance();
+  reg.reset();
+  reg.setEnabled(true);
+  double seconds = 0.25;  // the probe adds to what is there
+  {
+    Stage probe("unit.stage", "test", {{"job", 5}}, prof::Stage::kOutput,
+                &seconds);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const prof::Snapshot snap = reg.snapshot();
+  reg.setEnabled(false);
+  reg.reset();
+  const auto events = Tracer::instance().collect();
+  ASSERT_EQ(events.size(), 1u);
+  const TraceEvent& e = events[0].event;
+  EXPECT_STREQ(e.name, "unit.stage");
+  ASSERT_EQ(e.argCount, 1);
+  EXPECT_EQ(e.argValues[0], 5.0);
+  // Span, prof stage and accumulator measure the same interval.
+  EXPECT_GE(e.durNs, 2'000'000u);
+  EXPECT_EQ(snap.stage(prof::Stage::kOutput).calls, 1u);
+  EXPECT_EQ(snap.stage(prof::Stage::kOutput).nanos, e.durNs);
+  EXPECT_DOUBLE_EQ(seconds, 0.25 + static_cast<double>(e.durNs) * 1e-9);
+}
+
+TEST_F(TraceTest, StageArmsEachPartOnItsOwn) {
+  Tracer::instance().setEnabled(false);
+  prof::Registry& reg = prof::Registry::instance();
+  reg.reset();
+  double seconds = 0.0;
+  {
+    // Tracing and prof off: only the accumulator runs.
+    Stage probe("unit.quiet", "test", {}, prof::Stage::kOutput, &seconds);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(seconds, 0.001);
+  EXPECT_EQ(Tracer::instance().eventCount(), 0u);
+  EXPECT_EQ(reg.snapshot().stage(prof::Stage::kOutput).calls, 0u);
+  {
+    // No prof stage: the registry stays empty while collecting.
+    Tracer::instance().setEnabled(true);
+    reg.setEnabled(true);
+    Stage span("unit.span", "test", {{"job", 1}}, &seconds);
+  }
+  reg.setEnabled(false);
+  EXPECT_EQ(Tracer::instance().eventCount(), 1u);
+  EXPECT_TRUE(reg.snapshot().empty());
+  reg.reset();
 }
 
 TEST_F(TraceTest, ExtraArgsBeyondCapAreDropped) {
