@@ -6,8 +6,8 @@
 // independent ratios that gate on any machine: the share of sizing passes
 // solved in closed form, and the overlay-marginal kernel's share of sizing
 // time. A pass without spacing pairs skips the min-cost flow, so
-// mcf_solve_s only counts coupled passes; MCF warm starts and early exits
-// are exercised by bench_mcf.
+// mcf_solve_s only counts coupled passes; bench_mcf times the flow solve
+// itself.
 //
 // The bench exits nonzero when reps disagree on the fills (the engine is
 // deterministic) or when no pass took the closed form -- the sizer's fast
@@ -135,11 +135,9 @@ int main(int argc, char** argv) {
   std::printf("\n-- last rep (%zu fills, hash %llx) --\n", last.fillCount,
               static_cast<unsigned long long>(refHash));
   std::fputs(last.profile.human().c_str(), stdout);
-  std::printf("  sizer: %lld solves, %lld closed form [%.0f%%], %lld MCF "
-              "warm starts, %lld early exits\n\n",
+  std::printf("  sizer: %lld solves, %lld closed form [%.0f%%]\n\n",
               st.solves, st.closedFormSolves,
-              100.0 * ratio(st.closedFormSolves, st.solves), st.warmStarts,
-              st.earlyExits);
+              100.0 * ratio(st.closedFormSolves, st.solves));
 
   h.param("fill_count", static_cast<std::int64_t>(last.fillCount));
   h.param("mcf_solves", static_cast<std::int64_t>(st.solves));

@@ -1,16 +1,14 @@
 // MCF solver-level replay: fill-sizing-shaped differential LP sequences
-// (each "window" solves H1,V1,H2,V2 -- round 2 repeats the topology with
-// perturbed costs, the exact pattern FillSizer emits) are replayed through
-// one default DualMcfContext per sequence, exactly like the sizer's
-// per-(layer,direction) contexts. Reports ns/solve and the warm-start and
-// early-exit counts. The engine-level sizing profile lives in
-// bench_hotpath.
+// with spacing constraints (each "window" solves H1,V1,H2,V2 -- round 2
+// repeats the topology with perturbed costs, the pattern FillSizer emits
+// on coupled passes) are solved through the default DifferentialLpSolver,
+// one cold network-simplex solve per LP, as the sizer does. Reports
+// ns/solve. The engine-level sizing profile lives in bench_hotpath.
 //
-// Every replayed x must equal a fresh successive-shortest-path solve of
-// the same LP (canonicalization makes x backend-independent), and reps
-// must agree with each other. The bench exits nonzero on a mismatch or
-// when no warm start or early exit fired (the CI perf-smoke gate).
-// Results go to BENCH_mcf.json.
+// Every replayed x must equal a successive-shortest-path solve of the same
+// LP (canonicalization makes x backend-independent). The bench exits
+// nonzero on a mismatch (the CI perf-smoke gate). Results go to
+// BENCH_mcf.json.
 //
 // Usage: bench_mcf [suite] [reps] [--reps N] [--warmup N] [--out F]
 // (the LP sequences are synthetic; suite is accepted for the shared
@@ -53,7 +51,8 @@ DifferentialLp sizingShapedLp(int fills, std::uint64_t seed) {
 }
 
 // Same topology, costs nudged — a "round 2" solve. Every third sequence
-// keeps its costs, which is what lets the early-exit memo fire.
+// keeps its costs. The sequences stay fixed so that ns/solve compares
+// across recorded baselines.
 DifferentialLp perturbCosts(const DifferentialLp& base, std::uint64_t seed,
                             bool keepCosts) {
   Rng rng(seed);
@@ -71,8 +70,6 @@ DifferentialLp perturbCosts(const DifferentialLp& base, std::uint64_t seed,
 struct SolverRun {
   double seconds = 0.0;
   long long solves = 0;
-  long long warmStarts = 0;
-  long long earlyExits = 0;
   std::uint64_t xHash = 0;  // FNV over every solve's x, in order
 };
 
@@ -81,19 +78,16 @@ void hashX(Fnv1a64& h, const DiffLpResult& r) {
   for (const Value v : r.x) h.i64(v);
 }
 
-// Replays every sequence (4 solves each) through a fresh default context.
+// Solves every LP of every sequence (4 each) with the default solver.
 SolverRun replay(const std::vector<std::vector<DifferentialLp>>& sequences) {
   SolverRun run;
   Fnv1a64 h;
+  const DifferentialLpSolver solver;
   Timer t;
   for (const auto& seq : sequences) {
-    DualMcfContext context;
     for (const DifferentialLp& lp : seq) {
-      const DiffLpResult r = context.solve(lp);
+      hashX(h, solver.solve(lp));
       ++run.solves;
-      if (r.usedWarmStart) ++run.warmStarts;
-      if (r.usedEarlyExit) ++run.earlyExits;
-      hashX(h, r);
     }
   }
   run.seconds = t.elapsedSeconds();
@@ -101,7 +95,7 @@ SolverRun replay(const std::vector<std::vector<DifferentialLp>>& sequences) {
   return run;
 }
 
-// The same x stream from one-shot SSP solves: the independent reference.
+// The same x stream from SSP solves: the independent reference.
 std::uint64_t sspHash(
     const std::vector<std::vector<DifferentialLp>>& sequences) {
   Fnv1a64 h;
@@ -142,10 +136,6 @@ int main(int argc, char** argv) {
   h.param("fills_per_lp", static_cast<std::int64_t>(kFills));
   Series& seconds = h.series("solver_s", "s");
   Series& nsPerSolve = h.series("solver_ns_per_solve", "ns");
-  Series& warmRatio = h.series("warm_start_ratio", "ratio",
-                               Direction::kHigherIsBetter, Scale::kRatio);
-  Series& earlyRatio = h.series("early_exit_ratio", "ratio",
-                                Direction::kHigherIsBetter, Scale::kRatio);
 
   const std::uint64_t reference = sspHash(sequences);
   bool matchesSsp = true;
@@ -156,25 +146,17 @@ int main(int argc, char** argv) {
     const auto solves = static_cast<double>(last.solves);
     seconds.record(last.seconds);
     nsPerSolve.record(last.seconds * 1e9 / solves);
-    warmRatio.record(static_cast<double>(last.warmStarts) / solves);
-    earlyRatio.record(static_cast<double>(last.earlyExits) / solves);
   }});
 
   std::printf("== MCF replay: %d sequences x 4 solves, %d fills each, "
               "%d reps + %d warmup ==\n",
               kSequences, kFills, args.reps, args.warmup);
-  std::printf("  %8.3f ms  %6lld solves  %5lld warm  %5lld early  "
-              "%7.0f ns/solve\n",
-              last.seconds * 1e3, last.solves, last.warmStarts,
-              last.earlyExits,
+  std::printf("  %8.3f ms  %6lld solves  %7.0f ns/solve\n",
+              last.seconds * 1e3, last.solves,
               last.seconds * 1e9 / static_cast<double>(last.solves));
   std::printf("  solutions %s\n",
               matchesSsp ? "MATCH SSP" : "DIVERGED FROM SSP (BUG!)");
 
-  h.param("solver_warm_starts", static_cast<std::int64_t>(last.warmStarts));
-  h.param("solver_early_exits", static_cast<std::int64_t>(last.earlyExits));
   h.check("matches_ssp", matchesSsp);
-  h.check("warm_start_fired", last.warmStarts > 0);
-  h.check("early_exit_fired", last.earlyExits > 0);
   return h.finish();
 }

@@ -26,10 +26,8 @@ static_assert(sizeof(kStageNames) / sizeof(kStageNames[0]) ==
               static_cast<std::size_t>(Stage::kCount));
 
 constexpr const char* kCounterNames[] = {
-    "windows",          "candidates",        "index-builds",
-    "index-queries",    "mcf-solves",        "mcf-network-reuses",
-    "mcf-warm-starts",  "mcf-early-exits",   "sizer-closed-form",
-    "eco-windows-skipped",
+    "windows",       "candidates",        "index-builds",      "index-queries",
+    "mcf-solves",    "sizer-closed-form", "eco-windows-skipped",
 };
 static_assert(sizeof(kCounterNames) / sizeof(kCounterNames[0]) ==
               static_cast<std::size_t>(Counter::kCount));

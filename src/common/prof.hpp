@@ -49,9 +49,6 @@ enum class Counter : int {
   kIndexBuilds,        // spatial-index (re)builds
   kIndexQueries,       // spatial-index queries
   kMcfSolves,          // dual-LP solves
-  kMcfNetworkReuses,   // solves that reused a cached network topology
-  kMcfWarmStarts,      // solves warm-started from a previous basis
-  kMcfEarlyExits,      // solves skipped via the sensitivity memo
   kSizerClosedForm,    // uncoupled sizer passes solved in closed form
   kEcoWindowsSkipped,  // ECO windows served from the window cache
   kCount

@@ -29,8 +29,8 @@ namespace {
 // the PREFIX key — candidate generation reads nothing else. The FINAL key
 // adds the sizing-stage target goals; sizing additionally reads only the
 // candidates, which the prefix already determines. Purity of (c) holds
-// because the sizer's solves are canonicalized (see DualMcfContext), so
-// no solver history can leak into the output.
+// because the sizer's solves are canonicalized (see DifferentialLpSolver)
+// and carry no state from one solve to the next.
 
 std::uint64_t windowOptionsDigest(const FillEngineOptions& o) {
   Fnv1a64 h;
@@ -421,10 +421,6 @@ void Flow::finish(double totalSeconds) {
   reg.counter("engine.runs").add();
   reg.counter("engine.candidates").add(report_.candidateCount);
   reg.counter("engine.fills").add(report_.fillCount);
-  reg.counter("engine.mcf_warm_starts")
-      .add(static_cast<std::uint64_t>(report_.sizerStats.warmStarts));
-  reg.counter("engine.mcf_early_exits")
-      .add(static_cast<std::uint64_t>(report_.sizerStats.earlyExits));
   reg.counter("engine.sizer_closed_form_solves")
       .add(static_cast<std::uint64_t>(report_.sizerStats.closedFormSolves));
   reg.counter("engine.eco_windows_skipped").add(report_.ecoWindowsSkipped);

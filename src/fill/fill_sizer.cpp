@@ -371,7 +371,7 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
 
   // Uncoupled pass (no spacing pair): the LP separates into one
   // two-variable problem per fill, whose componentwise-least optimum --
-  // the answer DualMcfContext returns -- has a closed form. The SSP and
+  // the answer DifferentialLpSolver returns -- has a closed form. The SSP and
   // dense-simplex backends keep solving the full relaxation as references.
   if (closePairs.empty() && !options_.useLpSolver &&
       options_.backend == mcf::McfBackend::kNetworkSimplex) {
@@ -416,22 +416,9 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
     if (stats != nullptr) ++stats->spacingConstraints;
   }
 
-  auto solveRelaxation = [this, &scratch, layer,
-                          horizontal](const mcf::DifferentialLp& dlp) {
+  auto solveRelaxation = [this](const mcf::DifferentialLp& dlp) {
     if (!options_.useLpSolver) {
-      // Per-(layer, direction) context: within a window, round r >= 2
-      // revisits the same topology and reuses the round r-1 network.
-      const std::size_t key =
-          static_cast<std::size_t>(layer) * 2 + (horizontal ? 1 : 0);
-      if (scratch.mcfBackend != options_.backend) {
-        scratch.mcfContexts.clear();
-        scratch.mcfBackend = options_.backend;
-      }
-      if (scratch.mcfContexts.size() <= key) {
-        scratch.mcfContexts.resize(key + 1,
-                                   mcf::DualMcfContext(options_.backend));
-      }
-      return scratch.mcfContexts[key].solve(dlp);
+      return mcf::DifferentialLpSolver(options_.backend).solve(dlp);
     }
     // Ablation backend: identical model through the dense simplex.
     lp::LpModel model;
@@ -461,11 +448,7 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
   };
 
   mcf::DiffLpResult result = solveRelaxation(lp);
-  if (stats != nullptr) {
-    ++stats->solves;
-    if (result.usedWarmStart) ++stats->warmStarts;
-    if (result.usedEarlyExit) ++stats->earlyExits;
-  }
+  if (stats != nullptr) ++stats->solves;
 
   if (!result.feasible && !violating.empty()) {
     // Spacing cannot be repaired within the per-iteration step: drop the

@@ -47,8 +47,10 @@ class FillSizer {
     long long infeasibleFallbacks = 0;
     long long droppedFills = 0;
     long long spacingConstraints = 0;
-    long long warmStarts = 0;  // solves restarted from a retained basis
-    long long earlyExits = 0;  // solves skipped via the sensitivity memo
+    // Always 0; kept only for the benchmark's mcf.* probes, goes with them.
+    long long warmStarts = 0;
+    // Always 0; kept only for the benchmark's mcf.* probes, goes with them.
+    long long earlyExits = 0;
     /// Solves of uncoupled passes (no spacing pair) done per fill in
     /// closed form instead of through the min-cost flow; counted in
     /// `solves` as well.
@@ -67,11 +69,9 @@ class FillSizer {
     }
   };
 
-  /// Reusable buffers and min-cost-flow contexts for size(). One Scratch
-  /// per worker thread; indexes are rebuilt per window, per-fill buffers
-  /// are overwritten pass by pass, and the MCF contexts (keyed by
-  /// layer*2 + horizontal) let round >= 2 of a window reuse the round-1
-  /// network when the constraint topology repeats.
+  /// Reusable buffers for size(). One Scratch per worker thread; indexes
+  /// are rebuilt per window and per-fill buffers are overwritten pass by
+  /// pass.
   struct Scratch {
     /// An opposing shape of `layer` in that layer's index numbering: a
     /// wire when id < wires[layer].size(), else fill id - wires.size().
@@ -101,12 +101,6 @@ class FillSizer {
     std::vector<geom::Coord> repairNeed;
     std::vector<double> weight;
     std::vector<mcf::Value> edges;  // closed-form solution, 2 per fill
-    std::vector<mcf::DualMcfContext> mcfContexts;
-    // Backend the cached contexts were constructed with. Scratch objects
-    // are typically thread_local and outlive a single engine run; a later
-    // run with a different backend must rebuild the contexts instead of
-    // silently keeping the old one.
-    mcf::McfBackend mcfBackend = mcf::McfBackend::kNetworkSimplex;
   };
 
   FillSizer(layout::DesignRules rules, Options options)

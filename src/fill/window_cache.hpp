@@ -12,8 +12,8 @@
 // candidate plan and the stage-3 replan). The ECO path pins its targets
 // to those plans (clamped into each window's fresh bounds) instead of
 // re-sweeping, which is what makes the fingerprints of untouched windows
-// reproduce byte-for-byte; see docs/architecture.md, "Sizer warm-starts
-// and incremental ECO".
+// reproduce byte-for-byte; see docs/architecture.md, "Canonical sizer
+// solves and incremental ECO".
 //
 // Ownership: caller-owned and opt-in (FillEngineOptions::windowCache).
 // lookup/insert are thread-safe (the engine calls them from worker

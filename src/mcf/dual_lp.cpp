@@ -75,40 +75,34 @@ std::optional<std::pair<Value, Value>> solvePairLp(const PairVariable& xi,
   return std::pair{bestXi(best), best};
 }
 
-DiffLpResult DifferentialLpSolver::solve(const DifferentialLp& lp) const {
-  // One-shot path: a fresh context cold-starts. The canonical-optimum
-  // post-pass makes this byte-identical to any warm-started context.
-  DualMcfContext context(backend_);
-  return context.solve(lp);
-}
+namespace {
 
-// Replaces result.x with the componentwise-least point of the optimal
-// face. `flow` is any optimal flow of the dual network whose recovered x
-// passed the feasibility check, so complementary slackness pins the face:
+// Replaces x with the componentwise-least point of the optimal face.
+// `flow` is any optimal flow of the dual network whose recovered x passed
+// the feasibility check, so complementary slackness pins the face:
 // constraint arcs with positive flow are tight at EVERY optimum, and a
 // bound arc with positive flow pins its variable to that bound. The face
 // is then a difference-constraint system closed under componentwise min,
 // and the least element is the fixpoint of raising from the lower bounds —
 // the same answer no matter which optimal flow described the face.
-void DualMcfContext::canonicalizeOptimum(const DifferentialLp& lp,
-                                         const FlowResult& flow,
-                                         DiffLpResult& result) {
+void canonicalizeOptimum(const DifferentialLp& lp, const FlowResult& flow,
+                         std::vector<Value>& x) {
   const int n = lp.numVariables();
   const auto& cons = lp.constraints();
   const int numCons = static_cast<int>(cons.size());
 
   // Raise edges x[to] >= x[from] + w, in per-node intrusive lists so the
   // worklist below only re-examines successors of nodes that moved.
-  canonTo_.clear();
-  canonW_.clear();
-  canonHead_.assign(static_cast<std::size_t>(n), -1);
-  canonNext_.clear();
-  const auto addEdge = [&](int from, int to, Value w) {
-    const int e = static_cast<int>(canonTo_.size());
-    canonTo_.push_back(to);
-    canonW_.push_back(w);
-    canonNext_.push_back(canonHead_[static_cast<std::size_t>(from)]);
-    canonHead_[static_cast<std::size_t>(from)] = e;
+  std::vector<int> to;
+  std::vector<Value> w;
+  std::vector<int> head(static_cast<std::size_t>(n), -1);  // first out-edge
+  std::vector<int> next;  // per edge, next edge of the same node
+  const auto addEdge = [&](int from, int target, Value weight) {
+    const int e = static_cast<int>(to.size());
+    to.push_back(target);
+    w.push_back(weight);
+    next.push_back(head[static_cast<std::size_t>(from)]);
+    head[static_cast<std::size_t>(from)] = e;
   };
   for (int c = 0; c < numCons; ++c) {
     const DiffConstraint& dc = cons[static_cast<std::size_t>(c)];
@@ -119,40 +113,40 @@ void DualMcfContext::canonicalizeOptimum(const DifferentialLp& lp,
     }
   }
 
-  canonX_.resize(static_cast<std::size_t>(n));
-  canonQueue_.clear();
-  canonQueued_.assign(static_cast<std::size_t>(n), 1);
+  std::vector<Value> least(static_cast<std::size_t>(n));
+  std::vector<int> queue;
+  std::vector<char> queued(static_cast<std::size_t>(n), 1);
   for (int v = 0; v < n; ++v) {
     // Per-variable arcs follow the constraint arcs: lower then upper;
     // positive flow on the upper arc pins x_v = u_v, on the lower arc it
     // pins x_v = l_v — the starting value either way.
     const auto upperArc = static_cast<std::size_t>(numCons + 2 * v + 1);
-    canonX_[static_cast<std::size_t>(v)] =
+    least[static_cast<std::size_t>(v)] =
         flow.arcFlow[upperArc] > 0 ? lp.upper(v) : lp.lower(v);
-    canonQueue_.push_back(v);
+    queue.push_back(v);
   }
 
-  // Least fixpoint by worklist relaxation. The face is non-empty
-  // (result.x lies on it), so every raise stays <= result.x; each
-  // variable rises at most n times, which bounds the work. The cap only
-  // trips on a violated expectation, and then the solver vertex stands.
+  // Least fixpoint by worklist relaxation. The face is non-empty (x lies
+  // on it), so every raise stays <= x; each variable rises at most n
+  // times, which bounds the work. The cap only trips on a violated
+  // expectation, and then the solver vertex stands.
   const long long maxPops =
-      static_cast<long long>(n + 1) * (n + static_cast<int>(canonTo_.size()));
+      static_cast<long long>(n + 1) * (n + static_cast<int>(to.size()));
   long long pops = 0;
-  for (std::size_t qi = 0; qi < canonQueue_.size(); ++qi) {
+  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
     if (++pops > maxPops) return;
-    const int from = canonQueue_[qi];
-    canonQueued_[static_cast<std::size_t>(from)] = 0;
-    const Value base = canonX_[static_cast<std::size_t>(from)];
-    for (int e = canonHead_[static_cast<std::size_t>(from)]; e != -1;
-         e = canonNext_[static_cast<std::size_t>(e)]) {
-      const int to = canonTo_[static_cast<std::size_t>(e)];
-      const Value need = base + canonW_[static_cast<std::size_t>(e)];
-      if (canonX_[static_cast<std::size_t>(to)] < need) {
-        canonX_[static_cast<std::size_t>(to)] = need;
-        if (canonQueued_[static_cast<std::size_t>(to)] == 0) {
-          canonQueued_[static_cast<std::size_t>(to)] = 1;
-          canonQueue_.push_back(to);
+    const int from = queue[qi];
+    queued[static_cast<std::size_t>(from)] = 0;
+    const Value base = least[static_cast<std::size_t>(from)];
+    for (int e = head[static_cast<std::size_t>(from)]; e != -1;
+         e = next[static_cast<std::size_t>(e)]) {
+      const auto t = static_cast<std::size_t>(to[static_cast<std::size_t>(e)]);
+      const Value need = base + w[static_cast<std::size_t>(e)];
+      if (least[t] < need) {
+        least[t] = need;
+        if (queued[t] == 0) {
+          queued[t] = 1;
+          queue.push_back(static_cast<int>(t));
         }
       }
     }
@@ -160,81 +154,15 @@ void DualMcfContext::canonicalizeOptimum(const DifferentialLp& lp,
   // Adopt only a verified exact optimum; on any violated expectation keep
   // the solver's vertex (never happens for a correct optimal flow, but a
   // wrong canonical answer must not be able to corrupt the solve).
-  if (!lp.isFeasible(canonX_) ||
-      lp.objective(canonX_) != lp.objective(result.x)) {
+  if (!lp.isFeasible(least) || lp.objective(least) != lp.objective(x)) {
     return;
   }
-  result.x = canonX_;
+  x = std::move(least);
 }
 
-bool DualMcfContext::tryEarlyExit(const DifferentialLp& lp,
-                                  DiffLpResult& result) const {
-  if (!haveMemo_ || !topologyMatches(lp)) return false;
-  const int n = lp.numVariables();
-  for (int v = 0; v < n; ++v) {
-    if (memoLowers_[static_cast<std::size_t>(v)] != lp.lower(v) ||
-        memoUppers_[static_cast<std::size_t>(v)] != lp.upper(v)) {
-      return false;
-    }
-  }
-  const auto& cons = lp.constraints();
-  for (std::size_t c = 0; c < cons.size(); ++c) {
-    if (memoBounds_[c] != cons[c].bound) return false;
-  }
-  // Sensitivity bound: with identical bounds and offsets the memoized x is
-  // still feasible, and its objective under the new costs is within
-  // sum_v |Δc_v|·(u_v−l_v) of the new optimum. Only a zero bound is
-  // accepted: cost changes on fixed variables, which cannot move the
-  // optimal face.
-  for (int v = 0; v < n; ++v) {
-    if (lp.cost(v) != memoCosts_[static_cast<std::size_t>(v)] &&
-        lp.upper(v) != lp.lower(v)) {
-      return false;
-    }
-  }
-  result = memoResult_;
-  if (result.feasible) result.objective = lp.objective(result.x);
-  result.usedWarmStart = false;
-  result.usedEarlyExit = true;
-  return true;
-}
+}  // namespace
 
-void DualMcfContext::rememberSolve(const DifferentialLp& lp,
-                                   const DiffLpResult& result) {
-  const int n = lp.numVariables();
-  memoCosts_.resize(static_cast<std::size_t>(n));
-  memoLowers_.resize(static_cast<std::size_t>(n));
-  memoUppers_.resize(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    memoCosts_[static_cast<std::size_t>(v)] = lp.cost(v);
-    memoLowers_[static_cast<std::size_t>(v)] = lp.lower(v);
-    memoUppers_[static_cast<std::size_t>(v)] = lp.upper(v);
-  }
-  const auto& cons = lp.constraints();
-  memoBounds_.resize(cons.size());
-  for (std::size_t c = 0; c < cons.size(); ++c) {
-    memoBounds_[c] = cons[c].bound;
-  }
-  memoResult_ = result;
-  memoResult_.usedWarmStart = false;
-  memoResult_.usedEarlyExit = false;
-  haveMemo_ = true;
-}
-
-bool DualMcfContext::topologyMatches(const DifferentialLp& lp) const {
-  if (numVars_ != lp.numVariables()) return false;
-  const auto& constraints = lp.constraints();
-  if (arcPairs_.size() != constraints.size()) return false;
-  for (std::size_t c = 0; c < constraints.size(); ++c) {
-    if (arcPairs_[c].first != constraints[c].i ||
-        arcPairs_[c].second != constraints[c].j) {
-      return false;
-    }
-  }
-  return true;
-}
-
-DiffLpResult DualMcfContext::solve(const DifferentialLp& lp) {
+DiffLpResult DifferentialLpSolver::solve(const DifferentialLp& lp) const {
   prof::ScopedTimer timer(prof::Stage::kMcfSolve);
   prof::count(prof::Counter::kMcfSolves);
   DiffLpResult result;
@@ -243,14 +171,10 @@ DiffLpResult DualMcfContext::solve(const DifferentialLp& lp) {
     result.feasible = true;
     return result;
   }
-  if (tryEarlyExit(lp, result)) {
-    prof::count(prof::Counter::kMcfEarlyExits);
-    return result;
-  }
 
-  // Dual min-cost flow data (Eqn. 16). Node 0 is y_0; node v+1 is
-  // variable v. Supplies are c'; each inequality y_i - y_j >= b' becomes
-  // an arc i -> j with cost -b'.
+  // Dual min-cost flow (Eqn. 16). Node 0 is y_0; node v+1 is variable v.
+  // Supplies are c'; each inequality y_i - y_j >= b' becomes an arc
+  // i -> j with cost -b'.
   Value sumCosts = 0;
   Value positiveSupply = 0;
   for (int v = 0; v < n; ++v) {
@@ -262,67 +186,33 @@ DiffLpResult DualMcfContext::solve(const DifferentialLp& lp) {
   // Any cycle-free optimal flow routes at most the total positive supply
   // through an arc; the margin keeps every arc strictly below capacity in
   // some optimum, which preserves dual feasibility of the potentials for
-  // the uncapacitated LP. Supplies are per-solve data, so capacities are
-  // rewritten even when the network is reused.
+  // the uncapacitated LP.
   const Value cap = 4 * positiveSupply + 4;
 
-  if (topologyMatches(lp)) {
-    prof::count(prof::Counter::kMcfNetworkReuses);
-    graph_.setSupply(0, -sumCosts);
-    for (int v = 0; v < n; ++v) graph_.setSupply(v + 1, lp.cost(v));
-    int a = 0;
-    for (const DiffConstraint& c : lp.constraints()) {
-      Arc& arc = graph_.arc(a++);
-      arc.capacity = cap;
-      arc.cost = -c.bound;
-    }
-    for (int v = 0; v < n; ++v) {
-      Arc& lowerArc = graph_.arc(a++);
-      lowerArc.capacity = cap;
-      lowerArc.cost = -lp.lower(v);
-      Arc& upperArc = graph_.arc(a++);
-      upperArc.capacity = cap;
-      upperArc.cost = lp.upper(v);
-    }
-  } else {
-    graph_.clear();
-    graph_.addNode(-sumCosts);  // c'_0
-    for (int v = 0; v < n; ++v) graph_.addNode(lp.cost(v));
-    for (const DiffConstraint& c : lp.constraints()) {
-      graph_.addArc(c.i + 1, c.j + 1, cap, -c.bound);
-    }
-    for (int v = 0; v < n; ++v) {
-      graph_.addArc(v + 1, 0, cap, -lp.lower(v));  // y_v - y_0 >= l_v
-      graph_.addArc(0, v + 1, cap, lp.upper(v));   // y_0 - y_v >= -u_v
-    }
-    arcPairs_.clear();
-    arcPairs_.reserve(lp.constraints().size());
-    for (const DiffConstraint& c : lp.constraints()) {
-      arcPairs_.push_back({c.i, c.j});
-    }
-    numVars_ = n;
+  Graph graph;
+  graph.addNode(-sumCosts);  // c'_0
+  for (int v = 0; v < n; ++v) graph.addNode(lp.cost(v));
+  for (const DiffConstraint& c : lp.constraints()) {
+    graph.addArc(c.i + 1, c.j + 1, cap, -c.bound);
+  }
+  for (int v = 0; v < n; ++v) {
+    graph.addArc(v + 1, 0, cap, -lp.lower(v));  // y_v - y_0 >= l_v
+    graph.addArc(0, v + 1, cap, lp.upper(v));   // y_0 - y_v >= -u_v
   }
 
   FlowResult flow;
   switch (backend_) {
     case McfBackend::kNetworkSimplex:
-      flow = simplex_.resolve(graph_);
-      if (simplex_.lastSolveWarm()) {
-        result.usedWarmStart = true;
-        prof::count(prof::Counter::kMcfWarmStarts);
-      }
+      flow = NetworkSimplex().solve(graph);
       break;
     case McfBackend::kSuccessiveShortestPath:
-      flow = SuccessiveShortestPath().solve(graph_);
+      flow = SuccessiveShortestPath().solve(graph);
       break;
     case McfBackend::kCycleCanceling:
-      flow = CycleCanceling().solve(graph_);
+      flow = CycleCanceling().solve(graph);
       break;
   }
-  if (flow.status != SolveStatus::kOptimal) {
-    rememberSolve(lp, result);
-    return result;
-  }
+  if (flow.status != SolveStatus::kOptimal) return result;
 
   // y = -pi (see FlowResult's reduced-cost convention); x_v = y_{v+1} - y_0.
   result.x.resize(static_cast<std::size_t>(n));
@@ -333,17 +223,13 @@ DiffLpResult DualMcfContext::solve(const DifferentialLp& lp) {
   }
   // An infeasible LP surfaces as capacity-saturated arcs whose potentials
   // are not dual feasible; verifying the recovered x catches that case.
-  if (!lp.isFeasible(result.x)) {
-    rememberSolve(lp, result);
-    return result;
-  }
+  if (!lp.isFeasible(result.x)) return result;
   // Feasibility also certifies the flow as optimal for the uncapacitated
   // dual network, which is what the canonicalization's complementary-
   // slackness argument needs.
-  canonicalizeOptimum(lp, flow, result);
+  canonicalizeOptimum(lp, flow, result.x);
   result.feasible = true;
   result.objective = lp.objective(result.x);
-  rememberSolve(lp, result);
   return result;
 }
 

@@ -27,14 +27,6 @@ class Graph {
     return static_cast<int>(supplies_.size()) - 1;
   }
 
-  /// Removes all nodes and arcs but keeps the storage, so a caller that
-  /// rebuilds similar-sized networks in a loop (DualMcfContext on a
-  /// topology change) does not reallocate per build.
-  void clear() {
-    supplies_.clear();
-    arcs_.clear();
-  }
-
   int addArc(int tail, int head, Value capacity, Value cost) {
     arcs_.push_back({tail, head, capacity, cost});
     return static_cast<int>(arcs_.size()) - 1;
@@ -46,13 +38,7 @@ class Graph {
   Value supply(int node) const {
     return supplies_[static_cast<std::size_t>(node)];
   }
-  void setSupply(int node, Value s) {
-    supplies_[static_cast<std::size_t>(node)] = s;
-  }
   const Arc& arc(int a) const { return arcs_[static_cast<std::size_t>(a)]; }
-  /// Mutable access for callers that update costs/capacities in place
-  /// while keeping the arc topology (DualMcfContext network reuse).
-  Arc& arc(int a) { return arcs_[static_cast<std::size_t>(a)]; }
   const std::vector<Arc>& arcs() const { return arcs_; }
 
   /// Sum of all supplies; a balanced network has zero.

@@ -16,7 +16,6 @@ void NetworkSimplex::refreshTree() {
   visited_.assign(static_cast<std::size_t>(numNodes_), 0);
   stack_.clear();
   stack_.push_back(root_);
-  bfsOrder_.clear();
   parent_[static_cast<std::size_t>(root_)] = -1;
   predArc_[static_cast<std::size_t>(root_)] = -1;
   depth_[static_cast<std::size_t>(root_)] = 0;
@@ -24,7 +23,6 @@ void NetworkSimplex::refreshTree() {
   while (!stack_.empty()) {
     const int u = stack_.back();
     stack_.pop_back();
-    bfsOrder_.push_back(u);
     for (int a : treeAdj_[static_cast<std::size_t>(u)]) {
       const auto ai = static_cast<std::size_t>(a);
       const int v = (tail_[ai] == u) ? head_[ai] : tail_[ai];
@@ -100,7 +98,7 @@ void NetworkSimplex::addTreeArc(int a) {
   treeAdj_[static_cast<std::size_t>(head_[ai])].push_back(a);
 }
 
-void NetworkSimplex::initCold(const Graph& graph) {
+void NetworkSimplex::init(const Graph& graph) {
   const int n = graph.numNodes();
   const int m = graph.numArcs();
 
@@ -157,95 +155,11 @@ void NetworkSimplex::initCold(const Graph& graph) {
   depth_.assign(static_cast<std::size_t>(numNodes_), 0);
   pi_.assign(static_cast<std::size_t>(numNodes_), 0);
   // resize+clear instead of assign: keeps the inner vectors' capacity
-  // across the many same-shaped cold solves the sizer issues.
+  // across solves on one object.
   treeAdj_.resize(static_cast<std::size_t>(numNodes_));
   for (auto& adj : treeAdj_) adj.clear();
   for (int i = 0; i < n; ++i) addTreeArc(m + i);
   refreshTree();
-
-  basisNodes_ = n;
-  basisArcs_ = m;
-}
-
-bool NetworkSimplex::initWarm(const Graph& graph) {
-  const int n = graph.numNodes();
-  const int m = graph.numArcs();
-  if (!hasBasis_ || basisNodes_ != n || basisArcs_ != m) return false;
-  for (int a = 0; a < m; ++a) {
-    const Arc& arc = graph.arc(a);
-    if (tail_[static_cast<std::size_t>(a)] != arc.tail ||
-        head_[static_cast<std::size_t>(a)] != arc.head) {
-      return false;
-    }
-  }
-
-  // Refresh arc data. Artificial arcs keep the orientation chosen by the
-  // cold start that created this basis; their flow recomputes below and is
-  // zero in any basis that was optimal for a feasible instance.
-  Value costSum = 1;
-  Value positiveSupply = 0;
-  for (const Arc& a : graph.arcs()) {
-    assert(a.capacity >= 0);
-    costSum += std::abs(a.cost);
-  }
-  for (int i = 0; i < n; ++i) {
-    positiveSupply += std::max<Value>(graph.supply(i), 0);
-  }
-  const Value artCap = positiveSupply + 1;
-  for (int a = 0; a < m; ++a) {
-    cap_[static_cast<std::size_t>(a)] = graph.arc(a).capacity;
-    cost_[static_cast<std::size_t>(a)] = graph.arc(a).cost;
-  }
-  for (int i = 0; i < n; ++i) {
-    cap_[static_cast<std::size_t>(m + i)] = artCap;
-    cost_[static_cast<std::size_t>(m + i)] = costSum;
-  }
-
-  // Non-tree arcs sit at their bound (re-evaluated for the new
-  // capacities); whatever imbalance that leaves at each node must drain
-  // through the old tree.
-  excess_.assign(static_cast<std::size_t>(numNodes_), 0);
-  for (int i = 0; i < n; ++i) {
-    excess_[static_cast<std::size_t>(i)] += graph.supply(i);
-  }
-  for (int a = 0; a < m + n; ++a) {
-    const auto ai = static_cast<std::size_t>(a);
-    if (state_[ai] == kInTree) continue;
-    const Value f = (state_[ai] == kAtUpper) ? cap_[ai] : 0;
-    flow_[ai] = f;
-    excess_[static_cast<std::size_t>(tail_[ai])] -= f;
-    excess_[static_cast<std::size_t>(head_[ai])] += f;
-  }
-
-  // Rebuild parent/depth/pi for the new costs; bfsOrder_ lists parents
-  // before children, so the reverse walk pushes each node's excess up its
-  // unique tree arc exactly once.
-  refreshTree();
-  bool reoriented = false;
-  for (auto it = bfsOrder_.rbegin(); it != bfsOrder_.rend(); ++it) {
-    const int u = *it;
-    if (u == root_) continue;
-    const auto ui = static_cast<std::size_t>(u);
-    const int a = predArc_[ui];
-    const auto ai = static_cast<std::size_t>(a);
-    Value f = (tail_[ai] == u) ? excess_[ui] : -excess_[ui];
-    if (f < 0 && a >= firstArtificial_) {
-      // A supply sign flipped since the basis was stored: reorient the
-      // artificial root arc instead of abandoning the whole warm start.
-      std::swap(tail_[ai], head_[ai]);
-      f = -f;
-      reoriented = true;
-    }
-    if (f < 0 || f > cap_[ai]) return false;  // old tree not primal feasible
-    flow_[ai] = f;
-    excess_[static_cast<std::size_t>(parent_[ui])] += excess_[ui];
-    excess_[ui] = 0;
-  }
-  if (excess_[static_cast<std::size_t>(root_)] != 0) return false;
-  // Reorientation changes the sign of the pi relation along those arcs;
-  // recompute potentials once (flows are unaffected).
-  if (reoriented) refreshTree();
-  return true;
 }
 
 FlowResult NetworkSimplex::run(const Graph& graph) {
@@ -289,7 +203,6 @@ FlowResult NetworkSimplex::run(const Graph& graph) {
 
     if (++pivots > maxPivots) {
       result.status = SolveStatus::kInfeasible;  // should never happen
-      hasBasis_ = false;
       return result;
     }
 
@@ -379,13 +292,11 @@ FlowResult NetworkSimplex::run(const Graph& graph) {
   for (int i = 0; i < n; ++i) {
     if (flow_[static_cast<std::size_t>(m + i)] != 0) {
       result.status = SolveStatus::kInfeasible;
-      hasBasis_ = false;
       return result;
     }
   }
 
   result.status = SolveStatus::kOptimal;
-  hasBasis_ = true;
   result.arcFlow.resize(static_cast<std::size_t>(m));
   for (int a = 0; a < m; ++a) {
     result.arcFlow[static_cast<std::size_t>(a)] =
@@ -402,27 +313,12 @@ FlowResult NetworkSimplex::run(const Graph& graph) {
 }
 
 FlowResult NetworkSimplex::solve(const Graph& graph) {
-  lastWarm_ = false;
   if (graph.totalSupply() != 0) {
-    hasBasis_ = false;
     FlowResult result;
     result.status = SolveStatus::kInfeasible;
     return result;
   }
-  initCold(graph);
-  return run(graph);
-}
-
-FlowResult NetworkSimplex::resolve(const Graph& graph) {
-  if (graph.totalSupply() != 0) {
-    hasBasis_ = false;
-    lastWarm_ = false;
-    FlowResult result;
-    result.status = SolveStatus::kInfeasible;
-    return result;
-  }
-  lastWarm_ = initWarm(graph);
-  if (!lastWarm_) initCold(graph);
+  init(graph);
   return run(graph);
 }
 

@@ -9,9 +9,8 @@
 // the fill flow are per-window and small (hundreds of nodes).
 //
 // The solver object is reusable: all working arrays persist across solve()
-// calls, so a caller solving many same-shaped instances (the sizer's
-// alternating H/V passes) pays for allocation once. resolve() additionally
-// tries to keep the previous optimal basis as the starting tree.
+// calls, so a caller solving many same-shaped instances on one object pays
+// for allocation once.
 #pragma once
 
 #include <vector>
@@ -28,29 +27,8 @@ class NetworkSimplex {
   /// and therefore the same optimal flow and potentials.
   FlowResult solve(const Graph& graph);
 
-  /// Like solve(), but when the previous call left an optimal basis for a
-  /// graph with the same node/arc counts and arc endpoints, restarts from
-  /// that tree: non-tree arcs keep their bound, tree flows are recomputed
-  /// for the new supplies/capacities (artificial root arcs are reoriented
-  /// when a node's supply sign flipped), and the pivot loop continues from
-  /// there. Falls back to the cold start when no basis fits or the old
-  /// tree is not primal feasible for the new data.
-  ///
-  /// CAUTION: on LPs with alternate optima a warm start may return a
-  /// DIFFERENT optimal vertex than solve() — equal objective, different
-  /// flows/potentials. Raw-flow callers needing byte-identical output must
-  /// either stick to solve() or canonicalize the returned optimum
-  /// themselves. The differential-LP layer (DualMcfContext) does exactly
-  /// that: it maps any optimal vertex to the unique componentwise-least
-  /// optimal solution, so sizer output is identical warm or cold.
-  FlowResult resolve(const Graph& graph);
-
-  /// True when the last solve()/resolve() used the retained basis.
-  bool lastSolveWarm() const { return lastWarm_; }
-
  private:
-  void initCold(const Graph& graph);
-  bool initWarm(const Graph& graph);
+  void init(const Graph& graph);
   FlowResult run(const Graph& graph);
 
   Value reducedCost(int a) const {
@@ -91,8 +69,6 @@ class NetworkSimplex {
   // Per-call scratch, kept for its capacity.
   std::vector<int> stack_;
   std::vector<char> visited_;
-  std::vector<int> bfsOrder_;  // refreshTree visit order, root first
-  std::vector<Value> excess_;
   struct Step {
     int arc;
     bool flowIncreases;
@@ -100,11 +76,6 @@ class NetworkSimplex {
   };
   std::vector<Step> steps_;  // pivot-cycle path, reused across pivots
 
-  // Basis bookkeeping for resolve().
-  bool hasBasis_ = false;
-  bool lastWarm_ = false;
-  int basisNodes_ = 0;  // graph nodes (excluding root) of the stored basis
-  int basisArcs_ = 0;   // original graph arcs of the stored basis
 };
 
 }  // namespace ofl::mcf

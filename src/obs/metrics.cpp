@@ -345,7 +345,6 @@ void registerCoreSeries() {
   MetricsRegistry& reg = MetricsRegistry::instance();
   for (const char* name :
        {"engine.runs", "engine.windows", "engine.candidates", "engine.fills",
-        "engine.mcf_warm_starts", "engine.mcf_early_exits",
         "engine.sizer_closed_form_solves",
         "engine.eco_windows_skipped",
         "scale.runs", "scale.shards", "scale.spill_bytes", "scale.spill_events",

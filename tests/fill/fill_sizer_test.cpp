@@ -244,11 +244,10 @@ WindowProblem randomWindow(Rng& rng) {
 
 TEST(FillSizerTest, ClosedFormAndCoupledPassesMatchReferenceBackends) {
   // The default backend sizes uncoupled passes in closed form and coupled
-  // ones through warm-started MCF contexts; SSP and the dense simplex
+  // ones through the network-simplex dual flow; SSP and the dense simplex
   // solve every pass's full relaxation. All three must size every window
   // to the same fills. One Scratch per backend is reused across windows,
-  // as the engine's per-thread scratch is, so coupled passes of equal
-  // topology warm-start from each other.
+  // as the engine's per-thread scratch is.
   Rng rng(1505);
   std::vector<WindowProblem> windows;
   for (int w = 0; w < 300; ++w) windows.push_back(randomWindow(rng));
@@ -279,7 +278,6 @@ TEST(FillSizerTest, ClosedFormAndCoupledPassesMatchReferenceBackends) {
   EXPECT_GT(nsStats.spacingConstraints, 0);
   EXPECT_GT(nsStats.closedFormSolves, 0);
   EXPECT_LT(nsStats.closedFormSolves, nsStats.solves);
-  EXPECT_GT(nsStats.warmStarts, 0);
   EXPECT_EQ(sspStats.closedFormSolves, 0);
 }
 

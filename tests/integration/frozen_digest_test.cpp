@@ -8,8 +8,8 @@
 // kernel, cold-started MCF solves with a full spanning-tree rebuild after
 // every pivot and no early exits, on 1 thread. They pin the contract that
 // the spatial indexes, the flat sweep, the sizer's closed form for passes
-// without spacing pairs, warm starts, early exits and the incremental
-// pivot update never change a single output byte.
+// without spacing pairs and the incremental pivot update never change a
+// single output byte.
 //
 // The ECO digests pin runIncremental's bytes in both of its planning
 // modes: legacy (no window cache: unaffected windows frozen at their
@@ -202,8 +202,8 @@ TEST(FrozenDigestTest, DefaultEngineReproducesRecordedDigestsAt1And4Threads) {
       closedFormSolves += report.sizerStats.closedFormSolves;
     }
   }
-  // The digests pin nothing about the closed form unless it engages; the
-  // MCF warm starts and early exits, which only coupled passes reach, are
+  // The digests pin nothing about the closed form unless it engages. These
+  // layouts have no coupled pass; the min-cost flow those passes take is
   // covered by FillSizerTest.ClosedFormAndCoupledPassesMatchReferenceBackends.
   EXPECT_GT(closedFormSolves, 0);
 }

@@ -76,8 +76,6 @@ class ShardedStreamTest : public ::testing::Test {
     EXPECT_EQ(a.infeasibleFallbacks, b.infeasibleFallbacks);
     EXPECT_EQ(a.droppedFills, b.droppedFills);
     EXPECT_EQ(a.spacingConstraints, b.spacingConstraints);
-    EXPECT_EQ(a.warmStarts, b.warmStarts);
-    EXPECT_EQ(a.earlyExits, b.earlyExits);
     EXPECT_EQ(a.closedFormSolves, b.closedFormSolves);
   }
 

@@ -111,9 +111,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DualLpCrossCheckTest, AgreesWithDenseSimplexOnRandomSystems) {
   Rng rng(2024);
   int feasibleCount = 0;
-  // One context reused across every system: whatever basis or memo it
-  // carries, canonicalization must land on SSP's exact x.
-  DualMcfContext reusedContext;
   for (int trial = 0; trial < 150; ++trial) {
     const int n = static_cast<int>(rng.uniformInt(2, 8));
     DifferentialLp dlp;
@@ -140,13 +137,11 @@ TEST(DualLpCrossCheckTest, AgreesWithDenseSimplexOnRandomSystems) {
         DifferentialLpSolver(McfBackend::kNetworkSimplex).solve(dlp);
     const DiffLpResult sspResult =
         DifferentialLpSolver(McfBackend::kSuccessiveShortestPath).solve(dlp);
-    const DiffLpResult reused = reusedContext.solve(dlp);
     const lp::LpResult lpResult = lp::SimplexSolver().solve(model);
 
     const bool lpFeasible = lpResult.status == lp::LpStatus::kOptimal;
     ASSERT_EQ(mcfResult.feasible, lpFeasible) << "trial " << trial;
     ASSERT_EQ(sspResult.feasible, lpFeasible) << "trial " << trial;
-    ASSERT_EQ(reused.feasible, lpFeasible) << "trial " << trial;
     if (lpFeasible) {
       ++feasibleCount;
       EXPECT_NEAR(static_cast<double>(mcfResult.objective),
@@ -155,200 +150,12 @@ TEST(DualLpCrossCheckTest, AgreesWithDenseSimplexOnRandomSystems) {
       EXPECT_EQ(mcfResult.objective, sspResult.objective) << "trial " << trial;
       EXPECT_TRUE(dlp.isFeasible(mcfResult.x)) << "trial " << trial;
       EXPECT_TRUE(dlp.isFeasible(sspResult.x)) << "trial " << trial;
-      EXPECT_EQ(reused.x, sspResult.x) << "trial " << trial;
+      // Canonicalization makes x backend-independent, not just the
+      // objective.
+      EXPECT_EQ(mcfResult.x, sspResult.x) << "trial " << trial;
     }
   }
   EXPECT_GT(feasibleCount, 50);  // the generator must exercise both outcomes
-}
-
-// Random differential LP on a FIXED constraint topology; only costs,
-// bounds and constraint offsets vary with the seed. This is the shape the
-// sizer produces round after round, which DualMcfContext's network reuse
-// keys on.
-DifferentialLp randomLpFixedTopology(Rng& rng) {
-  DifferentialLp lp;
-  const int n = 6;
-  for (int v = 0; v < n; ++v) {
-    const Value lo = rng.uniformInt(0, 4);
-    lp.addVariable(rng.uniformInt(-5, 9), lo, lo + rng.uniformInt(4, 20));
-  }
-  lp.addConstraint(0, 1, rng.uniformInt(0, 3));
-  lp.addConstraint(1, 2, rng.uniformInt(0, 3));
-  lp.addConstraint(3, 4, rng.uniformInt(0, 3));
-  lp.addConstraint(4, 5, rng.uniformInt(0, 3));
-  lp.addConstraint(0, 5, rng.uniformInt(-2, 2));
-  return lp;
-}
-
-TEST(DualMcfContextTest, ReuseMatchesFreshSolverRunAfterRun) {
-  // The context's in-place network rewrite must be invisible: every solve
-  // returns exactly what a from-scratch DifferentialLpSolver returns
-  // (same x vector, not just the same objective -- the pipeline's
-  // byte-identity contract).
-  Rng rng(71);
-  DualMcfContext context;
-  for (int round = 0; round < 40; ++round) {
-    const DifferentialLp lp = randomLpFixedTopology(rng);
-    const DiffLpResult fresh =
-        DifferentialLpSolver(McfBackend::kNetworkSimplex).solve(lp);
-    const DiffLpResult reused = context.solve(lp);
-    ASSERT_EQ(reused.feasible, fresh.feasible) << "round " << round;
-    if (fresh.feasible) {
-      EXPECT_EQ(reused.x, fresh.x) << "round " << round;
-      EXPECT_EQ(reused.objective, fresh.objective) << "round " << round;
-    }
-  }
-}
-
-TEST(DualMcfContextTest, TopologyChangeRebuildsCorrectly) {
-  // Interleave two different topologies through one context: each solve
-  // must still match a fresh solver even though the cached network is
-  // invalidated every time.
-  Rng rng(72);
-  DualMcfContext context;
-  for (int round = 0; round < 20; ++round) {
-    DifferentialLp lp;
-    if (round % 2 == 0) {
-      lp = randomLpFixedTopology(rng);
-    } else {
-      for (int v = 0; v < 3; ++v) {
-        lp.addVariable(rng.uniformInt(-4, 6), 0, rng.uniformInt(5, 15));
-      }
-      lp.addConstraint(2, 0, rng.uniformInt(0, 4));
-    }
-    const DiffLpResult fresh =
-        DifferentialLpSolver(McfBackend::kNetworkSimplex).solve(lp);
-    const DiffLpResult reused = context.solve(lp);
-    ASSERT_EQ(reused.feasible, fresh.feasible) << "round " << round;
-    if (fresh.feasible) {
-      EXPECT_EQ(reused.x, fresh.x) << "round " << round;
-    }
-  }
-}
-
-TEST(DualMcfContextTest, WarmStartStaysOptimalAndFeasible) {
-  // A warm-started simplex may land on a different optimal vertex, but
-  // the canonical-optimum post-pass maps every optimum to the unique
-  // componentwise-least solution -- so the warm answer must equal the cold
-  // answer EXACTLY, not just in objective, and so must the SSP backend's.
-  Rng rng(73);
-  DualMcfContext warm;
-  int feasibleCount = 0;
-  int warmCount = 0;
-  for (int round = 0; round < 40; ++round) {
-    const DifferentialLp lp = randomLpFixedTopology(rng);
-    const DiffLpResult cold =
-        DifferentialLpSolver(McfBackend::kNetworkSimplex).solve(lp);
-    const DiffLpResult ssp =
-        DifferentialLpSolver(McfBackend::kSuccessiveShortestPath).solve(lp);
-    const DiffLpResult hot = warm.solve(lp);
-    if (hot.usedWarmStart) ++warmCount;
-    ASSERT_EQ(hot.feasible, cold.feasible) << "round " << round;
-    if (cold.feasible) {
-      ++feasibleCount;
-      EXPECT_EQ(hot.x, cold.x) << "round " << round;
-      EXPECT_EQ(hot.x, ssp.x) << "round " << round;
-      EXPECT_EQ(hot.objective, cold.objective) << "round " << round;
-      EXPECT_TRUE(lp.isFeasible(hot.x)) << "round " << round;
-    }
-  }
-  EXPECT_GT(feasibleCount, 20);
-  EXPECT_GT(warmCount, 0);  // the retained basis must actually engage
-}
-
-TEST(DualMcfContextTest, EarlyExitSkipsUnchangedResolve) {
-  // An identical repeat solve is answered from
-  // the sensitivity memo without touching the solver, byte-identically.
-  Rng rng(74);
-  DualMcfContext context;
-  const DifferentialLp lp = randomLpFixedTopology(rng);
-  const DiffLpResult first = context.solve(lp);
-  ASSERT_TRUE(first.feasible);
-  EXPECT_FALSE(first.usedEarlyExit);
-  const DiffLpResult repeat = context.solve(lp);
-  EXPECT_TRUE(repeat.usedEarlyExit);
-  EXPECT_EQ(repeat.x, first.x);
-  EXPECT_EQ(repeat.objective, first.objective);
-}
-
-TEST(DualMcfContextTest, EarlyExitDeclinesWhenBoundsChange) {
-  // Any bound change disables the memo: the re-solve must run and match
-  // a fresh solver on the new LP.
-  DualMcfContext context;
-  DifferentialLp lp;
-  lp.addVariable(3, 0, 10);
-  lp.addVariable(-2, 0, 10);
-  lp.addConstraint(0, 1, 2);
-  ASSERT_TRUE(context.solve(lp).feasible);
-
-  DifferentialLp moved;
-  moved.addVariable(3, 1, 9);  // same costs, tighter box
-  moved.addVariable(-2, 0, 10);
-  moved.addConstraint(0, 1, 2);
-  const DiffLpResult r = context.solve(moved);
-  EXPECT_FALSE(r.usedEarlyExit);
-  const DiffLpResult fresh =
-      DifferentialLpSolver(McfBackend::kNetworkSimplex).solve(moved);
-  ASSERT_TRUE(fresh.feasible);
-  EXPECT_EQ(r.x, fresh.x);
-}
-
-TEST(DualMcfContextTest, EarlyExitDeclinesWhenFreeVariableCostChanges) {
-  // Same bounds and offsets, but a cost moved on a variable with room to
-  // move: the sensitivity bound is positive, so the solve must run -- and
-  // here the optimum really does move.
-  DualMcfContext context;
-  DifferentialLp lp;
-  lp.addVariable(3, 0, 10);  // positive cost: optimum at the lower bound
-  lp.addVariable(-1, 0, 10);
-  lp.addConstraint(1, 0, 2);
-  const DiffLpResult first = context.solve(lp);
-  ASSERT_TRUE(first.feasible);
-
-  DifferentialLp recosted;
-  recosted.addVariable(-3, 0, 10);  // now pulled to the upper bound
-  recosted.addVariable(-1, 0, 10);
-  recosted.addConstraint(1, 0, 2);
-  const DiffLpResult r = context.solve(recosted);
-  EXPECT_FALSE(r.usedEarlyExit);
-  const DiffLpResult fresh =
-      DifferentialLpSolver(McfBackend::kNetworkSimplex).solve(recosted);
-  ASSERT_TRUE(fresh.feasible);
-  EXPECT_NE(fresh.x, first.x);
-  EXPECT_EQ(r.x, fresh.x);
-}
-
-TEST(DualMcfContextTest, EarlyExitOnCostChangeOfFixedVariable) {
-  // The sensitivity bound sum |dc_v| * (u_v - l_v) is zero when only
-  // fixed (l == u) variables change cost, so the solve is skipped -- and
-  // the memoized point's objective must be recomputed under the NEW
-  // costs, matching a fresh solve exactly.
-  DualMcfContext context;
-  DifferentialLp lp;
-  lp.addVariable(5, 7, 7);  // fixed
-  lp.addVariable(-1, 0, 10);
-  lp.addConstraint(1, 0, -4);
-  ASSERT_TRUE(context.solve(lp).feasible);
-
-  DifferentialLp recosted;
-  recosted.addVariable(-9, 7, 7);  // only the fixed variable's cost moved
-  recosted.addVariable(-1, 0, 10);
-  recosted.addConstraint(1, 0, -4);
-  const DiffLpResult r = context.solve(recosted);
-  EXPECT_TRUE(r.usedEarlyExit);
-  const DiffLpResult fresh =
-      DifferentialLpSolver(McfBackend::kNetworkSimplex).solve(recosted);
-  ASSERT_TRUE(fresh.feasible);
-  EXPECT_EQ(r.x, fresh.x);
-  EXPECT_EQ(r.objective, fresh.objective);
-}
-
-TEST(DualMcfContextTest, EmptyLpIsFeasible) {
-  DualMcfContext context;
-  const DiffLpResult r = context.solve(DifferentialLp{});
-  EXPECT_TRUE(r.feasible);
-  EXPECT_TRUE(r.x.empty());
-  EXPECT_EQ(r.objective, 0);
 }
 
 TEST(SolvePairLpTest, MatchesEveryBackendAndBruteForceExhaustively) {

@@ -171,139 +171,5 @@ TEST(McfCrossCheckTest, RandomGraphsAgree) {
   }
 }
 
-TEST(NetworkSimplexResolveTest, WarmResolveMatchesColdObjective) {
-  // Re-solve one topology with shifted costs/capacities round after
-  // round: resolve() may restart from the retained basis
-  // (lastSolveWarm), and whenever it does it must still land on the
-  // cold solve's optimal cost.
-  Rng rng(5151);
-  NetworkSimplex warm;
-  int warmCount = 0;
-  for (int round = 0; round < 25; ++round) {
-    Graph g;
-    const int a = g.addNode(4);
-    const int b = g.addNode(0);
-    const int c = g.addNode(-4);
-    g.addArc(a, b, rng.uniformInt(2, 8), rng.uniformInt(-3, 6));
-    g.addArc(b, c, rng.uniformInt(2, 8), rng.uniformInt(-3, 6));
-    g.addArc(a, c, rng.uniformInt(1, 6), rng.uniformInt(-3, 6));
-    const FlowResult cold = NetworkSimplex().solve(g);
-    const FlowResult hot = warm.resolve(g);
-    if (warm.lastSolveWarm()) ++warmCount;
-    ASSERT_EQ(hot.status, cold.status) << "round " << round;
-    if (cold.status == SolveStatus::kOptimal) {
-      EXPECT_EQ(hot.totalCost, cold.totalCost) << "round " << round;
-    }
-  }
-  EXPECT_GT(warmCount, 0);  // the retained basis must actually engage
-}
-
-TEST(NetworkSimplexResolveTest, CostOnlyChangeStartsWarm) {
-  // Same nodes, arcs, supplies, capacities; only costs move. The retained
-  // basis is always primal feasible for the new data, so the warm start
-  // must engage, and the optimum must match a cold solver's.
-  Rng rng(8181);
-  NetworkSimplex warm;
-  Graph g;
-  const int a = g.addNode(5);
-  const int b = g.addNode(0);
-  const int c = g.addNode(-5);
-  const int ab = g.addArc(a, b, 6, 1);
-  const int bc = g.addArc(b, c, 6, 1);
-  const int ac = g.addArc(a, c, 4, 3);
-  ASSERT_EQ(warm.resolve(g).status, SolveStatus::kOptimal);
-  for (int round = 0; round < 10; ++round) {
-    for (const int arc : {ab, bc, ac}) {
-      g.arc(arc).cost = rng.uniformInt(-4, 7);
-    }
-    const FlowResult cold = NetworkSimplex().solve(g);
-    const FlowResult hot = warm.resolve(g);
-    EXPECT_TRUE(warm.lastSolveWarm()) << "round " << round;
-    ASSERT_EQ(hot.status, cold.status) << "round " << round;
-    EXPECT_EQ(hot.totalCost, cold.totalCost) << "round " << round;
-  }
-}
-
-TEST(NetworkSimplexResolveTest, CapacityOnlyChangeRecomputesTreeFlows) {
-  // Capacity changes can make the old tree flows infeasible; resolve()
-  // either repairs them within bounds (warm) or falls back cold. Either
-  // way the answer must match a cold solver's optimum.
-  Rng rng(8282);
-  NetworkSimplex warm;
-  Graph g;
-  const int a = g.addNode(4);
-  const int b = g.addNode(0);
-  const int c = g.addNode(-4);
-  const int ab = g.addArc(a, b, 8, 2);
-  const int bc = g.addArc(b, c, 8, 2);
-  const int ac = g.addArc(a, c, 8, 5);
-  ASSERT_EQ(warm.resolve(g).status, SolveStatus::kOptimal);
-  int warmCount = 0;
-  for (int round = 0; round < 15; ++round) {
-    for (const int arc : {ab, bc, ac}) {
-      g.arc(arc).capacity = rng.uniformInt(2, 9);
-    }
-    const FlowResult cold = NetworkSimplex().solve(g);
-    const FlowResult hot = warm.resolve(g);
-    if (warm.lastSolveWarm()) ++warmCount;
-    ASSERT_EQ(hot.status, cold.status) << "round " << round;
-    if (cold.status == SolveStatus::kOptimal) {
-      EXPECT_EQ(hot.totalCost, cold.totalCost) << "round " << round;
-    }
-  }
-  EXPECT_GT(warmCount, 0);
-}
-
-TEST(NetworkSimplexResolveTest, SupplySignFlipReorientsArtificials) {
-  // A node whose supply changes sign needs its artificial root arc
-  // reoriented before the retained basis can be reused; the warm result
-  // must still be the cold optimum.
-  NetworkSimplex warm;
-  Graph g;
-  const int a = g.addNode(2);
-  const int b = g.addNode(0);
-  const int c = g.addNode(-2);
-  g.addArc(a, c, 10, 1);
-  g.addArc(b, c, 10, 1);
-  g.addArc(a, b, 10, 1);
-  ASSERT_EQ(warm.resolve(g).status, SolveStatus::kOptimal);
-
-  // Flip b between source and sink. It carried no flow in the first
-  // optimum, so its basis arc is the artificial root arc, whose drain
-  // direction must reverse on the sign flips.
-  int warmCount = 0;
-  for (const Value s : {Value{1}, Value{-1}, Value{2}, Value{-2}}) {
-    g.setSupply(b, s);
-    g.setSupply(c, -2 - s);
-    const FlowResult cold = NetworkSimplex().solve(g);
-    const FlowResult hot = warm.resolve(g);
-    if (warm.lastSolveWarm()) ++warmCount;
-    ASSERT_EQ(hot.status, SolveStatus::kOptimal) << "supply " << s;
-    EXPECT_EQ(hot.totalCost, cold.totalCost) << "supply " << s;
-  }
-  EXPECT_GT(warmCount, 0);
-}
-
-TEST(NetworkSimplexResolveTest, TopologyChangeFallsBackToCold) {
-  NetworkSimplex solver;
-  Graph g1;
-  const int s1 = g1.addNode(3);
-  const int t1 = g1.addNode(-3);
-  g1.addArc(s1, t1, 5, 2);
-  ASSERT_EQ(solver.resolve(g1).status, SolveStatus::kOptimal);
-  EXPECT_FALSE(solver.lastSolveWarm());  // nothing retained yet
-
-  Graph g2;  // different node/arc structure
-  const int s2 = g2.addNode(2);
-  const int m2 = g2.addNode(0);
-  const int t2 = g2.addNode(-2);
-  g2.addArc(s2, m2, 4, 1);
-  g2.addArc(m2, t2, 4, 1);
-  const FlowResult r = solver.resolve(g2);
-  EXPECT_FALSE(solver.lastSolveWarm());
-  ASSERT_EQ(r.status, SolveStatus::kOptimal);
-  EXPECT_EQ(r.totalCost, 4);
-}
-
 }  // namespace
 }  // namespace ofl::mcf
