@@ -179,9 +179,16 @@ int main(int argc, char** argv) {
               100.0 * disabledOverhead,
               identical ? "BIT-IDENTICAL" : "DIVERGED (BUG!)");
 
-  // Both percentages are single samples derived from wall timings, so
-  // they gate only on the baseline's machine, like the timings themselves.
-  h.series("disabled_overhead_pct", "%").record(100.0 * disabledOverhead);
+  // Both percentages are derived from wall timings, so they gate only on
+  // the baseline's machine, like the timings themselves. The disabled one
+  // is recorded once per rep, from that rep's disabled wall time and probe
+  // timing, so bench-compare gates a distribution, not one derived sample.
+  Series& disabledPct = h.series("disabled_overhead_pct", "%");
+  for (std::size_t r = 0; r < wallOff.samples().size(); ++r) {
+    disabledPct.record(100.0 * static_cast<double>(tracedEvents) * 2.0 *
+                       probeNs.samples()[r] * 1e-9 /
+                       std::max(wallOff.samples()[r], 1e-9));
+  }
   h.series("enabled_overhead_pct", "%").record(100.0 * enabledOverhead);
   h.param("trace_events", static_cast<std::int64_t>(tracedEvents));
   h.param("fill_count", static_cast<std::int64_t>(fills));

@@ -927,7 +927,10 @@ int batchImpl(const Args& args) {
     const service::JobResult& r = results[i];
     if (r.status == service::JobStatus::kSucceeded) {
       std::printf("job %zu: ok  %zu fills%s  %.2fs  %lld bytes\n", i,
-                  r.fillCount, r.cacheHit ? "  (cache hit)" : "",
+                  r.fillCount,
+                  r.spliced    ? "  (cache hit, spliced)"
+                  : r.cacheHit ? "  (cache hit)"
+                               : "",
                   r.runSeconds, r.outputBytes);
     } else {
       allOk = false;

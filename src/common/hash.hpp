@@ -40,6 +40,14 @@ class Fnv1a64 {
 /// One-shot convenience over a byte buffer.
 std::uint64_t fnv1a64(const void* data, std::size_t n);
 
+/// Word-wise 64-bit hash of a byte buffer, for inputs too large to feed
+/// FNV-1a a byte at a time: XXH64's construction (four independent
+/// 8-byte lanes over 32-byte stripes, then the tail and an avalanche), so
+/// it runs at memory speed. Words are read in host byte order, so the
+/// digest is only stable on one platform: key in-memory state with it,
+/// never anything persisted.
+std::uint64_t wordHash64(const void* data, std::size_t n);
+
 /// Mixes two 64-bit hashes into one (order-sensitive).
 std::uint64_t hashCombine(std::uint64_t a, std::uint64_t b);
 

@@ -305,10 +305,15 @@ bool StreamReader::scan(const std::string& path, StreamEvents& events,
   return runMachine(records, events, error);
 }
 
-std::optional<Library> Reader::parse(std::span<const std::uint8_t> bytes) {
+bool StreamReader::scan(std::span<const std::uint8_t> bytes,
+                        StreamEvents& events, std::string* error) {
   SpanRecords records(bytes);
+  return runMachine(records, events, error);
+}
+
+std::optional<Library> Reader::parse(std::span<const std::uint8_t> bytes) {
   LibraryCollector collector;
-  if (!runMachine(records, collector, nullptr)) return std::nullopt;
+  if (!StreamReader::scan(bytes, collector, nullptr)) return std::nullopt;
   return collector.takeLibrary();
 }
 

@@ -5,7 +5,7 @@
 // read with O(record) memory instead of O(file). It holds the only GDSII
 // record state machine; its consumers are
 //   - Reader::parse, which runs it over bytes already in memory into a
-//     LibraryCollector;
+//     LibraryCollector (the in-memory scan entry);
 //   - the layout front end (gds/layout_scan.hpp), which flattens and
 //     decomposes boundaries straight into the in-memory loader's layers
 //     or the sharded engine's spools without building a Library.
@@ -79,6 +79,11 @@ class StreamReader {
   static bool scan(const std::string& path, StreamEvents& events,
                    std::string* error, const Options& options = {});
 
+  /// The same scan over stream bytes already in memory (a file read once
+  /// into a buffer), with the same events and rejections; nothing past
+  /// `bytes` is ever read.
+  static bool scan(std::span<const std::uint8_t> bytes, StreamEvents& events,
+                   std::string* error);
 };
 
 /// StreamEvents sink that assembles a full Library (Reader::parse's

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,10 @@ class StreamWriter {
                std::int16_t datatype = 0);
   void addSref(const Sref& s);
   void addAref(const Aref& a);
+  /// Appends already-encoded element records verbatim, e.g. a span of
+  /// another stream's BOUNDARY elements; the caller vouches for their
+  /// framing.
+  void addRaw(std::span<const std::uint8_t> records);
   void endCell();
 
   /// Writes ENDLIB, flushes, and closes. Returns total bytes written (the

@@ -42,8 +42,14 @@ Tracer::ThreadBuffer& Tracer::localBuffer() {
 
 void Tracer::record(const TraceEvent& event) {
   ThreadBuffer& buffer = localBuffer();
+  const std::size_t capacity = capacity_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(buffer.mutex);
-  buffer.events.push_back(event);
+  if (capacity == 0 || buffer.events.size() < capacity) {
+    buffer.events.push_back(event);
+    return;
+  }
+  buffer.events[buffer.oldest] = event;
+  buffer.oldest = (buffer.oldest + 1) % buffer.events.size();
 }
 
 void Tracer::clear() {
@@ -51,6 +57,7 @@ void Tracer::clear() {
   for (const auto& buffer : buffers_) {
     std::lock_guard<std::mutex> bufferLock(buffer->mutex);
     buffer->events.clear();
+    buffer->oldest = 0;
   }
 }
 
@@ -69,9 +76,11 @@ std::vector<Tracer::CollectedEvent> Tracer::collect() const {
   std::lock_guard<std::mutex> lock(registryMutex_);
   for (const auto& buffer : buffers_) {
     std::lock_guard<std::mutex> bufferLock(buffer->mutex);
-    out.reserve(out.size() + buffer->events.size());
-    for (const TraceEvent& e : buffer->events) {
-      out.push_back(CollectedEvent{e, buffer->tid});
+    const std::size_t n = buffer->events.size();
+    out.reserve(out.size() + n);
+    for (std::size_t i = 0; i < n; ++i) {  // oldest first
+      out.push_back(
+          CollectedEvent{buffer->events[(buffer->oldest + i) % n], buffer->tid});
     }
   }
   return out;

@@ -60,6 +60,14 @@ class Tracer {
     return instance().enabled_.load(std::memory_order_relaxed);
   }
 
+  /// Keeps at most `events` per recording thread, overwriting its oldest
+  /// event once full; 0 (the default) keeps every event. The daemon sets
+  /// it because it traces every request: unbounded, its span buffer would
+  /// grow with the requests it serves.
+  void setPerThreadCapacity(std::size_t events) {
+    capacity_.store(events, std::memory_order_relaxed);
+  }
+
   /// Drops every recorded event (thread buffers stay registered).
   void clear();
 
@@ -91,12 +99,14 @@ class Tracer {
     std::mutex mutex;  // owner appends, collector copies; never contended
     int tid = 0;
     std::vector<TraceEvent> events;
+    std::size_t oldest = 0;  // ring start once `events` reached capacity
   };
 
   Tracer();
   ThreadBuffer& localBuffer();
 
   std::atomic<bool> enabled_{false};
+  std::atomic<std::size_t> capacity_{0};
   std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex registryMutex_;

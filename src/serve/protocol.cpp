@@ -202,6 +202,8 @@ std::string toJson(const JobResponse& r) {
   json::appendNumber(out, static_cast<std::uint64_t>(r.fills));
   out += ",\"cacheHit\":";
   out += r.cacheHit ? "true" : "false";
+  out += ",\"spliced\":";
+  out += r.spliced ? "true" : "false";
   out += ",\"cacheKey\":\"";
   char key[24];
   std::snprintf(key, sizeof(key), "%016llx",

@@ -87,6 +87,7 @@ struct JobResponse {
   std::string error;
   std::size_t fills = 0;
   bool cacheHit = false;
+  bool spliced = false;  // a hit written without parsing the input
   std::uint64_t cacheKey = 0;
   double queueSeconds = 0.0;
   double runSeconds = 0.0;

@@ -8,10 +8,12 @@
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "fill/sharded_engine.hpp"
+#include "gds/layout_scan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/fingerprint.hpp"
 #include "service/layout_io.hpp"
+#include "service/splice.hpp"
 
 namespace ofl::service {
 
@@ -178,6 +180,7 @@ void FillService::execute(Job& job) {
     if (r.status != JobStatus::kSucceeded) {
       reg.counter("service.jobs_failed").add();
     }
+    if (r.spliced) reg.counter("service.spliced_hits").add();
     reg.histogram("job.queue_seconds").observe(r.queueSeconds);
     reg.histogram("job.run_seconds").observe(r.runSeconds);
     if (r.status == JobStatus::kSucceeded) {
@@ -205,13 +208,13 @@ void FillService::execute(Job& job) {
 JobResult FillService::runJob(Job& job) const {
   const JobSpec& spec = job.spec;
   JobResult r;
+  auto fail = [&r](const std::string& message) {
+    r.status = JobStatus::kFailed;
+    r.error = message;
+    return r;
+  };
 
   if (spec.stream) {
-    auto fail = [&r](const std::string& message) {
-      r.status = JobStatus::kFailed;
-      r.error = message;
-      return r;
-    };
     if (spec.kind == JobKind::kEco) {
       return fail("ECO (runIncremental) is not supported with --stream");
     }
@@ -247,30 +250,64 @@ JobResult FillService::runJob(Job& job) const {
     return r;
   }
 
-  Timer stage;
-  layout::Layout chip({}, 0);
-  if (spec.layout != nullptr) {
-    chip = *spec.layout;
-  } else {
-    std::string error;
-    if (!loadFlatLayout(spec.inputPath, spec.die, &chip, &error)) {
-      r.status = JobStatus::kFailed;
-      r.error = error;
-      return r;
-    }
+  const bool eco = spec.kind == JobKind::kEco;
+  if (eco && spec.ecoChanged.empty()) {
+    return fail("eco job without a changed region");
   }
-  r.loadSeconds = stage.elapsedSeconds();
-
   fill::FillEngineOptions engine = spec.engine;
   engine.numThreads = threadsPerJob_;
   engine.cancel = &job.token;
   engine.jobId = static_cast<std::int64_t>(job.id);  // telemetry only
-  const bool eco = spec.kind == JobKind::kEco;
-  if (eco && spec.ecoChanged.empty()) {
-    r.status = JobStatus::kFailed;
-    r.error = "eco job without a changed region";
-    return r;
+
+  // A file job that writes flat GDSII reads its input once and probes the
+  // cache by the raw bytes first: an aliased entry is written by splicing
+  // the input's own wire runs (service/splice.hpp), with no parse. Jobs
+  // that need the parsed layout, OASIS inputs and a disabled cache load
+  // as before.
+  const bool splicable = spec.layout == nullptr && !spec.keepLayout &&
+                         !spec.outputPath.empty() &&
+                         spec.format == OutputFormat::kGds && !spec.compact &&
+                         cache_.enabled();
+  Timer stage;
+  layout::Layout chip({}, 0);
+  std::vector<std::uint8_t> input;
+  std::optional<std::uint64_t> rawKey;
+  std::string error;
+  if (spec.layout != nullptr) {
+    chip = *spec.layout;
+  } else if (splicable && !gds::isOasisFile(spec.inputPath) &&
+             readFileBytes(spec.inputPath, &input)) {
+    rawKey = rawInputKey(input, engine, spec.die, spec.kind, spec.ecoChanged);
+    job.token.throwIfExpired();
+    if (const auto hit = cache_.findAlias(*rawKey, input)) {
+      r.loadSeconds = stage.elapsedSeconds();
+      r.cacheKey = hit->key;
+      r.report = hit->entry->report;
+      r.cacheHit = true;
+      r.spliced = true;
+      for (const auto& layer : hit->entry->layers) r.fillCount += layer.count;
+      stage.reset();
+      r.outputBytes =
+          writeSpliced(input, *hit->splice, *hit->entry, spec.outputPath);
+      r.writeSeconds = stage.elapsedSeconds();
+      if (r.outputBytes < 0) return fail("cannot write " + spec.outputPath);
+      r.status = JobStatus::kSucceeded;
+      return r;
+    }
+    if (!loadFlatGds(input, spec.inputPath, spec.die, &chip, &error)) {
+      return fail(error);
+    }
+  } else if (!loadFlatLayout(spec.inputPath, spec.die, &chip, &error)) {
+    return fail(error);
   }
+  r.loadSeconds = stage.elapsedSeconds();
+  // Where the wires just parsed sit in the input, for the alias. The
+  // input bytes are not needed past this point: free them before the
+  // engine runs.
+  std::optional<WireSplice> splice;
+  if (rawKey.has_value()) splice = findWireSpans(input, chip);
+  std::vector<std::uint8_t>().swap(input);
+
   // ECO keys cover the input fills and the changed rect on top of the
   // wires+options fingerprint: an incremental result depends on all three.
   r.cacheKey = eco ? ecoCacheKey(chip, engine, spec.ecoChanged)
@@ -290,6 +327,9 @@ JobResult FillService::runJob(Job& job) const {
     r.report = fill::FillEngine(engine).run(chip);  // may throw CancelledError
     cache_.insert(r.cacheKey, CachedFill::capture(chip, r.report));
   }
+  if (splice.has_value()) {
+    cache_.addAlias(*rawKey, r.cacheKey, std::move(*splice));
+  }
   r.fillCount = chip.fillCount();
 
   if (!spec.outputPath.empty()) {
@@ -297,11 +337,7 @@ JobResult FillService::runJob(Job& job) const {
     r.outputBytes =
         writeLayout(chip, spec.outputPath, spec.format, spec.compact);
     r.writeSeconds = stage.elapsedSeconds();
-    if (r.outputBytes < 0) {
-      r.status = JobStatus::kFailed;
-      r.error = "cannot write " + spec.outputPath;
-      return r;
-    }
+    if (r.outputBytes < 0) return fail("cannot write " + spec.outputPath);
   }
   if (spec.keepLayout) {
     r.layout = std::make_shared<layout::Layout>(std::move(chip));
@@ -325,6 +361,7 @@ void FillService::accumulateLocked(const JobResult& r) {
   if (r.status != JobStatus::kSucceeded) return;
   if (r.cacheHit) {
     ++t.jobCacheHits;
+    if (r.spliced) ++t.splicedHits;
   } else {
     t.planningSeconds += r.report.planningSeconds;
     t.candidateSeconds += r.report.candidateSeconds;
@@ -371,11 +408,12 @@ std::string toJson(const ServiceStats& s) {
       "  \"queue_seconds\": {\"total\": %.4f, \"mean\": %.4f, \"max\": %.4f},\n"
       "  \"engine_seconds\": {\"planning\": %.4f, \"candidates\": %.4f, "
       "\"sizing\": %.4f, \"total\": %.4f},\n"
-      "  \"cache\": {\"job_hits\": %llu, \"hits\": %llu, \"misses\": %llu, "
+      "  \"cache\": {\"job_hits\": %llu, \"spliced_hits\": %llu, "
+      "\"hits\": %llu, \"misses\": %llu, "
       "\"hit_rate\": %.4f, \"insertions\": %llu, \"evictions\": %llu, "
       "\"oversized\": %llu, \"persistent_hits\": %llu, "
-      "\"persistent_misses\": %llu, \"entries\": %zu, \"bytes_used\": %zu, "
-      "\"byte_budget\": %zu}\n"
+      "\"persistent_misses\": %llu, \"entries\": %zu, \"aliases\": %zu, "
+      "\"bytes_used\": %zu, \"byte_budget\": %zu}\n"
       "}",
       static_cast<unsigned long long>(s.submitted),
       static_cast<unsigned long long>(s.completed),
@@ -387,6 +425,7 @@ std::string toJson(const ServiceStats& s) {
       s.queueSecondsMax, s.planningSeconds, s.candidateSeconds,
       s.sizingSeconds, s.engineSeconds,
       static_cast<unsigned long long>(s.jobCacheHits),
+      static_cast<unsigned long long>(s.splicedHits),
       static_cast<unsigned long long>(s.cache.hits),
       static_cast<unsigned long long>(s.cache.misses), s.cacheHitRate,
       static_cast<unsigned long long>(s.cache.insertions),
@@ -394,7 +433,8 @@ std::string toJson(const ServiceStats& s) {
       static_cast<unsigned long long>(s.cache.oversized),
       static_cast<unsigned long long>(s.cache.persistentHits),
       static_cast<unsigned long long>(s.cache.persistentMisses),
-      s.cache.entries, s.cache.bytesUsed, s.cache.byteBudget);
+      s.cache.entries, s.cache.aliases, s.cache.bytesUsed,
+      s.cache.byteBudget);
   std::string out(buf);
   if (!s.profile.empty()) {
     // Splice before the closing brace: ...\n} -> ...,\n  "profile": {...}\n}

@@ -3,7 +3,10 @@
 // submit() admits jobs through the bounded scheduler queue; each job loads
 // its layout, probes the result cache by content hash, runs the FillEngine
 // on a miss (capped at threads-per-job workers, cancellable on deadline),
-// writes its output file, and publishes a JobResult. wait()/waitAll()
+// writes its output file, and publishes a JobResult. A file job with flat
+// GDSII output first probes by the hash of its raw input bytes: a hit
+// there is written by splicing the input's wire records
+// (service/splice.hpp) and skips the parse. wait()/waitAll()
 // surface results in deterministic submission order regardless of
 // completion order; release() frees a finished job once its caller is
 // done with it, so a long-lived daemon holds only the jobs in flight.
@@ -72,6 +75,7 @@ struct ServiceStats {
   double engineSeconds = 0.0;  // sum of FillReport::totalSeconds
 
   std::uint64_t jobCacheHits = 0;  // successful jobs served from cache
+  std::uint64_t splicedHits = 0;   // ... of which spliced, with no parse
   ResultCache::Counters cache;
   double cacheHitRate = 0.0;  // cache.hits / (hits + misses)
 

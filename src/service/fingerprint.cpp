@@ -97,4 +97,29 @@ std::uint64_t ecoCacheKey(const layout::Layout& chip,
   return h.digest();
 }
 
+std::uint64_t rawInputKey(std::span<const std::uint8_t> bytes,
+                          const fill::FillEngineOptions& options,
+                          const std::optional<geom::Rect>& die, JobKind kind,
+                          const geom::Rect& changed) {
+  Fnv1a64 h;
+  h.str("raw");  // domain-separate from layout keys
+  h.u64(wordHash64(bytes.data(), bytes.size()));
+  h.u64(bytes.size());
+  h.u64(optionsFingerprint(options));
+  h.boolean(die.has_value());
+  const geom::Rect d = die.value_or(geom::Rect{});
+  h.i64(d.xl);
+  h.i64(d.yl);
+  h.i64(d.xh);
+  h.i64(d.yh);
+  h.i32(static_cast<int>(kind));
+  if (kind == JobKind::kEco) {
+    h.i64(changed.xl);
+    h.i64(changed.yl);
+    h.i64(changed.xh);
+    h.i64(changed.yh);
+  }
+  return h.digest();
+}
+
 }  // namespace ofl::service

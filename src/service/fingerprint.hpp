@@ -11,9 +11,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 
 #include "fill/fill_engine.hpp"
 #include "layout/layout.hpp"
+#include "service/job.hpp"
 
 namespace ofl::service {
 
@@ -33,6 +36,16 @@ std::uint64_t layoutFillsHash(const layout::Layout& chip);
 /// on the same layout/options.
 std::uint64_t ecoCacheKey(const layout::Layout& chip,
                           const fill::FillEngineOptions& options,
+                          const geom::Rect& changed);
+
+/// Key of a job's input file bytes, known before any parse: wordHash64
+/// of the bytes and their length, the options fingerprint, the die
+/// override, the job kind and, for ECO jobs, the changed rect. It names
+/// result-cache aliases (ResultCache::addAlias), never entries, and like
+/// wordHash64 it is stable within one platform only.
+std::uint64_t rawInputKey(std::span<const std::uint8_t> bytes,
+                          const fill::FillEngineOptions& options,
+                          const std::optional<geom::Rect>& die, JobKind kind,
                           const geom::Rect& changed);
 
 }  // namespace ofl::service

@@ -85,14 +85,19 @@ struct JobResult {
   fill::FillReport report;  // the producing run's report (cached on a hit)
   std::size_t fillCount = 0;
   bool cacheHit = false;
+  /// A cache hit written by splicing the input's own wire records
+  /// (service/splice.hpp) without parsing it; implies cacheHit.
+  bool spliced = false;
   std::uint64_t cacheKey = 0;
 
   long long outputBytes = -1;  // bytes written, -1 when no output requested
   double queueSeconds = 0.0;   // submission -> job picked by a worker
   double runSeconds = 0.0;     // load + cache lookup + engine + write
   /// The load and write stages inside runSeconds: input parse (or the
-  /// copy of an in-memory layout; the streamed ingest for --stream jobs)
-  /// and output encode + write (0 when no output was requested).
+  /// copy of an in-memory layout; the streamed ingest for --stream jobs;
+  /// on spliced hits the raw read, hash and alias probe) and output
+  /// encode + write (on spliced hits the splice write; 0 when no output
+  /// was requested).
   double loadSeconds = 0.0;
   double writeSeconds = 0.0;
   /// Process peak RSS (MiB) sampled when the job finished. Jobs share one

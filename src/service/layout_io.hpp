@@ -1,10 +1,14 @@
-// Layout file I/O for the batch service and the CLI: one streamed load
-// pass and one writer entry point, each the single trace probe of its
-// stage (`layout.load`, `gds.write`).
+// Layout file I/O for the batch service and the CLI: one load pass (from
+// the file, or from its bytes already in memory) and one writer entry
+// point, each the single trace probe of its stage (`layout.load`,
+// `gds.write`).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "layout/layout.hpp"
 #include "service/job.hpp"
@@ -24,6 +28,17 @@ namespace ofl::service {
 bool loadFlatLayout(const std::string& path,
                     const std::optional<geom::Rect>& die, layout::Layout* out,
                     std::string* error);
+
+/// loadFlatLayout over a GDSII file already read into memory: the same
+/// layout and the same rejections from `bytes`, which were read from
+/// `path` (named in errors only).
+bool loadFlatGds(std::span<const std::uint8_t> bytes, const std::string& path,
+                 const std::optional<geom::Rect>& die, layout::Layout* out,
+                 std::string* error);
+
+/// Reads the whole file at `path` into `*bytes`. False when it cannot be
+/// opened or read.
+bool readFileBytes(const std::string& path, std::vector<std::uint8_t>* bytes);
 
 /// Writes `chip` as GDSII or OFL-OASIS, flat or compacted
 /// (layout::toCompactGds). Flat GDSII streams straight from the layout

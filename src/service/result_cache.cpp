@@ -27,13 +27,20 @@ void putDelta(std::vector<std::uint8_t>& out, geom::Coord a, geom::Coord b) {
                                                 static_cast<std::uint64_t>(b)));
 }
 
-// b + the delta at `pos` (the inverse of putDelta). Packed layers are only
-// ever written by pack(), so the varint is always complete.
-geom::Coord getDelta(const std::vector<std::uint8_t>& bytes, std::size_t& pos,
-                     geom::Coord b) {
-  return static_cast<geom::Coord>(
-      static_cast<std::uint64_t>(b) +
-      static_cast<std::uint64_t>(*gds::getVarInt(bytes, pos)));
+// b + the delta at `p` (the inverse of putDelta), advancing `p`. Packed
+// layers are only ever written by pack(), so the varint is always
+// complete: the loop needs no bounds checks.
+geom::Coord getDelta(const std::uint8_t*& p, geom::Coord b) {
+  std::uint64_t zigzag = 0;
+  int shift = 0;
+  std::uint8_t byte = 0;
+  do {
+    byte = *p++;
+    zigzag |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    shift += 7;
+  } while ((byte & 0x80) != 0);
+  const std::uint64_t delta = (zigzag >> 1) ^ (0 - (zigzag & 1));
+  return static_cast<geom::Coord>(static_cast<std::uint64_t>(b) + delta);
 }
 
 CachedFill::PackedLayer pack(const std::vector<geom::Rect>& fills) {
@@ -54,16 +61,14 @@ CachedFill::PackedLayer pack(const std::vector<geom::Rect>& fills) {
 
 void unpack(const CachedFill::PackedLayer& packed,
             std::vector<geom::Rect>& fills) {
-  fills.clear();
-  fills.reserve(packed.count);
-  std::size_t pos = 0;
+  fills.resize(packed.count);
+  const std::uint8_t* p = packed.bytes.data();
   geom::Coord x = 0, y = 0;
-  for (std::size_t i = 0; i < packed.count; ++i) {
-    geom::Rect& f = fills.emplace_back();
-    f.xl = x = getDelta(packed.bytes, pos, x);
-    f.yl = y = getDelta(packed.bytes, pos, y);
-    f.xh = getDelta(packed.bytes, pos, f.xl);
-    f.yh = getDelta(packed.bytes, pos, f.yl);
+  for (geom::Rect& f : fills) {
+    f.xl = x = getDelta(p, x);
+    f.yl = y = getDelta(p, y);
+    f.xh = getDelta(p, f.xl);
+    f.yh = getDelta(p, f.yl);
   }
 }
 
@@ -102,9 +107,14 @@ std::vector<std::vector<geom::Rect>> CachedFill::fillsPerLayer() const {
   return out;
 }
 
+void CachedFill::decodeLayer(std::size_t l,
+                             std::vector<geom::Rect>& out) const {
+  unpack(layers[l], out);
+}
+
 void CachedFill::applyTo(layout::Layout& chip) const {
   for (int l = 0; l < chip.numLayers(); ++l) {
-    unpack(layers[static_cast<std::size_t>(l)], chip.layer(l).fills);
+    decodeLayer(static_cast<std::size_t>(l), chip.layer(l).fills);
   }
 }
 
@@ -124,7 +134,7 @@ std::shared_ptr<const CachedFill> ResultCache::find(std::uint64_t key) {
       hit = true;
       ++counters_.hits;
       lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-      result = it->second->second;
+      result = it->second->entry;
     }
   }
   if (!hit && store_ != nullptr) {
@@ -156,10 +166,7 @@ std::shared_ptr<const CachedFill> ResultCache::find(std::uint64_t key) {
     // Promote a store hit into the in-memory LRU so repeats stay in RAM.
     std::lock_guard<std::mutex> lock(mutex_);
     if (index_.find(key) == index_.end() && result->bytes <= budget_) {
-      lru_.emplace_front(key, result);
-      index_[key] = lru_.begin();
-      counters_.bytesUsed += result->bytes;
-      counters_.entries = lru_.size();
+      pushFrontLocked(key, result);
       evictOverBudgetLocked();
     }
   }
@@ -178,31 +185,85 @@ void ResultCache::insert(std::uint64_t key,
     return;
   }
   const auto it = index_.find(key);
-  if (it != index_.end()) {
-    counters_.bytesUsed -= it->second->second->bytes;
-    lru_.erase(it->second);
-    index_.erase(it);
-  }
-  lru_.emplace_front(key, std::move(entry));
-  index_[key] = lru_.begin();
-  counters_.bytesUsed += lru_.front().second->bytes;
+  if (it != index_.end()) eraseLocked(it->second);
+  pushFrontLocked(key, std::move(entry));
   ++counters_.insertions;
-  counters_.entries = lru_.size();
   evictOverBudgetLocked();
+}
+
+std::optional<ResultCache::AliasHit> ResultCache::findAlias(
+    std::uint64_t rawKey, std::span<const std::uint8_t> input) {
+  obs::ScopedSpan span("cache.find_alias", "cache");
+  AliasHit found;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = aliases_.find(rawKey);
+    if (it == aliases_.end()) return std::nullopt;
+    found.key = it->second.key;
+    found.splice = it->second.splice;
+    found.entry = index_.at(found.key)->entry;  // aliases go with it
+  }
+  // Validated outside the mutex: it reads the whole splice.
+  if (!validSplice(input, *found.splice)) return std::nullopt;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.hits;
+    // The entry may have been evicted meanwhile; the held copy still
+    // answers this request.
+    const auto it = index_.find(found.key);
+    if (it != index_.end()) lru_.splice(lru_.begin(), lru_, it->second);
+  }
+  recordProbe(true);
+  obs::instant("cache.hit", "cache", {});
+  return found;
+}
+
+void ResultCache::addAlias(std::uint64_t rawKey, std::uint64_t key,
+                           WireSplice splice) {
+  const std::size_t bytes = splice.footprint();
+  auto shared = std::make_shared<const WireSplice>(std::move(splice));
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = index_.find(key);
+  if (it == index_.end() || aliases_.count(rawKey) != 0 ||
+      it->second->entry->layers.size() != shared->layers.size() ||
+      it->second->bytes + bytes > budget_) {
+    return;
+  }
+  LruEntry& node = *it->second;
+  node.aliases.push_back(rawKey);
+  node.bytes += bytes;
+  counters_.bytesUsed += bytes;
+  aliases_.emplace(rawKey, Alias{key, std::move(shared)});
+  counters_.aliases = aliases_.size();
+  evictOverBudgetLocked();
+}
+
+void ResultCache::pushFrontLocked(std::uint64_t key,
+                                  std::shared_ptr<const CachedFill> entry) {
+  const std::size_t bytes = entry->bytes;
+  lru_.push_front(LruEntry{key, std::move(entry), {}, bytes});
+  index_[key] = lru_.begin();
+  counters_.bytesUsed += bytes;
+  counters_.entries = lru_.size();
+}
+
+void ResultCache::eraseLocked(std::list<LruEntry>::iterator it) {
+  for (const std::uint64_t rawKey : it->aliases) aliases_.erase(rawKey);
+  counters_.bytesUsed -= it->bytes;
+  index_.erase(it->key);
+  lru_.erase(it);
+  counters_.entries = lru_.size();
+  counters_.aliases = aliases_.size();
 }
 
 void ResultCache::evictOverBudgetLocked() {
   while (counters_.bytesUsed > budget_ && lru_.size() > 1) {
-    const LruEntry& victim = lru_.back();
-    counters_.bytesUsed -= victim.second->bytes;
-    index_.erase(victim.first);
-    lru_.pop_back();
+    eraseLocked(std::prev(lru_.end()));
     ++counters_.evictions;
     if (obs::metricsEnabled()) {
       obs::MetricsRegistry::instance().counter("cache.evictions").add();
     }
   }
-  counters_.entries = lru_.size();
   if (obs::metricsEnabled()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
     reg.gauge("cache.bytes_used").set(static_cast<double>(counters_.bytesUsed));

@@ -8,6 +8,12 @@
 // concurrent misses on the same key may both compute; the second insert
 // replaces the first — wasted work, never wrong results.
 //
+// An entry can also be reached through aliases: raw keys of the input
+// files it was computed from (service::FillService hashes a file's bytes
+// before parsing it), each with the WireSplice that writes a hit on that
+// file without a parse. Aliases live in memory only and go with their
+// entry: evicting or replacing it drops them.
+//
 // An optional second-level ResultStore (serve/persistent_cache implements
 // it over a directory of integrity-hashed files) makes hits survive
 // process restarts: a memory miss probes the store before reporting a
@@ -20,11 +26,14 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "fill/fill_engine.hpp"
 #include "layout/layout.hpp"
+#include "service/splice.hpp"
 
 namespace ofl::service {
 
@@ -57,6 +66,8 @@ struct CachedFill {
 
   /// Decodes every layer's fills, in capture order.
   std::vector<std::vector<geom::Rect>> fillsPerLayer() const;
+  /// Decodes layer `l`'s fills into `out` (replacing its contents).
+  void decodeLayer(std::size_t l, std::vector<geom::Rect>& out) const;
 
   /// Replays the cached solution into `chip` (which must have the same
   /// layer count — guaranteed by key equality). Replaces existing fills.
@@ -80,6 +91,9 @@ class ResultCache {
   /// a persistent second level; a disabled cache never touches it.
   explicit ResultCache(std::size_t byteBudget, ResultStore* store = nullptr);
 
+  /// False for a zero budget: every probe misses.
+  bool enabled() const { return budget_ > 0; }
+
   /// Probe; counts a hit (and refreshes LRU position) or a miss. A memory
   /// miss falls through to the persistent store when one is attached; a
   /// store hit is promoted into the in-memory LRU and counted in both
@@ -89,6 +103,28 @@ class ResultCache {
   /// Inserts or replaces. Entries larger than the whole budget are
   /// dropped (counted in `oversized`), never inserted-then-evicted.
   void insert(std::uint64_t key, std::shared_ptr<const CachedFill> entry);
+
+  /// An entry found through an alias, with the alias's splice.
+  struct AliasHit {
+    std::uint64_t key = 0;  // the entry's own key
+    std::shared_ptr<const CachedFill> entry;
+    std::shared_ptr<const WireSplice> splice;
+  };
+
+  /// Raw-key probe: the entry aliased by `rawKey` when its splice is
+  /// validSplice for `input`. Counts a hit (and refreshes the entry's LRU
+  /// position) only when it returns one; a miss counts nothing and never
+  /// probes the persistent store, so the caller's follow-up find() is the
+  /// request's one counted probe.
+  std::optional<AliasHit> findAlias(std::uint64_t rawKey,
+                                    std::span<const std::uint8_t> input);
+
+  /// Makes `rawKey` an alias of resident entry `key`. The alias is
+  /// memory-only, charged to the byte budget with its entry and evicted
+  /// with it; it is dropped when `key` is not resident, when the entry's
+  /// layer count differs from the splice's, or when the entry and its
+  /// aliases would exceed the whole budget.
+  void addAlias(std::uint64_t rawKey, std::uint64_t key, WireSplice splice);
 
   struct Counters {
     std::uint64_t hits = 0;
@@ -101,7 +137,8 @@ class ResultCache {
     std::uint64_t persistentHits = 0;
     std::uint64_t persistentMisses = 0;
     std::size_t entries = 0;
-    std::size_t bytesUsed = 0;
+    std::size_t aliases = 0;  // resident aliases (findAlias/addAlias)
+    std::size_t bytesUsed = 0;  // entries and their aliases
     std::size_t byteBudget = 0;
   };
   Counters counters() const;
@@ -112,10 +149,26 @@ class ResultCache {
   const std::size_t budget_;
   ResultStore* const store_;
   mutable std::mutex mutex_;
-  // Front = most recently used. The map indexes into the list.
-  using LruEntry = std::pair<std::uint64_t, std::shared_ptr<const CachedFill>>;
+  struct LruEntry {
+    std::uint64_t key = 0;
+    std::shared_ptr<const CachedFill> entry;
+    std::vector<std::uint64_t> aliases;  // raw keys naming this entry
+    std::size_t bytes = 0;               // entry + aliases footprint
+  };
+  struct Alias {
+    std::uint64_t key = 0;
+    std::shared_ptr<const WireSplice> splice;
+  };
+  /// Puts a fresh node for `entry` at the front; mutex_ must be held.
+  void pushFrontLocked(std::uint64_t key,
+                       std::shared_ptr<const CachedFill> entry);
+  /// Unlinks the node at `it` and its aliases; mutex_ must be held.
+  void eraseLocked(std::list<LruEntry>::iterator it);
+
+  // Front = most recently used. The maps index into the list.
   std::list<LruEntry> lru_;
   std::unordered_map<std::uint64_t, std::list<LruEntry>::iterator> index_;
+  std::unordered_map<std::uint64_t, Alias> aliases_;
   Counters counters_;
 };
 

@@ -1,6 +1,8 @@
 // Fuzz-style robustness tests for the GDS reader and round-trip property
 // tests for random libraries. The reader must never crash or hang on
 // corrupted bytes — it may only return nullopt or a best-effort parse.
+// The same corruptions hit the batch service's spliced cache hits: the
+// in-memory scan, the splice validation and the raw-key alias lookup.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,6 +14,10 @@
 #include "common/rng.hpp"
 #include "gds/gds_writer.hpp"
 #include "gds/stream_reader.hpp"
+#include "layout/layout.hpp"
+#include "service/fingerprint.hpp"
+#include "service/result_cache.hpp"
+#include "service/splice.hpp"
 #include "verify/layout_gen.hpp"
 
 namespace ofl::gds {
@@ -79,10 +85,61 @@ TEST(GdsFuzzTest, WriteFileMatchesSerialize) {
   std::remove(path.c_str());
 }
 
+// A flat layout file as the batch service caches it: the stream bytes,
+// the WireSplice learned on them and a cache holding one entry that the
+// bytes' raw key aliases.
+struct CachedInput {
+  std::vector<std::uint8_t> bytes;
+  service::WireSplice splice;
+  fill::FillEngineOptions options;
+  std::uint64_t rawKey = 0;
+  service::ResultCache cache{1 << 20};
+
+  explicit CachedInput(Rng& rng) {
+    layout::Layout chip(geom::Rect{0, 0, 20000, 20000}, 3);
+    for (int l = 0; l < chip.numLayers(); ++l) {
+      for (int i = 0; i < 12; ++i) {
+        const geom::Coord x = rng.uniformInt(0, 18000);
+        const geom::Coord y = rng.uniformInt(0, 18000);
+        chip.layer(l).wires.push_back(
+            {x, y, x + rng.uniformInt(1, 2000), y + rng.uniformInt(1, 2000)});
+        chip.layer(l).fills.push_back({y, x, y + 100, x + 100});
+      }
+    }
+    bytes = Writer::serialize(chip.toGds());
+    const auto found = service::findWireSpans(bytes, chip);
+    EXPECT_TRUE(found.has_value());
+    if (found.has_value()) splice = *found;
+    rawKey = keyOf(bytes);
+    cache.insert(1, service::CachedFill::capture(chip, {}));
+    cache.addAlias(rawKey, 1, splice);
+    EXPECT_TRUE(cache.findAlias(rawKey, bytes).has_value());
+  }
+
+  std::uint64_t keyOf(std::span<const std::uint8_t> input) const {
+    return service::rawInputKey(input, options, std::nullopt,
+                                service::JobKind::kFill, geom::Rect{});
+  }
+
+  // The checks every corrupted copy of the input gets: the in-memory scan
+  // and the splice validation must stay inside the bytes (the sanitizer
+  // builds catch any read past them), and the alias of the intact input
+  // must not answer for the corrupted one.
+  void probe(std::span<const std::uint8_t> corrupted) {
+    LibraryCollector collector;
+    std::string error;
+    (void)StreamReader::scan(corrupted, collector, &error);
+    (void)service::validSplice(corrupted, splice);
+    EXPECT_FALSE(cache.findAlias(keyOf(corrupted), corrupted).has_value());
+  }
+};
+
 TEST(GdsFuzzTest, RandomByteFlipsNeverCrash) {
   Rng rng(0xBEEF);
   const Library lib = randomLibrary(rng);
   const auto original = Writer::serialize(lib);
+  Rng inputRng(0xBEEF + 1);
+  CachedInput cached(inputRng);
   for (int trial = 0; trial < 300; ++trial) {
     auto bytes = original;
     const int flips = static_cast<int>(rng.uniformInt(1, 8));
@@ -93,6 +150,14 @@ TEST(GdsFuzzTest, RandomByteFlipsNeverCrash) {
     }
     // Must terminate without crashing; result validity is optional.
     (void)Reader::parse(bytes);
+
+    auto input = cached.bytes;
+    for (int f = 0; f < flips; ++f) {
+      const auto pos = static_cast<std::size_t>(
+          inputRng.uniformInt(0, static_cast<long long>(input.size()) - 1));
+      input[pos] ^= static_cast<std::uint8_t>(inputRng.uniformInt(1, 255));
+    }
+    if (input != cached.bytes) cached.probe(input);
   }
 }
 
@@ -100,6 +165,8 @@ TEST(GdsFuzzTest, RandomTruncationsNeverCrash) {
   Rng rng(0xCAFE);
   const Library lib = randomLibrary(rng);
   const auto original = Writer::serialize(lib);
+  Rng inputRng(0xCAFE + 1);
+  CachedInput cached(inputRng);
   for (int trial = 0; trial < 200; ++trial) {
     const auto cut =
         static_cast<std::size_t>(rng.uniformInt(0, static_cast<long long>(original.size())));
@@ -107,6 +174,11 @@ TEST(GdsFuzzTest, RandomTruncationsNeverCrash) {
     if (cut < original.size()) {
       EXPECT_FALSE(Reader::parse(partial).has_value());
     }
+    const auto inputCut = static_cast<std::size_t>(inputRng.uniformInt(
+        0, static_cast<long long>(cached.bytes.size()) - 1));
+    const std::span<const std::uint8_t> input(cached.bytes.data(), inputCut);
+    EXPECT_FALSE(service::validSplice(input, cached.splice));
+    cached.probe(input);
   }
 }
 

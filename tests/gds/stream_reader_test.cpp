@@ -207,5 +207,38 @@ TEST(StreamWriterTest, ByteIdenticalToBatchSerialize) {
   std::remove(path.c_str());
 }
 
+// Opening an existing output does not truncate it to zero, so rewriting
+// it must still leave exactly the new stream: nothing of a longer old
+// file's tail, whatever the old length. Non-regular targets still work.
+TEST(StreamWriterTest, RewritingAnExistingFileLeavesOnlyTheNewBytes) {
+  Library lib;
+  lib.cells.emplace_back();
+  lib.cells.back().name = "TOP";
+  Writer::addRect(lib.cells.back(), 1, {0, 0, 100, 50});
+  const auto expected = Writer::serialize(lib);
+  auto write = [&lib](const std::string& path) {
+    StreamWriter writer(path);
+    if (!writer.ok()) return -1LL;
+    writer.beginCell("TOP");
+    for (const Boundary& b : lib.cells.back().boundaries) {
+      writer.addBoundary(b);
+    }
+    writer.endCell();
+    return writer.finish();
+  };
+  for (const std::size_t oldBytes :
+       {std::size_t{0}, std::size_t{1}, expected.size(),
+        expected.size() + 1, std::size_t{3} << 20}) {
+    const std::string path =
+        writeTemp(std::vector<std::uint8_t>(oldBytes, 0xab),
+                  "ofl_stream_rewrite.gds");
+    EXPECT_EQ(write(path), static_cast<long long>(expected.size()))
+        << oldBytes;
+    EXPECT_EQ(readAll(path), expected) << oldBytes;
+    std::remove(path.c_str());
+  }
+  EXPECT_EQ(write("/dev/null"), static_cast<long long>(expected.size()));
+}
+
 }  // namespace
 }  // namespace ofl::gds

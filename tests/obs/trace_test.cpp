@@ -205,6 +205,21 @@ TEST_F(TraceTest, ConcurrentSpansAllCollectedAndJsonParses) {
   EXPECT_EQ(doc->find("traceEvents")->array.size(), events.size());
 }
 
+TEST_F(TraceTest, PerThreadCapacityKeepsTheNewestEvents) {
+  Tracer::instance().setPerThreadCapacity(4);
+  for (int i = 0; i < 10; ++i) instant("unit.ring", "test", {{"i", i}});
+  const auto events = Tracer::instance().collect();
+  Tracer::instance().setPerThreadCapacity(0);
+  ASSERT_EQ(events.size(), 4u);
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    EXPECT_EQ(events[k].event.argValues[0], 6.0 + static_cast<double>(k));
+  }
+  // Cleared, the ring refills from its start.
+  Tracer::instance().clear();
+  instant("unit.ring", "test", {{"i", 10}});
+  ASSERT_EQ(Tracer::instance().collect().size(), 1u);
+}
+
 TEST_F(TraceTest, ClearDropsEventsButKeepsRecording) {
   {
     ScopedSpan span("unit.before", "test");

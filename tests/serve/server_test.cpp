@@ -145,6 +145,7 @@ TEST_F(ServerTest, FillJobByteIdenticalToDirectRunAndCacheHitsRepeat) {
   ASSERT_TRUE(resp->ok) << resp->error;
   EXPECT_EQ("ok", field(*resp, "status")->str);
   EXPECT_FALSE(field(*resp, "cacheHit")->boolean);
+  EXPECT_FALSE(field(*resp, "spliced")->boolean);
   EXPECT_GT(field(*resp, "fills")->number, 0.0);
 
   // The exact same run through the plain CLI path.
@@ -154,12 +155,23 @@ TEST_F(ServerTest, FillJobByteIdenticalToDirectRunAndCacheHitsRepeat) {
   ASSERT_FALSE(served.empty());
   EXPECT_EQ(served, readFile(path("direct.gds")));
 
-  // Identical spec to a different output: result cache replays the fills.
+  // Identical spec to a different output: result cache replays the fills,
+  // spliced into the input's own wire records without a parse.
   resp = client.call(fillRequest(fastSpec("served2.gds")));
   ASSERT_TRUE(resp.has_value()) << client.error();
   ASSERT_TRUE(resp->ok) << resp->error;
   EXPECT_TRUE(field(*resp, "cacheHit")->boolean);
+  EXPECT_TRUE(field(*resp, "spliced")->boolean);
   EXPECT_EQ(served, readFile(path("served2.gds")));
+
+  Request stats;
+  stats.type = Request::Type::kStats;
+  resp = client.call(stats);
+  ASSERT_TRUE(resp.has_value()) << client.error();
+  const json::Value* spliced =
+      resp->body.findPath("stats.service.cache.spliced_hits");
+  ASSERT_NE(nullptr, spliced);
+  EXPECT_EQ(1.0, spliced->number);
   server.drain();
 }
 
@@ -611,8 +623,18 @@ TEST_F(ServerTest, PersistentCacheServesAcrossServerRestart) {
   ASSERT_TRUE(resp.has_value()) << client.error();
   ASSERT_TRUE(resp->ok) << resp->error;
   EXPECT_TRUE(field(*resp, "cacheHit")->boolean);
+  // Aliases are memory-only: this first repeat parsed its input, hit the
+  // store by layout key and learned its alias again, so the next repeat
+  // is spliced without touching the store.
+  EXPECT_FALSE(field(*resp, "spliced")->boolean);
   EXPECT_EQ(readFile(path("restart1.gds")), readFile(path("restart2.gds")));
   ASSERT_NE(nullptr, server.persistentCache());
+  EXPECT_EQ(1u, server.persistentCache()->counters().loadHits);
+  const auto again = client.call(fillRequest(fastSpec("restart3.gds")));
+  ASSERT_TRUE(again.has_value()) << client.error();
+  ASSERT_TRUE(again->ok) << again->error;
+  EXPECT_TRUE(field(*again, "spliced")->boolean);
+  EXPECT_EQ(readFile(path("restart1.gds")), readFile(path("restart3.gds")));
   EXPECT_EQ(1u, server.persistentCache()->counters().loadHits);
   server.drain();
 }
