@@ -3,7 +3,7 @@
 // Generates a suite streamingly (default "xl", millions of wires — never
 // materialized in memory), runs the bounded-memory sharded fill
 // (fill::ShardedEngine) under a fixed --budget, and records wall time,
-// peak RSS, shard/spill figures to BENCH_scale.json via the shared
+// peak RSS, spill figures to BENCH_scale.json via the shared
 // harness (default 1 rep + 0 warmup — the run is minutes long).
 //
 // The memory budget is a HARD assertion: the process exits nonzero when
@@ -97,7 +97,6 @@ int main(int argc, char** argv) {
   genS.record(genSeconds);
   Series& wallS = h.series("wall_s", "s");
   Series& ingestS = h.series("ingest_s", "s");
-  Series& fftS = h.series("fft_s", "s");
   Series& outputS = h.series("output_s", "s");
 
   fill::ShardedReport report;
@@ -115,7 +114,6 @@ int main(int argc, char** argv) {
     }
     wallS.record(fillTimer.elapsedSeconds());
     ingestS.record(report.ingestSeconds);
-    fftS.record(report.fftSeconds);
     outputS.record(report.outputSeconds);
     const double peakMiB = peakMemoryMiB();
     if (peakMiB > static_cast<double>(budgetMiB)) budgetHeld = false;
@@ -125,13 +123,11 @@ int main(int argc, char** argv) {
   if (ranOk) {
     std::printf(
         "filled: %zu fills from %zu candidates\n"
-        "  shards %d over %d rows (%d cols), ingest %.2fs, "
-        "fft %.3fs, output %.2fs\n"
+        "  %d rows (%d cols), ingest %.2fs, output %.2fs\n"
         "  spilled %.1f MiB in %llu events, output %lld bytes\n"
         "  peak RSS %.0f MiB vs budget %zu MiB -> %s\n",
-        report.fill.fillCount, report.fill.candidateCount, report.shardCount,
-        report.rows, report.cols, report.ingestSeconds,
-        report.fftSeconds, report.outputSeconds,
+        report.fill.fillCount, report.fill.candidateCount, report.rows,
+        report.cols, report.ingestSeconds, report.outputSeconds,
         static_cast<double>(report.spilledBytes) / (1 << 20),
         static_cast<unsigned long long>(report.spillEvents),
         report.outputBytes, peakMiB, budgetMiB,
@@ -140,7 +136,6 @@ int main(int argc, char** argv) {
     h.param("candidates",
             static_cast<std::int64_t>(report.fill.candidateCount));
     h.param("threads", static_cast<std::int64_t>(report.fill.threadsUsed));
-    h.param("shards", static_cast<std::int64_t>(report.shardCount));
     h.param("spilled_bytes", static_cast<std::int64_t>(report.spilledBytes));
     h.param("output_bytes", static_cast<std::int64_t>(report.outputBytes));
   }

@@ -304,7 +304,7 @@ bool engineOptionsFrom(const Args& args, fill::FillEngineOptions& options,
 }
 
 // `fill --json`: one-line machine-readable run summary on stdout (peak
-// RSS, wall time, output size, shard/spill figures for --stream, layout
+// RSS, wall time, output size, grid and spill figures for --stream, layout
 // read and write time in memory).
 void printFillJson(const fill::FillReport& report, double seconds,
                    long long bytes, const fill::ShardedReport* sharded,
@@ -317,8 +317,7 @@ void printFillJson(const fill::FillReport& report, double seconds,
        << ", \"threads\": " << report.threadsUsed
        << ", \"peak_rss_mib\": " << peakMemoryMiB();
   if (sharded != nullptr) {
-    json << ", \"stream\": true, \"shards\": " << sharded->shardCount
-         << ", \"rows\": " << sharded->rows
+    json << ", \"stream\": true, \"rows\": " << sharded->rows
          << ", \"spilled_bytes\": " << sharded->spilledBytes
          << ", \"spill_events\": " << sharded->spillEvents
          << ", \"wires\": " << sharded->wireCount
@@ -347,7 +346,7 @@ int fillImpl(const Args& args) {
   // than a silently ignored no-op.
   const std::vector<std::string> unknown = args.unknownKeys(
       {"in", "out", "die", "format", "compact", "json", "suite", "stream",
-       "mem-budget-mb", "rows-per-shard", "window", "lambda", "gamma", "eta",
+       "mem-budget-mb", "window", "lambda", "gamma", "eta",
        "iterations", "threads", "backend", "min-width", "min-spacing",
        "min-area", "max-fill", "profile", "profile-json", "trace",
        "metrics-out", "metrics-prom"});
@@ -399,8 +398,6 @@ int fillImpl(const Args& args) {
     sharded.engine = options;
     sharded.memBudgetMiB = static_cast<std::size_t>(
         args.getIntChecked("mem-budget-mb", 512));
-    sharded.rowsPerShard =
-        static_cast<int>(args.getIntChecked("rows-per-shard", 0));
     const bool profiling = profilingRequested(args);
     if (profiling) enableProfiling();
     const ObsRequest obsReq = obsRequestFrom(args);
@@ -420,10 +417,10 @@ int fillImpl(const Args& args) {
     } else {
       std::printf(
           "filled (streamed): %zu fills (%zu candidates) in %.2fs "
-          "(%d shards over %d rows, %.1f MiB spilled, peak RSS %.0f MiB), "
+          "(%d rows, %.1f MiB spilled, peak RSS %.0f MiB), "
           "%lld bytes -> %s\n",
           report.fill.fillCount, report.fill.candidateCount, seconds,
-          report.shardCount, report.rows,
+          report.rows,
           static_cast<double>(report.spilledBytes) / (1 << 20),
           peakMemoryMiB(), report.outputBytes, out.c_str());
     }
@@ -1189,7 +1186,7 @@ std::string usage() {
       "  fill --in FILE.gds --out FILE.gds [--die xl,yl,xh,yh] [--window N]\n"
       "       [--lambda X] [--gamma X] [--eta X] [--iterations N]\n"
       "       [--backend ns|ssp|lp] [--format gds|oasis] [--compact]\n"
-      "       [--json] [--stream] [--mem-budget-mb N] [--rows-per-shard N]\n"
+      "       [--json] [--stream] [--mem-budget-mb N]\n"
       "       [--threads N] [--profile] [--profile-json FILE]\n"
       "       [--trace FILE] [--metrics-out FILE] [--metrics-prom FILE]\n"
       "       [--suite s|b|m|tiny]\n"

@@ -1,16 +1,11 @@
 #include "fill/sharded_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <utility>
 
 #include "common/logging.hpp"
 #include "common/prof.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
-#include "density/bounds.hpp"
-#include "density/density_map.hpp"
-#include "density/fft_density.hpp"
 #include "gds/layout_scan.hpp"
 #include "gds/stream_writer.hpp"
 #include "layout/fill_region.hpp"
@@ -160,10 +155,10 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   // spool holds, in input order, every wire whose inflated extent touches
   // its row, so the buckets equal the in-memory engine's.
   detail::BandRects band(nl);
-  const auto forEachBand = [&](int startRow, int endRow, const auto& fn) {
-    for (int j0 = startRow; j0 < endRow; j0 += kBandRows) {
+  const auto forEachBand = [&](const auto& fn) {
+    for (int j0 = 0; j0 < rows; j0 += kBandRows) {
       checkCancel(eng.cancel);
-      const int j1 = std::min(endRow, j0 + kBandRows);
+      const int j1 = std::min(rows, j0 + kBandRows);
       for (std::size_t l = 0; l < nl; ++l) {
         band[l].resize(static_cast<std::size_t>(j1 - j0));
         for (int j = j0; j < j1; ++j) {
@@ -183,89 +178,13 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   {
     obs::Stage probe("shard.bounds", "engine", {{"job", jid}},
                      &rep.fill.planningSeconds);
-    forEachBand(0, rows, [&](int j0, int) {
+    forEachBand([&](int j0, int) {
       detail::prepareBand(grid, eng, j0, band,
                           static_cast<std::size_t>(j0) * nc, scalars, pool);
     });
   }
   detail::Flow flow(eng, grid, scalars, pool, rep.fill);
   flow.plan();
-
-  // --- FFT global density + shard partition ---
-  // The smoothed layer-average density is a layout-wide load model: row
-  // bands with dense neighborhoods cost more in candidate generation and
-  // sizing, so shard boundaries follow cumulative smoothed load (capped
-  // by the byte budget). Partitioning never changes per-window results.
-  std::vector<int> shardEnd;  // exclusive end row per shard
-  {
-    const density::DensityMap smoothed = [&] {
-      obs::Stage probe("shard.fft", "engine", {{"job", jid}},
-                       &rep.fftSeconds);
-      std::vector<double> avg(numWindows, 0.0);
-      for (std::size_t l = 0; l < nl; ++l) {
-        for (std::size_t w = 0; w < numWindows; ++w) {
-          avg[w] += scalars.wireDensity[l][w];
-        }
-      }
-      for (double& v : avg) v /= static_cast<double>(numLayers);
-      return density::FftDensity::smooth(
-          density::DensityMap(cols, rows, std::move(avg)),
-          options_.loadSigmaWindows);
-    }();
-
-    std::vector<double> rowLoad(nr, 0.0);
-    std::vector<std::uint64_t> rowBytes(nr, 0);
-    double totalLoad = 0.0;
-    std::uint64_t totalBytes = 0;
-    for (int j = 0; j < rows; ++j) {
-      for (int i = 0; i < cols; ++i) {
-        rowLoad[static_cast<std::size_t>(j)] += 0.05 + smoothed.at(i, j);
-      }
-      for (std::size_t l = 0; l < nl; ++l) {
-        rowBytes[static_cast<std::size_t>(j)] +=
-            store.count(rowWire[l][static_cast<std::size_t>(j)]) *
-            sizeof(geom::Rect) * 4;  // buckets + blocked + regions overhead
-      }
-      totalLoad += rowLoad[static_cast<std::size_t>(j)];
-      totalBytes += rowBytes[static_cast<std::size_t>(j)];
-    }
-    const std::uint64_t cap =
-        std::max<std::uint64_t>(budgetBytes / 4, 1u << 20);
-    if (options_.rowsPerShard > 0) {
-      for (int j = options_.rowsPerShard; j < rows; j += options_.rowsPerShard) {
-        shardEnd.push_back(j);
-      }
-      shardEnd.push_back(rows);
-    } else {
-      const int targetShards = std::max(
-          1, std::min(rows, static_cast<int>((totalBytes + cap - 1) / cap)));
-      const double loadPerShard = totalLoad / targetShards;
-      double accLoad = 0.0;
-      std::uint64_t accBytes = 0;
-      for (int j = 0; j < rows; ++j) {
-        accLoad += rowLoad[static_cast<std::size_t>(j)];
-        accBytes += rowBytes[static_cast<std::size_t>(j)];
-        if (j == rows - 1 || accBytes >= cap ||
-            (targetShards > 1 && accLoad >= loadPerShard)) {
-          shardEnd.push_back(j + 1);
-          accLoad = 0.0;
-          accBytes = 0;
-        }
-      }
-    }
-  }
-  rep.shardCount = static_cast<int>(shardEnd.size());
-  // The candidate and sizing passes walk the shards (contiguous row
-  // bands) in order, one `name` span per shard, band by band.
-  const auto forEachShardBand = [&](const char* name, const auto& fn) {
-    int startRow = 0;
-    for (std::size_t s = 0; s < shardEnd.size(); ++s) {
-      obs::ScopedSpan span(name, "engine",
-                           {{"job", jid}, {"shard", static_cast<double>(s)}});
-      forEachBand(startRow, shardEnd[s], fn);
-      startRow = shardEnd[s];
-    }
-  };
 
   // --- Candidate pass (stage 2): each band's candidates go to the
   // per-layer spools in flat window order ---
@@ -274,7 +193,9 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   {
     obs::Stage probe("engine.candidates", "engine", {{"job", jid}},
                      &rep.fill.candidateSeconds);
-    forEachShardBand("shard.candidates", [&](int j0, int j1) {
+    forEachBand([&](int j0, int j1) {
+      obs::ScopedSpan span("band.candidates", "engine",
+                           {{"job", jid}, {"row", static_cast<double>(j0)}});
       // Band windows are contiguous in flat order from `first`.
       const std::size_t first = static_cast<std::size_t>(j0) * nc;
       const std::size_t count = static_cast<std::size_t>(j1 - j0) * nc;
@@ -308,7 +229,9 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   {
     obs::Stage probe("engine.sizing", "engine", {{"job", jid}},
                      &rep.fill.sizingSeconds);
-    forEachShardBand("shard.sizing", [&](int j0, int j1) {
+    forEachBand([&](int j0, int j1) {
+      obs::ScopedSpan span("band.sizing", "engine",
+                           {{"job", jid}, {"row", static_cast<double>(j0)}});
       if (underrun) return;
       const std::size_t first = static_cast<std::size_t>(j0) * nc;
       const std::size_t count = static_cast<std::size_t>(j1 - j0) * nc;
@@ -378,20 +301,18 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   if (obs::metricsEnabled()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
     reg.counter("scale.runs").add();
-    reg.counter("scale.shards").add(static_cast<std::uint64_t>(rep.shardCount));
     reg.counter("scale.spill_bytes").add(rep.spilledBytes);
     reg.counter("scale.spill_events").add(rep.spillEvents);
     reg.gauge("scale.rows").set(static_cast<double>(rep.rows));
     reg.gauge("scale.mem_budget_mib")
         .set(static_cast<double>(options_.memBudgetMiB));
     reg.histogram("scale.ingest_seconds").observe(rep.ingestSeconds);
-    reg.histogram("scale.fft_seconds").observe(rep.fftSeconds);
     reg.histogram("scale.output_seconds").observe(rep.outputSeconds);
   }
   logInfo("ShardedEngine: %zu fills from %zu candidates in %.2fs "
-          "(%d shards, %d rows, %.1f MiB spilled, %d threads)",
+          "(%d rows, %.1f MiB spilled, %d threads)",
           rep.fill.fillCount, rep.fill.candidateCount, rep.fill.totalSeconds,
-          rep.shardCount, rep.rows,
+          rep.rows,
           static_cast<double>(rep.spilledBytes) / (1 << 20),
           rep.fill.threadsUsed);
   return true;

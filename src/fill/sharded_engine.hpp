@@ -14,16 +14,14 @@
 //             A rect inflated by minSpacing that crosses a row border is
 //             routed into both rows — that is the halo that keeps
 //             cross-window blocking exact.
-//   bounds    bands of window rows: the shared stage-0 row task
+//   bounds    bands of up to 8 window rows: the shared stage-0 row task
 //             (fill::detail::prepareBand) reduces each window to scalars
 //             (wire density, lower/upper bound); then Flow::plan over the
-//             full scalar arrays, the in-memory inputs exactly. An
-//             FFT-smoothed density map (density::FftDensity) cuts the
-//             rows into shards of balanced load.
-//   passes    shard by shard, band by band: stage 0 rebuilds the band's
-//             buckets and fill regions, Flow::candidateBand generates and
-//             the candidates are spooled; Flow::replan; then stage 0
-//             rebuilds the wires, the candidates are read back,
+//             full scalar arrays, the in-memory inputs exactly.
+//   passes    band by band, over the same bands: stage 0 rebuilds the
+//             band's buckets and fill regions, Flow::candidateBand
+//             generates and the candidates are spooled; Flow::replan; then
+//             stage 0 rebuilds the wires, the candidates are read back,
 //             Flow::sizingBand sizes and the fills are spooled.
 //   output    streaming GDS writer: per layer, pass-through wires then
 //             fills in window order — byte-identical to
@@ -32,7 +30,7 @@
 // A trace shows the in-memory stage spans (engine.planning,
 // engine.candidates, engine.replanning, engine.sizing, engine.output);
 // each pass's span and FillReport seconds cover its stage 0 and spooling,
-// with one shard.* span per shard inside.
+// with one band.candidates or band.sizing span per band inside.
 //
 // Identity argument: every per-window input (bucket contents and order,
 // fill regions, densities, targets) is reconstructed equal to what
@@ -55,17 +53,13 @@ namespace ofl::fill {
 struct ShardedOptions {
   /// Same knobs as the in-memory engine (windowCache is ignored).
   FillEngineOptions engine;
-  /// Peak-memory target for the pipeline's bookkeeping: the rect spools
-  /// get half of it, shard working sets aim for a quarter.
+  /// Peak-memory target for the pipeline's bookkeeping: the wire and
+  /// candidate spools get half of it, the fill spools an eighth; a band's
+  /// working set is bounded by its 8 window rows, not by the budget.
   std::size_t memBudgetMiB = 512;
   /// Directory for spool spill files (defaults to the output's directory
   /// when empty).
   std::string spillDir;
-  /// Fixed rows per shard; 0 = auto (budget-capped, FFT-load-balanced).
-  int rowsPerShard = 0;
-  /// Sigma (in windows) of the FFT density smoothing used for shard load
-  /// balancing and scale.* telemetry.
-  double loadSigmaWindows = 1.5;
   /// Read chunk for the streaming parsers (tests shrink it).
   std::size_t readerChunkBytes = 256 * 1024;
 };
@@ -79,7 +73,8 @@ struct ShardedReport {
   FillReport fill;
   int cols = 0;        // window grid columns
   int rows = 0;        // window grid rows
-  int shardCount = 0;  // contiguous row bands of the candidate/sizing passes
+  // Always 0; read only by the benchmark, to be dropped at its next change.
+  int shardCount = 0;
   std::uint64_t spilledBytes = 0;  // spool bytes written to spill files
   std::uint64_t spillEvents = 0;   // budget-triggered spool flushes
   std::size_t wireCount = 0;       // wires read (datatype-1 fills dropped)
@@ -87,7 +82,8 @@ struct ShardedReport {
   /// Stream + flatten + decompose + route into the row spools: the one
   /// parse of the input, which also measures its extents.
   double ingestSeconds = 0.0;
-  double fftSeconds = 0.0;     // FFT smoothing of the shard load model
+  // Always 0; read only by the benchmark, to be dropped at its next change.
+  double fftSeconds = 0.0;
   double outputSeconds = 0.0;  // streamed GDSII output encoder
 };
 

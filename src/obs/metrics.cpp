@@ -347,7 +347,7 @@ void registerCoreSeries() {
        {"engine.runs", "engine.windows", "engine.candidates", "engine.fills",
         "engine.sizer_closed_form_solves",
         "engine.eco_windows_skipped",
-        "scale.runs", "scale.shards", "scale.spill_bytes", "scale.spill_events",
+        "scale.runs", "scale.spill_bytes", "scale.spill_events",
         "cache.hits", "cache.misses", "cache.evictions",
         "sched.tasks_submitted", "sched.tasks_completed",
         "service.jobs_submitted", "service.jobs_completed",
@@ -364,8 +364,7 @@ void registerCoreSeries() {
   for (const char* name : {"engine.run_seconds", "job.queue_seconds",
                            "job.run_seconds", "job.load_seconds",
                            "job.write_seconds", "sched.queue_wait_seconds",
-                           "scale.ingest_seconds", "scale.fft_seconds",
-                           "scale.output_seconds"}) {
+                           "scale.ingest_seconds", "scale.output_seconds"}) {
     reg.histogram(name);
   }
   reg.histogram("quality.density_gap", Histogram::unitBounds());

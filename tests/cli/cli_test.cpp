@@ -191,6 +191,12 @@ TEST(CommandsTest, FillRejectsUnknownOptions) {
             2);
   EXPECT_NE(testing::internal::GetCapturedStderr().find("--bogus-flag"),
             std::string::npos);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(runFill(Args::parse({"fill", "--in", wires, "--out", filled,
+                                 "--stream", "--rows-per-shard", "2"})),
+            2);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("--rows-per-shard"),
+            std::string::npos);
   std::FILE* f = std::fopen(filled.c_str(), "r");
   EXPECT_EQ(f, nullptr);
   if (f != nullptr) std::fclose(f);
@@ -205,8 +211,7 @@ TEST(CommandsTest, FillRejectsUnknownOptions) {
                  "--max-fill", "500"})),
             0);
   EXPECT_EQ(runFill(Args::parse({"fill", "--in", wires, "--out", filled,
-                                 "--stream", "--mem-budget-mb", "64",
-                                 "--rows-per-shard", "2"})),
+                                 "--stream", "--mem-budget-mb", "64"})),
             0);
   std::remove(wires.c_str());
   std::remove(filled.c_str());

@@ -1,13 +1,15 @@
-// Sharded streaming pipeline vs in-memory engine (ISSUE 9 acceptance):
-// for the same wires, rules and die, fill::ShardedEngine::runFile must
-// produce a byte-identical output file to FillEngine::run followed by
-// Writer::writeFile — at any thread count, any shard partition, and under
-// a memory budget tight enough to force multiple shards and disk spill.
+// Streamed pipeline vs in-memory engine: for the same wires, rules and
+// die, fill::ShardedEngine::runFile must produce a byte-identical output
+// file to FillEngine::run followed by Writer::writeFile — at any thread
+// count, on grids whose row counts cut the 8-row bands of the streamed
+// passes full or short, and under a memory budget tight enough to force
+// disk spill.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -83,7 +85,7 @@ class ShardedStreamTest : public ::testing::Test {
   // bytes, then runs the sharded engine and compares output files.
   // `windowSize` 0 keeps the suite's.
   void expectByteIdentical(const std::string& suite, int threads,
-                           std::size_t memBudgetMiB, int rowsPerShard,
+                           std::size_t memBudgetMiB,
                            fill::ShardedReport* reportOut = nullptr,
                            geom::Coord windowSize = 0) {
     const contest::BenchmarkSpec spec = contest::BenchmarkGenerator::spec(suite);
@@ -91,7 +93,7 @@ class ShardedStreamTest : public ::testing::Test {
 
     const std::string tag = suite + "_" + std::to_string(threads) + "_" +
                             std::to_string(memBudgetMiB) + "_" +
-                            std::to_string(rowsPerShard);
+                            std::to_string(windowSize);
     const std::string inputPath = "/tmp/ofl_shard_" + tag + "_in.gds";
     const std::string refPath = "/tmp/ofl_shard_" + tag + "_ref.gds";
     ASSERT_GT(gds::Writer::writeFile(chip.toGds(), inputPath), 0);
@@ -107,13 +109,12 @@ class ShardedStreamTest : public ::testing::Test {
     fill::ShardedOptions options;
     options.engine = engine;
     options.memBudgetMiB = memBudgetMiB;
-    options.rowsPerShard = rowsPerShard;
     fill::ShardedReport report;
     expectStreamMatches(inputPath, refPath, spec.die, options,
                         suite + " with " + std::to_string(threads) +
                             " threads, budget " +
-                            std::to_string(memBudgetMiB) + " MiB, " +
-                            std::to_string(rowsPerShard) + " rows per shard",
+                            std::to_string(memBudgetMiB) + " MiB, window " +
+                            std::to_string(engine.windowSize),
                         &report);
     expectSameReport(report.fill, inMemory);
 
@@ -124,27 +125,18 @@ class ShardedStreamTest : public ::testing::Test {
 };
 
 TEST_F(ShardedStreamTest, ByteIdenticalAtOneAndFourThreads) {
+  // The streamed passes walk bands of 8 window rows, so the window size
+  // puts the seams. On the tiny die, the suite's 1200-DBU windows give 8
+  // rows (one full band), 450-DBU windows 22 rows (bands of 8, 8 and 6)
+  // and 565-DBU windows 17 rows (8, 8 and a 1-row band). Every seam
+  // between bands must keep the halo and the window order exact.
+  const std::pair<geom::Coord, int> grids[] = {{1200, 8}, {450, 22}, {565, 17}};
   for (const int threads : {1, 4}) {
-    // rowsPerShard = 1 maximizes shard seams: every window row is its own
-    // candidate/sizing pass, so any halo or ordering bug shows up.
-    expectByteIdentical("tiny", threads, /*memBudgetMiB=*/64,
-                        /*rowsPerShard=*/1);
-  }
-}
-
-TEST_F(ShardedStreamTest, BandEdgesAndShardCutsKeepBytes) {
-  // 450-DBU windows give the tiny die 22 x 22 windows: a row count that
-  // is no multiple of any power-of-two band height, so the last band is
-  // short, and 3 or 7 rows per shard cut bands short at every seam.
-  for (const int threads : {1, 4}) {
-    for (const int rowsPerShard : {0, 3, 7}) {
+    for (const auto& [windowSize, rows] : grids) {
       fill::ShardedReport report;
-      expectByteIdentical("tiny", threads, /*memBudgetMiB=*/64, rowsPerShard,
-                          &report, /*windowSize=*/450);
-      EXPECT_EQ(report.rows, 22);
-      if (rowsPerShard > 0) {
-        EXPECT_EQ(report.shardCount, (22 + rowsPerShard - 1) / rowsPerShard);
-      }
+      expectByteIdentical("tiny", threads, /*memBudgetMiB=*/64, &report,
+                          windowSize);
+      EXPECT_EQ(report.rows, rows);
     }
   }
 }
@@ -195,13 +187,11 @@ TEST_F(ShardedStreamTest, NoDieMatchesLoadedLayoutRun) {
   std::remove(refPath.c_str());
 }
 
-TEST_F(ShardedStreamTest, TightBudgetForcesShardsAndSpillIdentically) {
+TEST_F(ShardedStreamTest, TightBudgetSpillsIdentically) {
   fill::ShardedReport report;
-  expectByteIdentical("s", /*threads=*/2, /*memBudgetMiB=*/1,
-                      /*rowsPerShard=*/0, &report);
+  expectByteIdentical("s", /*threads=*/2, /*memBudgetMiB=*/1, &report);
   // A 1 MiB budget on suite s cannot hold the spools in memory: the run
-  // must split into several shards and spill to disk, and still match.
-  EXPECT_GT(report.shardCount, 1);
+  // must spill to disk, and still match.
   EXPECT_GT(report.spillEvents, 0u);
   EXPECT_GT(report.spilledBytes, 0u);
 }
@@ -211,8 +201,7 @@ TEST_F(ShardedStreamTest, EmitsClosedFormSolveCounter) {
   reg.reset();
   reg.setEnabled(true);
   fill::ShardedReport report;
-  expectByteIdentical("tiny", /*threads=*/1, /*memBudgetMiB=*/64,
-                      /*rowsPerShard=*/0, &report);
+  expectByteIdentical("tiny", /*threads=*/1, /*memBudgetMiB=*/64, &report);
   reg.setEnabled(false);
   // The in-memory reference run adds its own count to the same counter.
   EXPECT_GT(report.fill.sizerStats.closedFormSolves, 0);
