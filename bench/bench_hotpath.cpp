@@ -9,11 +9,18 @@
 // mcf_solve_s only counts coupled passes; bench_mcf times the flow solve
 // itself.
 //
-// The bench exits nonzero when reps disagree on the fills (the engine is
-// deterministic) or when no pass took the closed form -- the sizer's fast
-// path must actually engage (the CI perf-smoke gate). The harness discards
-// warmup rounds, so no rep pays the cold-cache start. Results:
-// BENCH_hotpath.json.
+// Each rep also runs one legacy-mode ECO (FillEngine::runIncremental
+// without a window cache, as every served ECO runs) on the filled layout
+// after a fixed edit: the wires inside a 600 x 600 square at the centre of
+// the middle window are removed. It records the ECO's wall, region-prep
+// and density-compute seconds, and the ECO wall over the same rep's run()
+// wall, a ratio that gates on any machine.
+//
+// The bench exits nonzero when reps disagree on the fills of the run or of
+// the ECO (the engine is deterministic) or when no pass took the closed
+// form -- the sizer's fast path must actually engage (the CI perf-smoke
+// gate). The harness discards warmup rounds, so no rep pays the cold-cache
+// start. Results: BENCH_hotpath.json.
 //
 // Usage: bench_hotpath [suite] [reps] [--reps N] [--warmup N] [--out F]
 #include <cstdint>
@@ -51,6 +58,21 @@ std::uint64_t fillHash(const layout::Layout& chip) {
 double ratio(long long num, long long den) {
   return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
 }
+
+// Identical hashes across reps, the first rep's hash as the reference.
+struct HashCheck {
+  std::uint64_t ref = 0;
+  bool have = false;
+  bool same = true;
+  void add(std::uint64_t hash) {
+    if (!have) {
+      ref = hash;
+      have = true;
+    } else if (hash != ref) {
+      same = false;
+    }
+  }
+};
 
 }  // namespace
 
@@ -95,14 +117,32 @@ int main(int argc, char** argv) {
   Series& overlayShare = h.series("sizing_overlay_share", "ratio",
                                   Direction::kLowerIsBetter, Scale::kRatio);
 
+  Series& ecoWall = h.series("eco_wall_s", "s");
+  Series& ecoRegionPrep = h.series("eco_region_prep_s", "s");
+  Series& ecoDensity = h.series("eco_density_compute_s", "s");
+
   fill::FillEngineOptions options;
   options.windowSize = spec.windowSize;
   options.rules = spec.rules;
   options.numThreads = 1;
 
-  std::uint64_t refHash = 0;
-  bool haveRef = false;
-  bool deterministic = true;
+  // The ECO base: the filled layout with the wires inside the edit square
+  // removed.
+  layout::Layout ecoBase = original;
+  fill::FillEngine(options).run(ecoBase);
+  const layout::WindowGrid grid(ecoBase.die(), options.windowSize);
+  const geom::Rect middle = grid.windowRect(grid.cols() / 2, grid.rows() / 2);
+  const geom::Coord cx = (middle.xl + middle.xh) / 2;
+  const geom::Coord cy = (middle.yl + middle.yh) / 2;
+  const geom::Rect edit{cx - 300, cy - 300, cx + 300, cy + 300};
+  for (int l = 0; l < ecoBase.numLayers(); ++l) {
+    std::erase_if(ecoBase.layer(l).wires, [&](const geom::Rect& r) {
+      return r.xl >= edit.xl && r.yl >= edit.yl && r.xh <= edit.xh &&
+             r.yh <= edit.yh;
+    });
+  }
+
+  HashCheck runHash, ecoHash;
   fill::FillReport last;
   prof::Registry::instance().setEnabled(true);
   h.runInterleaved({[&] {
@@ -121,19 +161,26 @@ int main(int argc, char** argv) {
         sizing > 0
             ? last.profile.stage(prof::Stage::kSizerOverlay).seconds() / sizing
             : 0.0);
-    const std::uint64_t hash = fillHash(chip);
-    if (!haveRef) {
-      refHash = hash;
-      haveRef = true;
-    } else if (hash != refHash) {
-      deterministic = false;
-    }
+    runHash.add(fillHash(chip));
+
+    layout::Layout eco = ecoBase;
+    prof::Registry::instance().reset();
+    Timer te;
+    const fill::FillReport ecoReport =
+        fill::FillEngine(options).runIncremental(eco, edit);
+    ecoWall.record(te.elapsedSeconds());
+    ecoRegionPrep.record(
+        ecoReport.profile.stage(prof::Stage::kRegionPrep).seconds());
+    ecoDensity.record(
+        ecoReport.profile.stage(prof::Stage::kDensityCompute).seconds());
+    ecoHash.add(fillHash(eco));
   }});
   prof::Registry::instance().setEnabled(false);
+  h.recordRatio("eco_to_run_ratio", ecoWall, wall, Direction::kLowerIsBetter);
 
   const fill::FillSizer::Stats& st = last.sizerStats;
   std::printf("\n-- last rep (%zu fills, hash %llx) --\n", last.fillCount,
-              static_cast<unsigned long long>(refHash));
+              static_cast<unsigned long long>(runHash.ref));
   std::fputs(last.profile.human().c_str(), stdout);
   std::printf("  sizer: %lld solves, %lld closed form [%.0f%%]\n\n",
               st.solves, st.closedFormSolves,
@@ -141,7 +188,8 @@ int main(int argc, char** argv) {
 
   h.param("fill_count", static_cast<std::int64_t>(last.fillCount));
   h.param("mcf_solves", static_cast<std::int64_t>(st.solves));
-  h.check("deterministic", deterministic);
+  h.check("deterministic", runHash.same);
+  h.check("eco_deterministic", ecoHash.same);
   h.check("closed_form_engaged", st.closedFormSolves > 0);
   return h.finish();
 }

@@ -1193,8 +1193,11 @@ std::string usage() {
       "       [--min-width N --min-spacing N --min-area N --max-fill N]\n"
       "      Insert dummy fills; --compact writes fill arrays as AREFs;\n"
       "      --stream runs the bounded-memory window-sharded pipeline\n"
-      "      (byte-identical output; peak RSS targets --mem-budget-mb,\n"
-      "      default 512; incompatible with --compact/--format oasis);\n"
+      "      (byte-identical output; --mem-budget-mb, default 512, caps\n"
+      "      the in-memory spools, which spill to disk past it; a band's\n"
+      "      working set and per-thread scratch come on top, so peak RSS\n"
+      "      can exceed a small budget; incompatible with --compact/\n"
+      "      --format oasis);\n"
       "      --json prints a machine-readable summary (incl. peak RSS);\n"
       "      --threads 0 (default) uses every hardware core, results are\n"
       "      identical for any thread count. --profile prints the hot-path\n"

@@ -142,6 +142,10 @@ void prepareBand(const layout::WindowGrid& grid,
     const auto regions = rowSlots(prep.fillRegions, l, first, cols);
     const auto density = rowSlots(prep.wireDensity, l, first, cols);
     const bool bounds = !prep.bounds.empty();
+    // Buckets made for nothing but the densities are density work, as the
+    // whole-layer DensityMap counts its own bucketing.
+    const bool densityOnly =
+        wires.empty() && blocked.empty() && regions.empty() && !bounds;
     // Kinds needed only as inputs to another kind go to worker-local
     // buffers; the free space for bounds without regions stays in sweep
     // order, since neither the area nor the erosion test reads the order.
@@ -157,7 +161,8 @@ void prepareBand(const layout::WindowGrid& grid,
     }
     if (regions.empty() && bounds) freeBuf.resize(cols);
     {
-      prof::ScopedTimer timer(prof::Stage::kRegionPrep);
+      prof::ScopedTimer timer(densityOnly ? prof::Stage::kDensityCompute
+                                          : prof::Stage::kRegionPrep);
       layout::bucketRow(grid, options.rules, j, rowRects[l][r], wires,
                         blocked);
       for (std::size_t i = 0; i < cols; ++i) {
@@ -210,7 +215,8 @@ double tightenedUpper(const density::DensityBounds& bounds, std::size_t w,
 
 WindowPrep prepareWindows(const layout::Layout& layout,
                           const layout::WindowGrid& grid,
-                          const FillEngineOptions& options, ThreadPool& pool) {
+                          const FillEngineOptions& options, int firstRow,
+                          int lastRow, ThreadPool& pool) {
   const auto nl = static_cast<std::size_t>(layout.numLayers());
   const auto numWindows = static_cast<std::size_t>(grid.windowCount());
   WindowPrep prep;
@@ -224,10 +230,15 @@ WindowPrep prepareWindows(const layout::Layout& layout,
   BandRects rowRects(nl);
   pool.parallelFor(nl, [&](std::size_t l) {
     prof::ScopedTimer timer(prof::Stage::kRegionPrep);
-    rowRects[l] = layout::routeRows(grid, options.rules,
-                                    layout.layer(static_cast<int>(l)).wires);
+    rowRects[l].resize(static_cast<std::size_t>(lastRow - firstRow + 1));
+    layout::routeRows(grid, options.rules,
+                      layout.layer(static_cast<int>(l)).wires, firstRow,
+                      rowRects[l]);
   });
-  prepareBand(grid, options, 0, rowRects, 0, prep, pool);
+  prepareBand(grid, options, firstRow, rowRects,
+              static_cast<std::size_t>(firstRow) *
+                  static_cast<std::size_t>(grid.cols()),
+              prep, pool);
   return prep;
 }
 
@@ -448,7 +459,8 @@ FillReport FillEngine::run(layout::Layout& layout) const {
   {
     obs::Stage probe("engine.region_prep", "engine", {{"job", jid}},
                      &report.planningSeconds);
-    prep = detail::prepareWindows(layout, grid, options_, pool);
+    prep = detail::prepareWindows(layout, grid, options_, 0, grid.rows() - 1,
+                                  pool);
   }
   detail::Flow flow(options_, grid, prep, pool, report);
   flow.plan();
@@ -500,16 +512,14 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
 
   // Affected windows: everything the changed area (inflated by the
   // spacing rule, since a moved wire blocks space across a window border)
-  // touches.
+  // touches, the window rectangle [i0, i1] x [j0, j1].
+  int i0, j0, i1, j1;
+  grid.windowRange(changed.expanded(options_.rules.minSpacing), i0, j0, i1,
+                   j1);
   std::vector<char> affected(numWindows, 0);
-  {
-    int i0, j0, i1, j1;
-    grid.windowRange(changed.expanded(options_.rules.minSpacing), i0, j0, i1,
-                     j1);
-    for (int j = j0; j <= j1; ++j) {
-      for (int i = i0; i <= i1; ++i) {
-        affected[static_cast<std::size_t>(grid.flatIndex(i, j))] = 1;
-      }
+  for (int j = j0; j <= j1; ++j) {
+    for (int i = i0; i <= i1; ++i) {
+      affected[static_cast<std::size_t>(grid.flatIndex(i, j))] = 1;
     }
   }
 
@@ -519,10 +529,10 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
     auto& fills = layout.layer(l).fills;
     fills.erase(std::remove_if(fills.begin(), fills.end(),
                                [&](const geom::Rect& f) {
-                                 int i0, j0, i1, j1;
-                                 grid.windowRange(f, i0, j0, i1, j1);
+                                 int fi0, fj0, fi1, fj1;
+                                 grid.windowRange(f, fi0, fj0, fi1, fj1);
                                  return affected[static_cast<std::size_t>(
-                                     grid.flatIndex(i0, j0))] != 0;
+                                     grid.flatIndex(fi0, fj0))] != 0;
                                }),
                 fills.end());
   }
@@ -539,35 +549,45 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
       cache != nullptr &&
       cache->getPlan(grid.cols(), grid.rows(), numLayers, stored);
 
-  // Stage 0 runs over every window (the bounds need them all), but only
-  // affected windows' buckets and regions are read after planning.
+  // Stage 0 on the affected rows only. Only affected windows' slots are
+  // read after planning, and pinned planning clamps the other windows'
+  // targets into bounds no later step reads.
+  const auto nl = static_cast<std::size_t>(numLayers);
   detail::WindowPrep prep;
   {
     obs::Stage probe("engine.region_prep", "engine", {{"job", jid}},
                      &report.planningSeconds);
-    prep = detail::prepareWindows(layout, grid, options_, pool);
+    prep = detail::prepareWindows(layout, grid, options_, j0, j1, pool);
     // Legacy mode plans with unaffected windows frozen at their current
     // density: their lower and upper bounds collapse to the as-filled
-    // value, so the target sweep can only adapt the affected windows.
-    // Pinned mode keeps fresh wire-only bounds everywhere: the pinned plan
-    // clamps the stored targets into them exactly as the depositing run
-    // did, so unchanged-wire windows reproduce its targets bit-for-bit. No
+    // value, so the target sweep can only adapt the affected windows. The
+    // as-filled densities are one density-only stage-0 pass over every
+    // row, fed each layer's wires and then its remaining fills; like the
+    // whole-layer DensityMap it replaces, it is profiled as
+    // density-compute.
+    // Pinned mode keeps fresh wire-only bounds: the pinned plan clamps the
+    // stored targets into them exactly as the depositing run did, so
+    // unchanged-wire windows reproduce its targets bit-for-bit. No
     // as-filled freeze is needed — targets are not re-swept here, so they
     // cannot drift.
-    std::vector<density::DensityBounds>& bounds = prep.bounds;
     if (!pinned) {
-      std::vector<density::DensityMap> current(bounds.size());
-      pool.parallelFor(current.size(), [&](std::size_t l) {
+      detail::WindowPrep asFilled;
+      asFilled.wireDensity.assign(nl, std::vector<double>(numWindows));
+      detail::BandRects rows(nl);
+      pool.parallelFor(nl, [&](std::size_t l) {
         prof::ScopedTimer timer(prof::Stage::kDensityCompute);
-        current[l] =
-            density::DensityMap::compute(layout, static_cast<int>(l), grid);
+        const layout::Layer& layer = layout.layer(static_cast<int>(l));
+        rows[l].resize(static_cast<std::size_t>(grid.rows()));
+        layout::routeRows(grid, options_.rules, layer.wires, 0, rows[l]);
+        layout::routeRows(grid, options_.rules, layer.fills, 0, rows[l]);
       });
-      for (std::size_t l = 0; l < bounds.size(); ++l) {
+      detail::prepareBand(grid, options_, 0, rows, 0, asFilled, pool);
+      for (std::size_t l = 0; l < nl; ++l) {
         for (std::size_t w = 0; w < numWindows; ++w) {
           if (affected[w] != 0) continue;
-          const double d = current[l].values()[w];
-          bounds[l].lower[w] = d;
-          bounds[l].upper[w] = d;
+          const double d = asFilled.wireDensity[l][w];
+          prep.bounds[l].lower[w] = d;
+          prep.bounds[l].upper[w] = d;
         }
       }
     }

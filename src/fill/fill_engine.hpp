@@ -63,7 +63,8 @@ struct FillEngineOptions {
 struct FillReport {
   /// In memory: stage 0 (engine.region_prep) and both plans. Streamed:
   /// the bounds pass, its stage 0 included, and both plans. ECO: stage 0
-  /// with the legacy freeze, and the one plan.
+  /// of the affected rows, the legacy freeze's density pass, and the one
+  /// plan.
   double planningSeconds = 0.0;
   /// The candidate stage; streamed, the whole candidate pass, its stage 0
   /// and spooling included.
@@ -142,7 +143,9 @@ using BandRects = std::vector<std::vector<std::vector<geom::Rect>>>;
 /// `prep` is non-empty, row firstRow + r at windows
 /// firstWindow + r * cols onwards; bounds read the wire densities, so
 /// asking for bounds needs the wireDensity table too. Profiled as
-/// region-prep (buckets, regions), density-compute and planning (bounds).
+/// region-prep (buckets, regions), density-compute and planning (bounds);
+/// a call asking for the wire densities alone profiles its buckets as
+/// density-compute.
 /// Reads options.rules and cancel; the result is identical for any pool
 /// size.
 void prepareBand(const layout::WindowGrid& grid,
@@ -159,12 +162,14 @@ double windowDensity(const WindowProblem& p, std::size_t l);
 double tightenedUpper(const density::DensityBounds& bounds, std::size_t w,
                       const WindowProblem& p, std::size_t l);
 
-/// Stage 0 of run() and runIncremental(): routes each layer's wires to
-/// window rows, then runs prepareBand over one band holding every row and
-/// every kind.
+/// Stage 0 of the window rows [firstRow, lastRow]: routes each layer's
+/// wires to those rows, then runs prepareBand over them for every kind,
+/// into whole-grid tables whose other rows stay default. run() asks for
+/// every row, runIncremental() for the affected ones.
 WindowPrep prepareWindows(const layout::Layout& layout,
                           const layout::WindowGrid& grid,
-                          const FillEngineOptions& options, ThreadPool& pool);
+                          const FillEngineOptions& options, int firstRow,
+                          int lastRow, ThreadPool& pool);
 
 /// Stages 1-4 of Fig. 3, written once for every engine. A band is the
 /// flat windows [first, first + count): run() is the one-band case,

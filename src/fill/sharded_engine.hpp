@@ -53,9 +53,11 @@ namespace ofl::fill {
 struct ShardedOptions {
   /// Same knobs as the in-memory engine (windowCache is ignored).
   FillEngineOptions engine;
-  /// Peak-memory target for the pipeline's bookkeeping: the wire and
-  /// candidate spools get half of it, the fill spools an eighth; a band's
-  /// working set is bounded by its 8 window rows, not by the budget.
+  /// Cap on the spools' in-memory bytes, not on peak RSS: the wire and
+  /// candidate spools get half of it, the fill spools an eighth, and each
+  /// spills to disk past its share. A band's working set (8 window rows
+  /// of buckets, fill regions and problems) and per-thread scratch come on
+  /// top; at 64 MiB suite xl peaks at 107-120 MiB.
   std::size_t memBudgetMiB = 512;
   /// Directory for spool spill files (defaults to the output's directory
   /// when empty).

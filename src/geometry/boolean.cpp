@@ -76,6 +76,8 @@ struct SweepScratch {
   CoverTable cover;
   OpenRuns open;
   OpenRuns nextOpen;
+  std::vector<Rect> byXl;       // unionArea's disjointness scan
+  std::vector<Rect> openRects;  // rects of byXl still open at the scan's x
 };
 
 SweepScratch& sweepScratch() {
@@ -197,7 +199,42 @@ Area booleanArea(std::span<const Rect> a, std::span<const Rect> b,
 }
 
 Area unionArea(std::span<const Rect> rects) {
-  return booleanArea(rects, {}, BoolOp::kUnion);
+  // Most rect sets stage 0 sees (one window's wire clips, with or without
+  // its fills) are pairwise disjoint, and then the union's area is the sum
+  // of the areas. One pass in xl order tests each rect against the rects
+  // still open at its left edge, whose x-interiors it overlaps, so a pair
+  // overlaps exactly when their y-interiors do. Any overlap, or a budget of
+  // pair tests linear in the set's size running out, hands the set to the
+  // sweep, so the worst case stays the sweep's.
+  SweepScratch& s = sweepScratch();
+  std::vector<Rect>& byXl = s.byXl;
+  byXl.clear();
+  for (const Rect& r : rects) {
+    if (!r.empty()) byXl.push_back(r);
+  }
+  std::sort(byXl.begin(), byXl.end(),
+            [](const Rect& l, const Rect& r) { return l.xl < r.xl; });
+  std::vector<Rect>& open = s.openRects;
+  open.clear();
+  std::size_t budget = 16 * byXl.size() + 64;
+  Area total = 0;
+  for (const Rect& r : byXl) {
+    if (open.size() > budget) return booleanArea(rects, {}, BoolOp::kUnion);
+    budget -= open.size();
+    std::size_t kept = 0;
+    for (const Rect& o : open) {
+      // Closed: r and every later rect start at or right of o's end.
+      if (o.xh <= r.xl) continue;
+      if (o.yl < r.yh && r.yl < o.yh) {
+        return booleanArea(rects, {}, BoolOp::kUnion);
+      }
+      open[kept++] = o;
+    }
+    open.resize(kept);
+    open.push_back(r);
+    total += r.area();
+  }
+  return total;
 }
 
 Area overlapAreaSum(const Rect& rect, std::span<const Rect> shapes) {

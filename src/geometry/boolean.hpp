@@ -35,7 +35,12 @@ void booleanOpInto(std::span<const Rect> a, std::span<const Rect> b,
 /// Area-only variant; avoids materializing output rectangles.
 Area booleanArea(std::span<const Rect> a, std::span<const Rect> b, BoolOp op);
 
-/// Area of the union of one (possibly self-overlapping) rect set.
+/// Area of the union of one (possibly self-overlapping) rect set. A
+/// pairwise-disjoint set (edge- and corner-touching rects included) is
+/// recognised by one scan in xl order and its areas summed, which is
+/// exact; a set with an overlapping pair, or one whose scan runs past a
+/// pair-test budget linear in its size, goes through the sweep
+/// (booleanArea). Empty rects count for nothing either way.
 Area unionArea(std::span<const Rect> rects);
 
 /// Area of intersection of two rect sets — the overlay primitive (paper

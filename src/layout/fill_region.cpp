@@ -1,5 +1,7 @@
 #include "layout/fill_region.hpp"
 
+#include <algorithm>
+
 #include "geometry/boolean.hpp"
 
 namespace ofl::layout {
@@ -8,7 +10,9 @@ std::vector<geom::Region> computeFillRegions(
     const Layout& layout, int layer, const WindowGrid& grid,
     const DesignRules& rules,
     std::vector<std::vector<geom::Rect>>* blockedOut) {
-  const auto rowRects = routeRows(grid, rules, layout.layer(layer).wires);
+  std::vector<std::vector<geom::Rect>> rowRects(
+      static_cast<std::size_t>(grid.rows()));
+  routeRows(grid, rules, layout.layer(layer).wires, 0, rowRects);
   const auto cols = static_cast<std::size_t>(grid.cols());
   std::vector<std::vector<geom::Rect>> blocked(
       static_cast<std::size_t>(grid.windowCount()));
@@ -35,19 +39,17 @@ bool routedRows(const WindowGrid& grid, const DesignRules& rules,
   return true;
 }
 
-std::vector<std::vector<geom::Rect>> routeRows(
-    const WindowGrid& grid, const DesignRules& rules,
-    const std::vector<geom::Rect>& rects) {
-  std::vector<std::vector<geom::Rect>> rows(
-      static_cast<std::size_t>(grid.rows()));
+void routeRows(const WindowGrid& grid, const DesignRules& rules,
+               std::span<const geom::Rect> rects, int firstRow,
+               std::vector<std::vector<geom::Rect>>& band) {
+  const int lastRow = firstRow + static_cast<int>(band.size()) - 1;
   int j0, j1;
   for (const geom::Rect& r : rects) {
     if (!routedRows(grid, rules, r, j0, j1)) continue;
-    for (int j = j0; j <= j1; ++j) {
-      rows[static_cast<std::size_t>(j)].push_back(r);
+    for (int j = std::max(j0, firstRow); j <= std::min(j1, lastRow); ++j) {
+      band[static_cast<std::size_t>(j - firstRow)].push_back(r);
     }
   }
-  return rows;
 }
 
 void bucketRow(const WindowGrid& grid, const DesignRules& rules, int j,

@@ -37,11 +37,13 @@ std::vector<geom::Region> computeFillRegions(
 bool routedRows(const WindowGrid& grid, const DesignRules& rules,
                 const geom::Rect& r, int& j0, int& j1);
 
-/// Routes each rect, in input order, to its routedRows: result[j] is the
-/// `rowRects` bucketRow expects for row j.
-std::vector<std::vector<geom::Rect>> routeRows(
-    const WindowGrid& grid, const DesignRules& rules,
-    const std::vector<geom::Rect>& rects);
+/// Appends each rect, in input order, to the rows of `band` (window rows
+/// firstRow .. firstRow + band.size() - 1) among its routedRows: routing
+/// every rect of a layer makes band[r] the `rowRects` bucketRow expects
+/// for row firstRow + r.
+void routeRows(const WindowGrid& grid, const DesignRules& rules,
+               std::span<const geom::Rect> rects, int firstRow,
+               std::vector<std::vector<geom::Rect>>& band);
 
 /// Clips the rects routed to window row `j` into that row's per-window
 /// buckets, indexed by column: `wires` gets the plain clips and `blocked`

@@ -154,7 +154,8 @@ TEST(BoundsTest, EngineStage0BoundsMatchLayoutOverloadOnTinySuite) {
   for (const int threads : {1, 4}) {
     ThreadPool pool(threads);
     const fill::detail::WindowPrep prep =
-        fill::detail::prepareWindows(chip, grid, options, pool);
+        fill::detail::prepareWindows(chip, grid, options, 0,
+                                     grid.rows() - 1, pool);
     ASSERT_EQ(prep.bounds.size(), reference.size());
     for (std::size_t l = 0; l < reference.size(); ++l) {
       EXPECT_EQ(prep.bounds[l].lower, reference[l].lower) << "layer " << l;

@@ -7,6 +7,7 @@
 // [layer][window] tables on a grid with more rows than the tiny suite.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -130,7 +131,8 @@ TEST(Stage0EquivalenceTest, MatchesWholeLayerReferencesAtAnyThreadCount) {
                                         << " threads");
         ThreadPool pool(threads);
         const detail::WindowPrep prep =
-            detail::prepareWindows(chip, grid, options, pool);
+            detail::prepareWindows(chip, grid, options, 0, grid.rows() - 1,
+                                   pool);
         ASSERT_EQ(prep.wires.size(), refs.size());
         for (std::size_t l = 0; l < refs.size(); ++l) {
           EXPECT_EQ(prep.wires[l], refs[l].wires) << "layer " << l;
@@ -142,6 +144,106 @@ TEST(Stage0EquivalenceTest, MatchesWholeLayerReferencesAtAnyThreadCount) {
           EXPECT_EQ(prep.bounds[l].upper, refs[l].bounds.upper)
               << "layer " << l;
         }
+      }
+    }
+  }
+}
+
+TEST(Stage0EquivalenceTest, PartialBandMatchesWholeLayerRows) {
+  // The ECO's stage 0: prepareWindows over a band of rows fills those
+  // rows of whole-grid tables exactly as the whole-layer references do.
+  const layout::Layout chip = randomLayout(4, 9);
+  const layout::WindowGrid grid(chip.die(), kWindow);
+  FillEngineOptions options;
+  options.windowSize = kWindow;
+  options.rules.minWidth = 6;
+  options.rules.minSpacing = 9;
+  const auto nl = static_cast<std::size_t>(chip.numLayers());
+  const auto windows = static_cast<std::size_t>(grid.windowCount());
+  const auto cols = static_cast<std::size_t>(grid.cols());
+  std::vector<Reference> refs;
+  for (int l = 0; l < chip.numLayers(); ++l) {
+    refs.push_back(wholeLayerReference(chip, l, grid, options.rules));
+  }
+  for (const auto& [j0, j1] : {std::pair{0, 0}, std::pair{5, 6},
+                               std::pair{13, 13}, std::pair{0, 13}}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "rows " << j0 << ".." << j1 << ", "
+                                      << threads << " threads");
+      ThreadPool pool(threads);
+      const detail::WindowPrep prep =
+          detail::prepareWindows(chip, grid, options, j0, j1, pool);
+      ASSERT_EQ(prep.wires.size(), nl);
+      for (std::size_t l = 0; l < nl; ++l) {
+        ASSERT_EQ(prep.wires[l].size(), windows);
+        const Reference& ref = refs[l];
+        for (std::size_t w = static_cast<std::size_t>(j0) * cols;
+             w < static_cast<std::size_t>(j1 + 1) * cols; ++w) {
+          EXPECT_EQ(prep.wires[l][w], ref.wires[w]) << l << "/" << w;
+          EXPECT_EQ(prep.blocked[l][w], ref.blocked[w]) << l << "/" << w;
+          EXPECT_EQ(prep.fillRegions[l][w], ref.regions[w]) << l << "/" << w;
+          EXPECT_EQ(prep.wireDensity[l][w], ref.density[w]) << l << "/" << w;
+          EXPECT_EQ(prep.bounds[l].lower[w], ref.bounds.lower[w])
+              << l << "/" << w;
+          EXPECT_EQ(prep.bounds[l].upper[w], ref.bounds.upper[w])
+              << l << "/" << w;
+        }
+      }
+    }
+  }
+}
+
+TEST(Stage0EquivalenceTest, WiresPlusFillsDensityMatchesDensityMap) {
+  // The ECO's legacy freeze: a density-only pass fed each layer's wires
+  // and then its fills must equal DensityMap::compute, also on input fills
+  // that overlap wires, each other and window borders. Engine-made fills
+  // never do, so the ECO digests do not cover this case.
+  for (const std::uint64_t seed : {5u, 6u, 7u}) {
+    layout::Layout chip = randomLayout(seed, 9);
+    Rng rng(seed * 31);
+    for (int l = 0; l < chip.numLayers(); ++l) {
+      auto& fills = chip.layer(l).fills;
+      const auto& wires = chip.layer(l).wires;
+      for (int k = 0; k < 120; ++k) {
+        const Coord x = rng.uniformInt(kDie.xl - 20, kDie.xh);
+        const Coord y = rng.uniformInt(kDie.yl - 20, kDie.yh);
+        fills.push_back({x, y, x + rng.uniformInt(1, 150),
+                         y + rng.uniformInt(1, 150)});
+      }
+      // Fills stacked on wires and on other fills.
+      for (int k = 0; k < 40; ++k) {
+        const std::vector<Rect>& from = rng.bernoulli(0.5) ? wires : fills;
+        const Rect on = from[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(from.size()) - 1))];
+        fills.push_back({on.xl - 3, on.yl + 2, on.xh + 5, on.yh + 7});
+      }
+    }
+    const layout::WindowGrid grid(chip.die(), kWindow);
+    FillEngineOptions options;
+    options.windowSize = kWindow;
+    options.rules.minSpacing = 9;
+    const auto nl = static_cast<std::size_t>(chip.numLayers());
+    detail::BandRects rows(nl);
+    for (std::size_t l = 0; l < nl; ++l) {
+      const layout::Layer& layer = chip.layer(static_cast<int>(l));
+      rows[l].resize(static_cast<std::size_t>(grid.rows()));
+      layout::routeRows(grid, options.rules, layer.wires, 0, rows[l]);
+      layout::routeRows(grid, options.rules, layer.fills, 0, rows[l]);
+    }
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << ", " << threads
+                                      << " threads");
+      detail::WindowPrep asFilled;
+      asFilled.wireDensity.assign(
+          nl, std::vector<double>(
+                  static_cast<std::size_t>(grid.windowCount())));
+      ThreadPool pool(threads);
+      detail::prepareBand(grid, options, 0, rows, 0, asFilled, pool);
+      for (std::size_t l = 0; l < nl; ++l) {
+        EXPECT_EQ(asFilled.wireDensity[l],
+                  density::DensityMap::compute(chip, static_cast<int>(l), grid)
+                      .values())
+            << "layer " << l;
       }
     }
   }

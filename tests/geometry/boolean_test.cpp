@@ -114,6 +114,157 @@ TEST_P(BooleanPropertyTest, MatchesRasterOracle) {
   }
 }
 
+// unionArea against the raster oracle on rect sets of every shape its two
+// paths see: pairwise-disjoint sets (summed directly), overlapping sets
+// (handed to the sweep), sets of edge- and corner-touching tiles (disjoint,
+// however many edges they share), sets with empty and degenerate rects
+// mixed in, and stacks of full-width wires that exhaust the disjointness
+// scan's pair-test budget before any overlap shows.
+enum class UnionKind {
+  kDisjoint,
+  kOverlapping,
+  kTouching,
+  kDegenerate,
+  kStacked
+};
+
+constexpr int kUnionExtent = 64;
+
+// A uniform position in [0, n].
+std::ptrdiff_t randomPos(Rng& rng, std::size_t n) {
+  return static_cast<std::ptrdiff_t>(
+      rng.uniformInt(0, static_cast<std::int64_t>(n)));
+}
+
+// Random rects, each kept only if it overlaps none kept before.
+std::vector<Rect> disjointRects(Rng& rng, int tries) {
+  std::vector<Rect> out;
+  for (int k = 0; k < tries; ++k) {
+    const Rect r = testutil::randomRect(rng, kUnionExtent, 16);
+    if (std::none_of(out.begin(), out.end(),
+                     [&](const Rect& o) { return o.overlaps(r); })) {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
+// The cells of a random grid cut of the extent, some dropped: every kept
+// pair shares an edge, a corner or nothing.
+std::vector<Rect> touchingTiles(Rng& rng) {
+  const auto cuts = [&] {
+    std::vector<Coord> c{0, kUnionExtent};
+    const int n = static_cast<int>(rng.uniformInt(1, 7));
+    for (int k = 0; k < n; ++k) {
+      c.push_back(rng.uniformInt(1, kUnionExtent - 1));
+    }
+    std::sort(c.begin(), c.end());
+    c.erase(std::unique(c.begin(), c.end()), c.end());
+    return c;
+  };
+  const std::vector<Coord> xs = cuts();
+  const std::vector<Coord> ys = cuts();
+  std::vector<Rect> out;
+  for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
+    for (std::size_t j = 0; j + 1 < ys.size(); ++j) {
+      if (rng.bernoulli(0.8)) {
+        out.push_back({xs[i], ys[j], xs[i + 1], ys[j + 1]});
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<Rect> unionCase(Rng& rng, UnionKind kind) {
+  switch (kind) {
+    case UnionKind::kDisjoint:
+      return disjointRects(rng, static_cast<int>(rng.uniformInt(0, 40)));
+    case UnionKind::kOverlapping: {
+      std::vector<Rect> rects =
+          disjointRects(rng, static_cast<int>(rng.uniformInt(1, 40)));
+      // One more rect over a random kept one, so at least one pair overlaps.
+      const Rect base = rects[static_cast<std::size_t>(
+          randomPos(rng, rects.size() - 1))];
+      const Rect over{base.xl, base.yl,
+                      std::min<Coord>(base.xh + 3, kUnionExtent),
+                      std::min<Coord>(base.yh + 3, kUnionExtent)};
+      rects.insert(rects.begin() + randomPos(rng, rects.size()), over);
+      return rects;
+    }
+    case UnionKind::kTouching: return touchingTiles(rng);
+    case UnionKind::kDegenerate: {
+      std::vector<Rect> rects = rng.bernoulli(0.5)
+                                    ? touchingTiles(rng)
+                                    : disjointRects(rng, 30);
+      // Zero-width, zero-height, single-point and inverted rects, some
+      // inside kept rects: empty, so they cover nothing and overlap nothing.
+      const int n = static_cast<int>(rng.uniformInt(1, 10));
+      for (int k = 0; k < n; ++k) {
+        const Coord x = rng.uniformInt(0, kUnionExtent);
+        const Coord y = rng.uniformInt(0, kUnionExtent);
+        const Coord d = rng.uniformInt(1, 20);
+        const Rect empties[] = {{x, y, x, y + d},
+                                {x, y, x + d, y},
+                                {x, y, x, y},
+                                {x + d, y, x, y + d}};
+        rects.insert(rects.begin() + randomPos(rng, rects.size()),
+                     empties[rng.uniformInt(0, 3)]);
+      }
+      return rects;
+    }
+    case UnionKind::kStacked: {
+      // Full-width wires one unit tall, touching or one unit apart, in
+      // random order: every wire stays open across the whole scan, so the
+      // scan's pair tests grow quadratically and exhaust its budget.
+      std::vector<Rect> rects;
+      for (Coord y = 0; y < kUnionExtent; y += rng.uniformInt(1, 2)) {
+        rects.push_back({0, y, kUnionExtent, y + 1});
+      }
+      for (std::size_t i = rects.size(); i > 1; --i) {
+        std::swap(rects[i - 1],
+                  rects[static_cast<std::size_t>(randomPos(rng, i - 1))]);
+      }
+      if (rng.bernoulli(0.5)) rects.push_back({5, 5, 9, 9});  // late overlap
+      return rects;
+    }
+  }
+  return {};
+}
+
+class UnionAreaPropertyTest : public ::testing::TestWithParam<UnionKind> {};
+
+TEST_P(UnionAreaPropertyTest, MatchesRasterOracle) {
+  Rng rng(0x0A1EA + static_cast<unsigned>(GetParam()));
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::vector<Rect> rects = unionCase(rng, GetParam());
+    testutil::Raster raster(kUnionExtent);
+    raster.paint(rects);
+    EXPECT_EQ(unionArea(rects), raster.area()) << "trial " << trial;
+    if (GetParam() == UnionKind::kTouching) {
+      // Disjoint tiles: the union is the plain sum, shared edges and all.
+      Area sum = 0;
+      for (const Rect& r : rects) sum += r.area();
+      EXPECT_EQ(unionArea(rects), sum) << "trial " << trial;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, UnionAreaPropertyTest,
+    ::testing::Values(UnionKind::kDisjoint, UnionKind::kOverlapping,
+                      UnionKind::kTouching, UnionKind::kDegenerate,
+                      UnionKind::kStacked),
+    [](const auto& info) {
+      switch (info.param) {
+        case UnionKind::kDisjoint: return std::string("Disjoint");
+        case UnionKind::kOverlapping: return std::string("Overlapping");
+        case UnionKind::kTouching: return std::string("Touching");
+        case UnionKind::kDegenerate: return std::string("Degenerate");
+        case UnionKind::kStacked: return std::string("Stacked");
+      }
+      return std::string();
+    });
+
 TEST(OverlapSumTest, MatchesPerShapeAccumulation) {
   Rng rng(911);
   for (int trial = 0; trial < 50; ++trial) {

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "contest/benchmark_generator.hpp"
 #include "density/density_map.hpp"
 #include "density/metrics.hpp"
 #include "fill/fill_engine.hpp"
+#include "gds/gds_writer.hpp"
 #include "layout/drc_checker.hpp"
 
 namespace ofl {
@@ -44,6 +48,27 @@ class EcoFillTest : public ::testing::Test {
     }
     chip_.layer(0).wires.push_back(block);
     return block;
+  }
+
+  // Copies the filled chip, places `block` on layer 0 (dropping the wires
+  // whose spacing halo it overlaps), runs the legacy-mode ECO over
+  // `changed` at `threads` threads and digests the serialized GDSII.
+  std::uint64_t ecoDigest(const geom::Rect& block, const geom::Rect& changed,
+                          int threads) const {
+    layout::Layout chip = chip_;
+    for (int l = 0; l < chip.numLayers(); ++l) {
+      auto& wires = chip.layer(l).wires;
+      std::erase_if(wires, [&](const geom::Rect& w) {
+        return w.expanded(spec_.rules.minSpacing).overlaps(block);
+      });
+    }
+    chip.layer(0).wires.push_back(block);
+    fill::FillEngineOptions o = options_;
+    o.numThreads = threads;
+    fill::FillEngine(o).runIncremental(chip, changed);
+    const std::vector<std::uint8_t> bytes =
+        gds::Writer::serialize(chip.toGds());
+    return fnv1a64(bytes.data(), bytes.size());
   }
 
   contest::BenchmarkSpec spec_;
@@ -165,6 +190,44 @@ TEST_F(EcoFillTest, WindowCacheSkipsUnchangedWindowsByteIdentically) {
     const auto after =
         density::computeMetrics(density::DensityMap::compute(chip_, l, grid));
     EXPECT_LT(after.sigma, 0.03) << "layer " << l;
+  }
+}
+
+TEST_F(EcoFillTest, EdgeCaseChangesReproduceRecordedDigestsAt1And4Threads) {
+  // Changed rects at the edges of the affected-window range: a die corner
+  // (first window row and column), a rect straddling the border between
+  // window rows 1 and 2 (two affected rows), and the whole die (every
+  // window affected, nothing frozen). The digests were recorded with the
+  // ECO that ran stage 0 over every window and froze the unaffected ones
+  // from a whole-layer DensityMap; they pin that restricting stage 0 to the
+  // affected rows changes no byte.
+  const geom::Rect die = chip_.die();
+  const geom::Coord w = spec_.windowSize;
+  struct Case {
+    const char* name;
+    geom::Rect block;
+    geom::Rect changed;
+    std::uint64_t digest;
+  };
+  const std::array<Case, 3> cases = {{
+      {"die corner",
+       {die.xl + 100, die.yl + 100, die.xl + 500, die.yl + 500},
+       {die.xl, die.yl, die.xl + 600, die.yl + 600},
+       0x261f1cd94dfcc758ull},
+      {"row straddle",
+       {3 * w + 200, 2 * w - 250, 3 * w + 700, 2 * w + 250},
+       {3 * w + 100, 2 * w - 300, 3 * w + 800, 2 * w + 300},
+       0x3b3c70411ccf299aull},
+      {"whole die",
+       {4 * w - 300, 4 * w - 300, 4 * w + 300, 4 * w + 300},
+       die,
+       0x4cd85f247eba112dull},
+  }};
+  for (const Case& c : cases) {
+    for (const int threads : {1, 4}) {
+      EXPECT_EQ(ecoDigest(c.block, c.changed, threads), c.digest)
+          << c.name << " at " << threads << " threads";
+    }
   }
 }
 
