@@ -2,8 +2,8 @@
 // decomposition and window bucketing at fill-flow-realistic sizes.
 // Each kernel/size pair is one harness series (ns/op via the self-scaling
 // micro helper); the indexed overlap-sum kernels first verify exact
-// equality against the brute-force sums — the byte-identity contract —
-// and the bench fails if any probe diverges. BENCH_geometry.json.
+// equality against the brute-force sums, and the bench fails if any probe
+// diverges. BENCH_geometry.json.
 //
 // Usage: bench_geometry [reps] [--reps N] [--warmup N] [--out F]
 #include <cstdint>
@@ -17,10 +17,8 @@
 #include "bench/harness.hpp"
 #include "common/rng.hpp"
 #include "geometry/boolean.hpp"
-#include "geometry/contour.hpp"
 #include "geometry/decompose.hpp"
 #include "geometry/grid_index.hpp"
-#include "geometry/rtree.hpp"
 #include "layout/window_grid.hpp"
 
 using namespace ofl;
@@ -131,23 +129,9 @@ int main(int argc, char** argv) {
                        gSink = gSink + hits;
                      }});
   }
-  for (const int n : {1000, 20000}) {
-    auto rects = randomRects(n, 19200, 120, 31);
-    auto tree = std::make_shared<RTree>(rects);
-    auto queries = std::make_shared<std::vector<Rect>>(probeQueries(256, 32));
-    auto qi = std::make_shared<std::size_t>(0);
-    cases.push_back({"rtree_query_" + std::to_string(n),
-                     [tree, queries, qi] {
-                       std::size_t hits = 0;
-                       tree->visit((*queries)[(*qi)++ & 255],
-                                   [&hits](std::uint32_t) { ++hits; });
-                       gSink = gSink + hits;
-                     }});
-  }
-  // Eqn. 8 overlap-sum kernel, brute vs indexed. The fill pipeline's
-  // byte-identity contract rests on the indexed accumulations returning
-  // EXACTLY the brute-force sums, so the indexed cases verify equality on
-  // every probe query up front.
+  // Pairwise overlap sums, brute vs GridIndex (the index DRC and litho
+  // query). An indexed sum must equal the brute-force sum EXACTLY, so the
+  // indexed cases verify equality on every probe query up front.
   for (const int n : {100, 1000, 20000}) {
     auto shapes = std::make_shared<std::vector<Rect>>(
         randomRects(n, 19200, 120, 77));
@@ -162,9 +146,8 @@ int main(int argc, char** argv) {
                        }});
     }
     {
-      auto index = std::make_shared<GridIndex>(
-          Rect{0, 0, 19200, 19200},
-          windowCellSize({0, 0, 19200, 19200}, 400));
+      auto index =
+          std::make_shared<GridIndex>(Rect{0, 0, 19200, 19200}, 400);
       for (std::uint32_t id = 0; id < shapes->size(); ++id) {
         index->insert(id, (*shapes)[id]);
       }
@@ -189,34 +172,6 @@ int main(int argc, char** argv) {
                              indexedSum((*queries)[(*qi)++ & 255]));
                        }});
     }
-    {
-      auto tree = std::make_shared<RTree>(*shapes);
-      auto indexedSum = [tree, shapes](const Rect& q) {
-        Area total = 0;
-        tree->visit(q, [&](std::uint32_t id) {
-          total += q.overlapArea((*shapes)[id]);
-        });
-        return total;
-      };
-      for (const Rect& q : *queries) {
-        if (indexedSum(q) != overlapAreaSum(q, *shapes)) {
-          std::fprintf(stderr,
-                       "FAIL: RTree overlap sum diverges from brute\n");
-          overlapSumsExact = false;
-        }
-      }
-      auto qi = std::make_shared<std::size_t>(0);
-      cases.push_back({"overlap_sum_rtree_" + tag,
-                       [indexedSum, queries, qi] {
-                         gSink = gSink + static_cast<std::uint64_t>(
-                             indexedSum((*queries)[(*qi)++ & 255]));
-                       }});
-    }
-  }
-  for (const int n : {100, 1000}) {
-    auto region = std::make_shared<Region>(randomRects(n, 2000, 80, 21));
-    cases.push_back({"contour_extraction_" + std::to_string(n),
-                     [region] { gSink = gSink + contours(*region).size(); }});
   }
   for (const int n : {1000, 10000, 50000}) {
     auto rects = std::make_shared<std::vector<Rect>>(

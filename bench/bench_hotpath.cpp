@@ -2,12 +2,13 @@
 // single-threaded, profiled every rep. Reports absolute stage seconds from
 // the profiling registry -- region prep, wire density, planning (bounds +
 // both target sweeps), candidates and its four sub-stages, sizing and its
-// overlay / MCF-solve sub-stages, end-to-end wall -- plus two machine-
-// independent ratios that gate on any machine: the share of sizing passes
-// solved in closed form, and the overlay-marginal kernel's share of sizing
-// time. A pass without spacing pairs skips the min-cost flow, so
-// mcf_solve_s only counts coupled passes; bench_mcf times the flow solve
-// itself.
+// overlay-contacts (sizing_contacts_s), overlay-marginals
+// (sizing_overlay_s) and MCF-solve sub-stages, end-to-end wall -- plus two
+// machine-independent ratios that gate on any machine: the share of sizing
+// passes solved in closed form, and the per-pass overlay-marginal scans'
+// share of sizing time. A pass without spacing pairs skips the min-cost
+// flow, so mcf_solve_s only counts coupled passes; bench_mcf times the flow
+// solve itself.
 //
 // Each rep also runs one legacy-mode ECO (FillEngine::runIncremental
 // without a window cache, as every served ECO runs) on the filled layout
@@ -105,7 +106,8 @@ int main(int argc, char** argv) {
       {"candidates_score_s", prof::Stage::kCandidateScore},
       {"candidates_refine_s", prof::Stage::kCandidateRefine},
       {"sizing_s", prof::Stage::kSizing},
-      {"sizing_overlay_s", prof::Stage::kSizerOverlay},
+      {"sizing_contacts_s", prof::Stage::kSizerContacts},
+      {"sizing_overlay_s", prof::Stage::kSizerMarginals},
       {"mcf_solve_s", prof::Stage::kMcfSolve},
   };
   std::vector<Series*> stageSeries;
@@ -159,7 +161,8 @@ int main(int argc, char** argv) {
     const double sizing = last.profile.stage(prof::Stage::kSizing).seconds();
     overlayShare.record(
         sizing > 0
-            ? last.profile.stage(prof::Stage::kSizerOverlay).seconds() / sizing
+            ? last.profile.stage(prof::Stage::kSizerMarginals).seconds() /
+                  sizing
             : 0.0);
     runHash.add(fillHash(chip));
 

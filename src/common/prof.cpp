@@ -18,6 +18,7 @@ constexpr const char* kStageNames[] = {
     "  overlay-score",
     "  refine",
     "sizing",
+    "  overlay-contacts",
     "  overlay-marginals",
     "  mcf-solve",
     "output",
@@ -26,8 +27,8 @@ static_assert(sizeof(kStageNames) / sizeof(kStageNames[0]) ==
               static_cast<std::size_t>(Stage::kCount));
 
 constexpr const char* kCounterNames[] = {
-    "windows",       "candidates",        "index-builds",      "index-queries",
-    "mcf-solves",    "sizer-closed-form", "eco-windows-skipped",
+    "windows",    "candidates",        "overlap-pairs",
+    "mcf-solves", "sizer-closed-form", "eco-windows-skipped",
 };
 static_assert(sizeof(kCounterNames) / sizeof(kCounterNames[0]) ==
               static_cast<std::size_t>(Counter::kCount));

@@ -36,7 +36,8 @@ enum class Stage : int {
   kCandidateScore,    //   - Eqn. 8 overlay scoring of even layers
   kCandidateRefine,   //   - hierarchical small-cell backfill
   kSizing,            // per-window fill sizing (engine stage 4)
-  kSizerOverlay,      //   - window index + contact build, marginal scans
+  kSizerContacts,     //   - per-window contact and close-pair sweeps
+  kSizerMarginals,    //   - per-pass overlay marginal scans
   kMcfSolve,          //   - differential-LP / min-cost-flow solves
   kOutput,            // fill merge + layout output
   kCount
@@ -46,8 +47,7 @@ enum class Stage : int {
 enum class Counter : int {
   kWindows = 0,        // window problems generated
   kCandidates,         // candidate fills emitted
-  kIndexBuilds,        // spatial-index (re)builds
-  kIndexQueries,       // spatial-index queries
+  kOverlapPairs,       // overlapping pairs the overlap sweep reports
   kMcfSolves,          // dual-LP solves
   kSizerClosedForm,    // uncoupled sizer passes solved in closed form
   kEcoWindowsSkipped,  // ECO windows served from the window cache

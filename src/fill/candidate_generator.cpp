@@ -48,11 +48,6 @@ void splitSpanInto(geom::Coord lo, geom::Coord hi, geom::Coord maxSize,
   }
 }
 
-// Below this many neighbor shapes the brute-force Eqn. 8 scan beats the
-// index build; both paths sum the same integers, so this is purely a
-// performance threshold, never a results switch.
-constexpr std::size_t kIndexMinShapes = 16;
-
 }  // namespace
 
 geom::Coord CandidateGenerator::gutter() const {
@@ -295,37 +290,22 @@ void CandidateGenerator::generate(WindowProblem& problem,
     neighborShapes(l, neighbors);
 
     prof::ScopedTimer scoreTimer(prof::Stage::kCandidateScore);
-    const bool indexed = neighbors.size() >= kIndexMinShapes;
-    if (indexed) {
-      scratch.neighborIndex.reset(
-          problem.window,
-          geom::windowCellSize(problem.window, rules_.maxFillSize));
-      for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        if (neighbors[i].empty()) continue;  // zero overlay either way
-        scratch.neighborIndex.insert(static_cast<std::uint32_t>(i),
-                                     neighbors[i]);
-      }
-      prof::count(prof::Counter::kIndexBuilds);
-      prof::count(prof::Counter::kIndexQueries, candidates.size());
-    }
+    // The pairwise overlay sum of every candidate, from one sweep over
+    // the candidates and their neighbour shapes: pairs the sweep does not
+    // report have no overlap, so they only drop zero terms.
+    auto& overlaySums = scratch.overlaySums;
+    overlaySums.assign(candidates.size(), 0);
+    scratch.sweep.visit(candidates, neighbors,
+                        [&](std::uint32_t c, std::uint32_t n) {
+                          overlaySums[c] +=
+                              candidates[c].overlapArea(neighbors[n]);
+                        });
     auto& scored = scratch.scored;
     scored.clear();
     scored.reserve(candidates.size());
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       const auto area = static_cast<double>(candidates[c].area());
-      geom::Area overlaySum = 0;
-      if (indexed) {
-        // Same pairwise sum as the brute scan: shapes the index never
-        // visits cannot overlap the candidate, so they only drop zero
-        // terms; integer addition commutes over the rest.
-        scratch.neighborIndex.visit(
-            candidates[c], [&](std::uint32_t id) {
-              overlaySum += candidates[c].overlapArea(neighbors[id]);
-            });
-      } else {
-        overlaySum = geom::overlapAreaSum(candidates[c], neighbors);
-      }
-      const auto overlay = static_cast<double>(overlaySum);
+      const auto overlay = static_cast<double>(overlaySums[c]);
       const double q =
           -overlay / area + options_.gamma * area / windowArea;  // Eqn. (8)
       scored.push_back({q, c});

@@ -17,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "geometry/grid_index.hpp"
+#include "geometry/overlap_sweep.hpp"
 #include "geometry/region.hpp"
 #include "layout/design_rules.hpp"
 #include "layout/litho.hpp"
@@ -65,8 +65,11 @@ class CandidateGenerator {
   /// every field is overwritten window by window, so across a layer sweep
   /// the allocations amortize to (roughly) the largest window's needs.
   struct Scratch {
-    geom::GridIndex neighborIndex;
+    // Eqn. 8 scoring: the neighbour shapes, the sweep pairing them with
+    // the candidates and each candidate's overlay sum.
     std::vector<geom::Rect> neighbors;
+    geom::OverlapSweep sweep;
+    std::vector<geom::Area> overlaySums;
     std::vector<geom::Rect> candidates;
     std::vector<geom::Rect> blockers;
     std::vector<std::pair<double, std::size_t>> scored;

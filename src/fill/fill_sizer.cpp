@@ -42,121 +42,169 @@ struct AxisView {
   }
 };
 
-// All unordered fill pairs (i < j) with frozen-axis overlap whose gap in
-// the variable axis is below minSpacing. Membership is evaluated with the
-// symmetric max-gap form max(lo_j - hi_i, lo_i - hi_j): for non-empty
+// w * a + b rounded to an integer. At w == 1, the default of both overlay
+// weights, that is a + b exactly, so the float round trip is skipped.
+Coord weightedSum(double w, Coord a, Coord b) {
+  if (w == 1.0) return a + b;
+  return static_cast<Coord>(std::llround(w * static_cast<double>(a) +
+                                         static_cast<double>(b)));
+}
+
+// A fill pair is close in a pass when the rects overlap in the frozen
+// axis and the gap in the variable axis is below minSpacing. The gap is
+// the symmetric max-gap max(lo_b - hi_a, lo_a - hi_b): for non-empty
 // intervals it admits a pair iff the lo-ordered oriented gap does (when
 // the oriented gap is not the max, the other gap is negative, hence below
 // any minSpacing >= 0), so the repair-need pass and the constraint pass
-// can share one list. Each fill queries the layer's window index (ids:
-// `numWires` wires, then fills) with its variable-axis expansion by
-// minSpacing -- intersection with the expansion is exactly "both oriented
-// gaps < minSpacing" -- and the list is sorted into (i, j) order.
-void collectClosePairs(const std::vector<Rect>& fills, std::size_t numWires,
-                       const AxisView& ax, Coord minSpacing,
-                       const geom::GridIndex& index,
-                       std::vector<std::pair<std::size_t, std::size_t>>& out) {
-  out.clear();
-  const auto maxGap = [&](std::size_t i, std::size_t j) {
-    return std::max(ax.lo(fills[j]) - ax.hi(fills[i]),
-                    ax.lo(fills[i]) - ax.hi(fills[j]));
-  };
-  prof::count(prof::Counter::kIndexQueries, fills.size());
-  for (std::size_t i = 0; i < fills.size(); ++i) {
-    Rect query = fills[i];
-    if (ax.horizontal) {
-      query.xl -= minSpacing;
-      query.xh += minSpacing;
-    } else {
-      query.yl -= minSpacing;
-      query.yh += minSpacing;
-    }
-    index.visit(query, [&](std::uint32_t id) {
-      if (id < numWires) return;
-      const std::size_t j = id - numWires;
-      if (j <= i) return;  // each pair once, from its smaller index
-      if (ax.frozenOverlap(fills[i], fills[j]) <= 0) return;
-      if (maxGap(i, j) < minSpacing) out.push_back({i, j});
-    });
-  }
-  std::sort(out.begin(), out.end());
+// can share one list.
+bool closePair(const AxisView& ax, const Rect& a, const Rect& b,
+               Coord minSpacing) {
+  return ax.frozenOverlap(a, b) > 0 &&
+         std::max(ax.lo(b) - ax.hi(a), ax.lo(a) - ax.hi(b)) < minSpacing;
 }
 
 }  // namespace
 
 namespace detail {
 
-void indexWindow(const WindowProblem& problem, Coord cellSize,
+void indexWindow(const WindowProblem& problem, Coord minSpacing,
                  FillSizer::Scratch& scratch) {
-  prof::ScopedTimer overlayTimer(prof::Stage::kSizerOverlay);
+  prof::ScopedTimer contactsTimer(prof::Stage::kSizerContacts);
   const std::size_t numLayers = problem.fills.size();
-  scratch.layerIndex.resize(numLayers);
   scratch.fillBase.assign(1, 0);
-  for (std::size_t l = 0; l < numLayers; ++l) {
-    geom::GridIndex& index = scratch.layerIndex[l];
-    index.reset(problem.window, cellSize);
-    std::uint32_t id = 0;
-    for (const auto* shapes : {&problem.wires[l], &problem.fills[l]}) {
-      for (const Rect& r : *shapes) {
-        if (!r.empty()) index.insert(id, r);  // empty: never overlaps
-        ++id;
-      }
-    }
-    scratch.fillBase.push_back(scratch.fillBase.back() +
-                               problem.fills[l].size());
-    prof::count(prof::Counter::kIndexBuilds);
+  for (const auto& fills : problem.fills) {
+    scratch.fillBase.push_back(scratch.fillBase.back() + fills.size());
   }
-  scratch.contacts.clear();
-  scratch.contactStart.assign(1, 0);
-  std::uint64_t queries = 0;
-  for (std::size_t l = 0; l < numLayers; ++l) {
-    for (const Rect& f : problem.fills[l]) {
-      for (const std::size_t nb : {l - 1, l + 1}) {
-        if (nb >= numLayers) continue;  // l - 1 wraps for l == 0
-        ++queries;
-        const auto& wires = problem.wires[nb];
-        scratch.layerIndex[nb].visit(f, [&](std::uint32_t id) {
-          const Rect& s = id < wires.size()
-                              ? wires[id]
-                              : problem.fills[nb][id - wires.size()];
-          if (s.overlaps(f)) {
-            scratch.contacts.push_back({static_cast<std::uint32_t>(nb), id});
-          }
-        });
-      }
-      scratch.contactStart.push_back(
-          static_cast<std::uint32_t>(scratch.contacts.size()));
+  const std::size_t numSlots = scratch.fillBase.back();
+
+  // Contacts: per adjacent layer pair, one sweep of the lower layer's
+  // fills against the upper layer's wires, one of its wires against the
+  // upper fills and one of fills against fills; wire pairs carry no
+  // overlay term, so no sweep looks for them.
+  auto& hits = scratch.hits;
+  hits.clear();
+  for (std::size_t l = 0; l + 1 < numLayers; ++l) {
+    const auto& wiresLo = problem.wires[l];
+    const auto& fillsLo = problem.fills[l];
+    const auto& wiresUp = problem.wires[l + 1];
+    const auto& fillsUp = problem.fills[l + 1];
+    const auto slotLo = [&](std::uint32_t i) {
+      return static_cast<std::uint32_t>(scratch.fillBase[l] + i);
+    };
+    const auto slotUp = [&](std::uint32_t j) {
+      return static_cast<std::uint32_t>(scratch.fillBase[l + 1] + j);
+    };
+    scratch.sweep.visit(fillsLo, wiresUp,
+                        [&](std::uint32_t i, std::uint32_t j) {
+                          hits.push_back({slotLo(i), true, &wiresUp[j]});
+                        });
+    scratch.sweep.visit(wiresLo, fillsUp,
+                        [&](std::uint32_t i, std::uint32_t j) {
+                          hits.push_back({slotUp(j), true, &wiresLo[i]});
+                        });
+    scratch.sweep.visit(fillsLo, fillsUp,
+                        [&](std::uint32_t i, std::uint32_t j) {
+                          hits.push_back({slotLo(i), false, &fillsUp[j]});
+                          hits.push_back({slotUp(j), false, &fillsLo[i]});
+                        });
+  }
+  // Bucket the hits per fill slot: counts, inclusive prefix sums (each
+  // slot's end), then placement in reverse from each end, which leaves
+  // every slot's start behind and keeps each slot's hits in sweep order.
+  auto& wireStart = scratch.wireStart;
+  auto& fillStart = scratch.fillStart;
+  wireStart.assign(numSlots + 1, 0);
+  fillStart.assign(numSlots + 1, 0);
+  for (const FillSizer::Scratch::Hit& h : hits) {
+    ++(h.wire ? wireStart : fillStart)[h.slot];
+  }
+  for (std::size_t s = 1; s <= numSlots; ++s) {
+    wireStart[s] += wireStart[s - 1];
+    fillStart[s] += fillStart[s - 1];
+  }
+  scratch.wireContacts.resize(wireStart[numSlots]);
+  scratch.fillContacts.resize(fillStart[numSlots]);
+  for (auto h = hits.rbegin(); h != hits.rend(); ++h) {
+    if (h->wire) {
+      scratch.wireContacts[--wireStart[h->slot]] = *h->shape;
+    } else {
+      scratch.fillContacts[--fillStart[h->slot]] = h->shape;
     }
   }
-  prof::count(prof::Counter::kIndexQueries, queries);
+
+  // Close pairs: one self-sweep per layer over the fills grown by half
+  // the spacing rule (rounded up), so every pair with a gap below
+  // minSpacing in both axes overlaps; the exact predicate then sorts the
+  // overlapping pairs into the horizontal and vertical lists.
+  const Coord grow = (minSpacing + 1) / 2;
+  auto& grown = scratch.grown;
+  scratch.closeH.resize(numLayers);
+  scratch.closeV.resize(numLayers);
+  for (std::size_t l = 0; l < numLayers; ++l) {
+    const auto& fills = problem.fills[l];
+    grown.clear();
+    for (const Rect& f : fills) {
+      grown.push_back(f.empty() ? f : f.expanded(grow));
+    }
+    auto& closeH = scratch.closeH[l];
+    auto& closeV = scratch.closeV[l];
+    closeH.clear();
+    closeV.clear();
+    scratch.sweep.visit(grown, [&](std::uint32_t i, std::uint32_t j) {
+      if (closePair(AxisView{true}, fills[i], fills[j], minSpacing)) {
+        closeH.push_back({i, j});
+      }
+      if (closePair(AxisView{false}, fills[i], fills[j], minSpacing)) {
+        closeV.push_back({i, j});
+      }
+    });
+    std::sort(closeH.begin(), closeH.end());
+    std::sort(closeV.begin(), closeV.end());
+  }
 }
+
+namespace {
+
+// edgeMarginals with the pass axis fixed at compile time, so the axis
+// selects fold away; branch-free, since which edges cut which shapes is
+// data-dependent. frozenOverlap is clamped at 0, so a shape that does not
+// overlap the fill adds nothing whichever edges it spans.
+template <bool kHorizontal>
+EdgeMarginals edgeMarginalsAlong(const WindowProblem& problem,
+                                 const FillSizer::Scratch& scratch,
+                                 std::size_t layer, std::size_t k) {
+  constexpr AxisView ax{kHorizontal};
+  const Rect& f = problem.fills[layer][k];
+  const Coord lo = ax.lo(f);
+  const Coord hi = ax.hi(f);
+  const std::size_t slot = scratch.fillBase[layer] + k;
+  const auto cut = [&](const Rect& s, Coord& atLo, Coord& atHi) {
+    const Coord overlap = ax.frozenOverlap(f, s);
+    const Coord sLo = ax.lo(s);
+    const Coord sHi = ax.hi(s);
+    atLo += (sLo <= lo) & (lo < sHi) ? overlap : 0;
+    atHi += (sLo < hi) & (hi <= sHi) ? overlap : 0;
+  };
+  EdgeMarginals m;
+  for (std::uint32_t c = scratch.wireStart[slot];
+       c < scratch.wireStart[slot + 1]; ++c) {
+    cut(scratch.wireContacts[c], m.wireLo, m.wireHi);
+  }
+  for (std::uint32_t c = scratch.fillStart[slot];
+       c < scratch.fillStart[slot + 1]; ++c) {
+    cut(*scratch.fillContacts[c], m.fillLo, m.fillHi);
+  }
+  return m;
+}
+
+}  // namespace
 
 EdgeMarginals edgeMarginals(const WindowProblem& problem,
                             const FillSizer::Scratch& scratch, int layer,
                             std::size_t k, bool horizontal) {
-  const AxisView ax{horizontal};
   const auto l = static_cast<std::size_t>(layer);
-  const Rect& f = problem.fills[l][k];
-  const Coord lo = ax.lo(f);
-  const Coord hi = ax.hi(f);
-  const std::size_t slot = scratch.fillBase[l] + k;
-  EdgeMarginals m;
-  for (std::uint32_t c = scratch.contactStart[slot];
-       c < scratch.contactStart[slot + 1]; ++c) {
-    const auto [nb, id] = scratch.contacts[c];
-    const auto& wires = problem.wires[nb];
-    const bool isWire = id < wires.size();
-    const Rect& s = isWire ? wires[id] : problem.fills[nb][id - wires.size()];
-    const Coord overlap = ax.frozenOverlap(f, s);
-    if (overlap <= 0) continue;
-    if (ax.lo(s) <= lo && lo < ax.hi(s)) {
-      (isWire ? m.wireLo : m.fillLo) += overlap;
-    }
-    if (ax.lo(s) < hi && hi <= ax.hi(s)) {
-      (isWire ? m.wireHi : m.fillHi) += overlap;
-    }
-  }
-  return m;
+  return horizontal ? edgeMarginalsAlong<true>(problem, scratch, l, k)
+                    : edgeMarginalsAlong<false>(problem, scratch, l, k);
 }
 
 }  // namespace detail
@@ -169,10 +217,7 @@ void FillSizer::size(WindowProblem& problem, Stats* stats) const {
 void FillSizer::size(WindowProblem& problem, Scratch& scratch,
                      Stats* stats) const {
   const int numLayers = static_cast<int>(problem.fills.size());
-  detail::indexWindow(
-      problem, geom::windowCellSize(problem.window, rules_.maxFillSize),
-      scratch);
-  scratch.pairFree.assign(2 * problem.fills.size(), 0);
+  detail::indexWindow(problem, rules_.minSpacing, scratch);
   for (int round = 0; round < options_.iterations; ++round) {
     for (const bool horizontal : {true, false}) {
       for (int l = 0; l < numLayers; ++l) {
@@ -207,7 +252,7 @@ void FillSizer::trimToTarget(WindowProblem& problem, int layer,
   std::vector<std::pair<Coord, std::size_t>> order;  // (-marginal, index)
   order.reserve(fills.size());
   {
-    prof::ScopedTimer overlayTimer(prof::Stage::kSizerOverlay);
+    prof::ScopedTimer marginalsTimer(prof::Stage::kSizerMarginals);
     for (std::size_t i = 0; i < fills.size(); ++i) {
       const detail::EdgeMarginals m =
           detail::edgeMarginals(problem, scratch, layer, i, true);
@@ -261,26 +306,23 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
   minLen.resize(n);
   ovLo.resize(n);
   ovHi.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    frozen[i] = ax.frozenLen(fills[i]);
+    // Legal minimum extent in this axis: width rule and area rule with
+    // the other axis frozen (Eqn. 12).
+    minLen[i] = std::max(
+        rules_.minWidth,
+        static_cast<Coord>((rules_.minArea + frozen[i] - 1) / frozen[i]));
+  }
   {
-    prof::ScopedTimer overlayTimer(prof::Stage::kSizerOverlay);
+    prof::ScopedTimer marginalsTimer(prof::Stage::kSizerMarginals);
+    // Wire overlay weighted by etaWireFactor relative to fill overlay.
+    const double wf = options_.etaWireFactor;
     for (std::size_t i = 0; i < n; ++i) {
-      const Rect& f = fills[i];
-      frozen[i] = ax.frozenLen(f);
-      // Legal minimum extent in this axis: width rule and area rule with
-      // the other axis frozen (Eqn. 12).
-      minLen[i] = std::max(
-          rules_.minWidth,
-          static_cast<Coord>((rules_.minArea + frozen[i] - 1) / frozen[i]));
-      // Wire overlay weighted by etaWireFactor relative to fill overlay.
-      const double wf = options_.etaWireFactor;
       const detail::EdgeMarginals m =
           detail::edgeMarginals(problem, scratch, layer, i, horizontal);
-      ovLo[i] = static_cast<Coord>(
-          std::llround(wf * static_cast<double>(m.wireLo) +
-                       static_cast<double>(m.fillLo)));
-      ovHi[i] = static_cast<Coord>(
-          std::llround(wf * static_cast<double>(m.wireHi) +
-                       static_cast<double>(m.fillHi)));
+      ovLo[i] = weightedSum(wf, m.wireLo, m.fillLo);
+      ovHi[i] = weightedSum(wf, m.wireHi, m.fillHi);
     }
   }
 
@@ -316,15 +358,14 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
 
   // One shared close-pair list drives both the repair budget and the
   // spacing constraints (their membership conditions are equivalent; see
-  // collectClosePairs).
+  // closePair): the window's candidate-time pairs still close now.
   auto& closePairs = scratch.closePairs;
   closePairs.clear();
   const auto l = static_cast<std::size_t>(layer);
-  char& pairFree = scratch.pairFree[2 * l + (horizontal ? 1 : 0)];
-  if (pairFree == 0) {
-    collectClosePairs(fills, problem.wires[l].size(), ax, rules_.minSpacing,
-                      scratch.layerIndex[l], closePairs);
-    pairFree = closePairs.empty() ? 1 : 0;
+  for (const auto& [i, j] : (horizontal ? scratch.closeH : scratch.closeV)[l]) {
+    if (closePair(ax, fills[i], fills[j], rules_.minSpacing)) {
+      closePairs.push_back({i, j});
+    }
   }
 
   // Fills involved in spacing violations get extra shrink freedom, enough
@@ -350,8 +391,7 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
     const Coord maxShrinkEach = std::max<Coord>(
         0, std::min(std::max(step[fi], repairNeed[fi]), fullFreedom));
     const auto etaScaled = [this](Coord v) {
-      return static_cast<mcf::Value>(
-          std::llround(options_.eta * static_cast<double>(v)));
+      return static_cast<mcf::Value>(weightedSum(options_.eta, v, 0));
     };
     // d(objective)/d(hiEdge) = densitySign * frozen + eta * ovHi;
     // d(objective)/d(loEdge) is the mirror image.
@@ -469,10 +509,8 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
     }
     fills = std::move(kept);
     // The only place a fills vector is replaced: re-index the window so
-    // no contact or index id points at a moved or freed fill.
-    detail::indexWindow(
-        problem, geom::windowCellSize(problem.window, rules_.maxFillSize),
-        scratch);
+    // no contact or close pair points at a moved or freed fill.
+    detail::indexWindow(problem, rules_.minSpacing, scratch);
     sizeLayerDirection(problem, layer, horizontal, scratch, stats);
     return;
   }

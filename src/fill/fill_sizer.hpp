@@ -9,9 +9,9 @@
 // solved exactly as a dual min-cost flow (Eqns. 15-16). Directions
 // alternate for `iterations` rounds; layers are visited in sequence with
 // neighboring-layer geometry frozen (the linearization the paper uses for
-// the overlay term, Eqn. 11). Each window indexes its shapes once, with
-// a contact list per fill, so a pass reads each fill's overlay marginals
-// from the few shapes that touch it.
+// the overlay term, Eqn. 11). One overlap sweep per window lists each
+// fill's contacts and each layer's close pairs, so a pass reads a fill's
+// overlay marginals from the few shapes that touch it.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "fill/candidate_generator.hpp"
-#include "geometry/grid_index.hpp"
+#include "geometry/overlap_sweep.hpp"
 #include "mcf/dual_lp.hpp"
 
 namespace ofl::fill {
@@ -69,30 +69,41 @@ class FillSizer {
     }
   };
 
-  /// Reusable buffers for size(). One Scratch per worker thread; indexes
-  /// are rebuilt per window and per-fill buffers are overwritten pass by
-  /// pass.
+  /// Reusable buffers for size(). One Scratch per worker thread; the
+  /// contact and close-pair lists are rebuilt per window and per-fill
+  /// buffers are overwritten pass by pass.
   struct Scratch {
-    /// An opposing shape of `layer` in that layer's index numbering: a
-    /// wire when id < wires[layer].size(), else fill id - wires.size().
-    struct Contact {
-      std::uint32_t layer;
-      std::uint32_t id;
-    };
-    // Built once per window by detail::indexWindow. Fills only shrink, so
-    // shapes indexed at their candidate rects stay findable all window
-    // long, and a fill's contacts (the l +- 1 shapes overlapping its
-    // candidate rect) hold every shape its edges can ever cut. Fill k of
-    // layer l owns contacts[contactStart[s], contactStart[s + 1]) for
-    // s = fillBase[l] + k.
-    std::vector<geom::GridIndex> layerIndex;  // wires, then fills
+    // Built once per window by detail::indexWindow from the fills at their
+    // candidate rects. Fills only shrink, so a fill's contacts (the l +- 1
+    // shapes overlapping its candidate rect) hold every shape its edges
+    // can ever cut. Wires never move and are copied; fill contacts point
+    // at the neighbour fills, which stay in place all window long (the
+    // drop fallback, the one place a fills vector is replaced, rebuilds
+    // the lists). Fill k of layer l owns wireContacts[wireStart[s],
+    // wireStart[s + 1]) and fillContacts[fillStart[s], fillStart[s + 1])
+    // for s = fillBase[l] + k.
     std::vector<std::size_t> fillBase;
-    std::vector<std::uint32_t> contactStart;
-    std::vector<Contact> contacts;
-    // Per layer * 2 + horizontal: a pass found no close pair. Shrinking
-    // only widens gaps and narrows overlaps, so none reappears.
-    std::vector<char> pairFree;
+    std::vector<std::uint32_t> wireStart;
+    std::vector<geom::Rect> wireContacts;
+    std::vector<std::uint32_t> fillStart;
+    std::vector<const geom::Rect*> fillContacts;
+    // Per layer, the sorted (i, j) fill pairs close in a horizontal and in
+    // a vertical pass at candidate time. Shrinking only narrows overlaps
+    // and widens gaps, so every pair close at pass time is in the list;
+    // each pass keeps those still close in closePairs.
+    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> closeH;
+    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> closeV;
     std::vector<std::pair<std::size_t, std::size_t>> closePairs;
+    // indexWindow work buffers: a contact found by the sweep, before it
+    // is bucketed into its fill slot.
+    struct Hit {
+      std::uint32_t slot;
+      bool wire;
+      const geom::Rect* shape;
+    };
+    geom::OverlapSweep sweep;
+    std::vector<Hit> hits;
+    std::vector<geom::Rect> grown;  // fills grown for the close-pair sweep
     std::vector<geom::Coord> frozen;
     std::vector<geom::Coord> minLen;
     std::vector<geom::Coord> ovLo;
@@ -141,9 +152,10 @@ struct EdgeMarginals {
   geom::Coord fillHi = 0;
 };
 
-/// (Re)builds the scratch's per-layer indexes and contact lists for the
-/// current rects of `problem`; timed as the sizer's overlay kernel.
-void indexWindow(const WindowProblem& problem, geom::Coord cellSize,
+/// (Re)builds the scratch's contact and close-pair lists for the current
+/// rects of `problem`, spacing pairs under `minSpacing`; timed as the
+/// sizer's `overlay-contacts` kernel.
+void indexWindow(const WindowProblem& problem, geom::Coord minSpacing,
                  FillSizer::Scratch& scratch);
 
 /// Marginals of fill `k` of `layer` at its current rect, from one scan of

@@ -52,8 +52,8 @@ inline Area intersectionArea(std::span<const Rect> a,
 }
 
 /// Total overlap of `rect` with a shape set, summed PAIRWISE — the Eqn. 8
-/// overlay kernel shared by candidate scoring and its spatial-index
-/// variant. Shapes that overlap each other contribute once EACH (the
+/// overlay sum, which candidate scoring accumulates from OverlapSweep
+/// pairs. Shapes that overlap each other contribute once EACH (the
 /// coupling model: a fill facing two stacked neighbor shapes couples to
 /// both), so on self-overlapping sets the sum exceeds the covered area.
 Area overlapAreaSum(const Rect& rect, std::span<const Rect> shapes);

@@ -1,9 +1,11 @@
 // Uniform-grid spatial index over rectangles.
 //
-// Supports the two hot queries of the fill flow: bucketing shapes into
-// dissection windows and neighbor lookup for spacing constraints. A uniform
-// grid beats an R-tree here because fill shapes are small relative to the
-// die and near-uniformly distributed by construction.
+// Serves the whole-die checks: DRC's spacing and overlap lookups and the
+// litho checker's forbidden-pitch scan, where one index over the die
+// answers many small queries. The fill flow's window-local overlay and
+// spacing pairs come from geom::OverlapSweep instead. A uniform grid suits
+// these checks because fill shapes are small relative to the die and
+// near-uniformly distributed by construction.
 #pragma once
 
 #include <algorithm>
@@ -13,17 +15,6 @@
 #include "geometry/rect.hpp"
 
 namespace ofl::geom {
-
-/// Cell-pitch heuristic for window-local indexes: pitch near `targetSize`
-/// (the typical query extent, e.g. the max fill size) but no finer than
-/// 1/64 of the window's short side, so the cell table stays small for
-/// windows much larger than the queries. Shared by the candidate
-/// generator's overlay index and the sizer's marginal/spacing indexes.
-inline Coord windowCellSize(const Rect& window, Coord targetSize) {
-  const Coord minDim =
-      std::max<Coord>(std::min(window.width(), window.height()), 1);
-  return std::max<Coord>(std::max(targetSize, minDim / 64), 1);
-}
 
 class GridIndex {
  public:
@@ -35,9 +26,7 @@ class GridIndex {
   GridIndex(const Rect& extent, Coord cellSize);
 
   /// Re-targets the index to a new extent/pitch and drops all entries,
-  /// reusing the cell-bucket allocations of earlier geometries. The
-  /// fill pipeline calls this once per window on a per-thread scratch
-  /// index instead of constructing a fresh one.
+  /// reusing the cell-bucket allocations of earlier geometries.
   void reset(const Rect& extent, Coord cellSize);
 
   /// Inserts a rect with a caller-chosen id; rects outside the extent are

@@ -81,14 +81,14 @@ TEST_F(ProfTest, RendersStageNamesInBothFormats) {
   {
     ScopedTimer timer(Stage::kMcfSolve);
   }
-  count(Counter::kIndexBuilds, 4);
+  count(Counter::kOverlapPairs, 4);
   const Snapshot snap = Registry::instance().snapshot();
   const std::string human = snap.human();
   EXPECT_NE(human.find("mcf-solve"), std::string::npos);
-  EXPECT_NE(human.find("index-builds"), std::string::npos);
+  EXPECT_NE(human.find("overlap-pairs"), std::string::npos);
   const std::string json = snap.json();
   EXPECT_NE(json.find("\"mcf-solve\""), std::string::npos);
-  EXPECT_NE(json.find("\"index-builds\": 4"), std::string::npos);
+  EXPECT_NE(json.find("\"overlap-pairs\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"stages\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
 }
@@ -103,7 +103,7 @@ TEST_F(ProfTest, JsonRoundTripsThroughParser) {
   {
     ScopedTimer timer(Stage::kMcfSolve);  // indented name "  mcf-solve"
   }
-  count(Counter::kIndexQueries, 12345);
+  count(Counter::kOverlapPairs, 12345);
   const Snapshot snap = Registry::instance().snapshot();
   const std::string text = snap.json();
   const auto doc = json::Value::parse(text);
@@ -122,7 +122,7 @@ TEST_F(ProfTest, JsonRoundTripsThroughParser) {
 
   const json::Value* counters = doc->find("counters");
   ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(counters->find("index-queries")->number, 12345.0);
+  EXPECT_EQ(counters->find("overlap-pairs")->number, 12345.0);
 
   // Byte-stable: re-rendering the same snapshot yields identical text.
   EXPECT_EQ(text, snap.json());

@@ -167,7 +167,7 @@ TEST_P(ContactMarginalTest, MatchesBruteScanThroughShrinks) {
       }
     }
     FillSizer::Scratch scratch;
-    detail::indexWindow(p, geom::windowCellSize(p.window, 40), scratch);
+    detail::indexWindow(p, rules().minSpacing, scratch);
 
     for (int step = 0; step < 40; ++step) {
       for (std::size_t l = 0; l < numLayers; ++l) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "geometry/boolean.hpp"
 
@@ -279,6 +280,118 @@ TEST(FillSizerTest, ClosedFormAndCoupledPassesMatchReferenceBackends) {
   EXPECT_GT(nsStats.closedFormSolves, 0);
   EXPECT_LT(nsStats.closedFormSolves, nsStats.solves);
   EXPECT_EQ(sspStats.closedFormSolves, 0);
+}
+
+// Fingerprint of every window's sized fills, in window, layer and fill
+// order.
+void digestFills(const WindowProblem& p, Fnv1a64& h) {
+  h.u64(p.fills.size());
+  for (const auto& layer : p.fills) {
+    h.u64(layer.size());
+    for (const geom::Rect& f : layer) {
+      h.i64(f.xl);
+      h.i64(f.yl);
+      h.i64(f.xh);
+      h.i64(f.yh);
+    }
+  }
+}
+
+TEST(FillSizerClosePairTest, PairsFollowTheFrozenAxisAndTheCurrentRects) {
+  const auto sized = [](std::vector<geom::Rect> fills) {
+    WindowProblem p = singleLayerProblem(std::move(fills), 0.02);
+    FillSizer::Stats stats;
+    FillSizer(rules(), {}).size(p, &stats);
+    return stats;
+  };
+  // Horizontally close (y-spans overlap, x-gap 4 < 10): one constraint in
+  // the first horizontal pass, which separates the pair for good.
+  EXPECT_EQ(sized({{0, 0, 100, 100}, {104, 0, 204, 100}}).spacingConstraints,
+            1);
+  // Vertically close, the mirror image.
+  EXPECT_EQ(sized({{0, 0, 100, 100}, {0, 104, 100, 204}}).spacingConstraints,
+            1);
+  // Diagonal near-miss: both gaps are 5, but neither frozen axis
+  // overlaps, so the pair is never close.
+  const FillSizer::Stats diagonal =
+      sized({{0, 0, 100, 100}, {105, 105, 205, 205}});
+  EXPECT_EQ(diagonal.spacingConstraints, 0);
+  EXPECT_EQ(diagonal.closedFormSolves, diagonal.solves);
+  // Vertically close at candidate time (x-spans overlap by 10, y-gap 5),
+  // but the first horizontal pass shrinks the x-overlap away, so no
+  // vertical pass sees the pair.
+  const FillSizer::Stats shrunkApart =
+      sized({{0, 0, 100, 100}, {90, 105, 200, 205}});
+  EXPECT_EQ(shrunkApart.spacingConstraints, 0);
+  EXPECT_EQ(shrunkApart.closedFormSolves, shrunkApart.solves);
+}
+
+// Three-layer DRC-dirty window: fills on a jittered 110-DBU grid, so
+// neighbours sit up to 19 DBU apart (many below the 10-DBU rule) or
+// overlap, and a few near-duplicates overlap too much to repair within
+// one pass, so the drop fallback re-indexes the window.
+WindowProblem dirtyWindow(Rng& rng) {
+  WindowProblem p;
+  p.window = {0, 0, 600, 600};
+  p.fillRegions.assign(3, geom::Region(p.window));
+  p.wires.resize(3);
+  p.fills.resize(3);
+  for (std::size_t l = 0; l < 3; ++l) {
+    const int numWires = static_cast<int>(rng.uniformInt(0, 4));
+    for (int w = 0; w < numWires; ++w) {
+      const geom::Coord x = rng.uniformInt(0, 560);
+      const geom::Coord y = rng.uniformInt(0, 560);
+      p.wires[l].push_back(l % 2 == 0
+                               ? geom::Rect{0, y, 600, y + 20}
+                               : geom::Rect{x, 0, x + 20, 600});
+    }
+    for (geom::Coord gy = 0; gy + 110 <= 600; gy += 110) {
+      for (geom::Coord gx = 0; gx + 110 <= 600; gx += 110) {
+        if (!rng.bernoulli(0.6)) continue;
+        const geom::Coord x = gx + rng.uniformInt(-12, 8);
+        const geom::Coord y = gy + rng.uniformInt(-12, 8);
+        p.fills[l].push_back({std::max<geom::Coord>(x, 0),
+                              std::max<geom::Coord>(y, 0),
+                              x + rng.uniformInt(60, 110),
+                              y + rng.uniformInt(60, 110)});
+        if (rng.bernoulli(0.015)) {
+          // Two narrow columns 2-6 DBU apart: even at the minimum width
+          // they cannot clear the rule.
+          geom::Rect& f = p.fills[l].back();
+          f.xh = f.xl + rng.uniformInt(14, 22);
+          const geom::Coord dx = rng.uniformInt(2, 6);
+          const geom::Coord dy = rng.uniformInt(-4, 4);
+          p.fills[l].push_back({f.xl + dx, f.yl + dy, f.xh + dx, f.yh + dy});
+        }
+      }
+    }
+    geom::Area wireArea = 0;
+    for (const geom::Rect& w : p.wires[l]) wireArea += w.area();
+    p.wireDensity.push_back(static_cast<double>(wireArea) /
+                            static_cast<double>(p.window.area()));
+    p.targetDensity.push_back(
+        p.wireDensity.back() +
+        0.01 * static_cast<double>(rng.uniformInt(5, 40)));
+  }
+  return p;
+}
+
+TEST(FillSizerClosePairTest, DirtyWindowsMatchRecordedSizing) {
+  // Recorded with the per-pass grid-index close-pair search the window
+  // sweep replaced: the same constraints, drops and fills.
+  Rng rng(3030);
+  FillSizer::Scratch scratch;
+  FillSizer::Stats stats;
+  Fnv1a64 digest;
+  for (int w = 0; w < 200; ++w) {
+    WindowProblem p = dirtyWindow(rng);
+    FillSizer(rules(), {}).size(p, scratch, &stats);
+    digestFills(p, digest);
+  }
+  EXPECT_EQ(stats.spacingConstraints, 1935);
+  EXPECT_EQ(stats.droppedFills, 407);
+  EXPECT_EQ(stats.infeasibleFallbacks, 129);
+  EXPECT_EQ(digest.digest(), 12819921470575331311ull);
 }
 
 }  // namespace

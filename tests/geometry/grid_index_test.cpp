@@ -107,15 +107,6 @@ TEST(GridIndexTest, RepeatedResetMatchesFreshIndex) {
   }
 }
 
-TEST(GridIndexTest, WindowCellSizeClampsToTargetAndWindow) {
-  // Target pitch dominates when it is coarser than 1/64 of the window.
-  EXPECT_EQ(windowCellSize({0, 0, 2000, 2000}, 200), 200);
-  // Large windows floor the pitch at minDim/64 to bound the cell table.
-  EXPECT_EQ(windowCellSize({0, 0, 6400, 6400}, 10), 100);
-  // Degenerate windows and zero targets still yield a positive pitch.
-  EXPECT_EQ(windowCellSize({0, 0, 1, 1}, 0), 1);
-}
-
 TEST(GridIndexTest, OutOfExtentRectClampedButDiscoverable) {
   GridIndex index({0, 0, 100, 100}, 10);
   index.insert(9, {-20, -20, -5, -5});  // fully outside; clamps to border
